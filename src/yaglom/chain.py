@@ -307,6 +307,39 @@ def square_even(kernel: NNKernel) -> NNKernel:
     return NNKernel(tuple(regions), tuple(overrides))
 
 
+def _hull(v: np.ndarray, a: int, b: int) -> tuple[int, int]:
+    """Live hull of ``v`` given that its support lies in [a, b].
+
+    The hull runs from the first nonzero index minus one to the last
+    nonzero index plus one, clamped to the array.  The ends move inward
+    one entry at a time; a step widens the hull by at most one site per
+    side, so over a run this costs amortised O(1) per step.
+    """
+    while a < b and v[a] == 0.0:
+        a += 1
+    while b > a and v[b] == 0.0:
+        b -= 1
+    return max(a - 1, 0), min(b + 1, len(v) - 1)
+
+
+def _forward_step(v, up, stay, down, a: int, b: int) -> tuple[int, int]:
+    """Replace ``v`` by ``v K`` in place, touching only the live hull [a, b].
+
+    ``v`` and the rate arrays cover one window; ``v`` must be 0.0 outside
+    [a, b], and at a and b too unless they are the window ends.  Entries
+    outside the hull stay exactly 0.0, so the update equals the dense one
+    site for site; mass flowing off the window ends is dropped.  Returns
+    the new live hull.
+    """
+    live = v[a : b + 1]
+    into_up = live[:-1] * up[a:b]
+    into_down = live[1:] * down[a + 1 : b + 1]
+    live *= stay[a : b + 1]
+    live[1:] += into_up
+    live[:-1] += into_down
+    return _hull(v, a, b)
+
+
 def kernel_step(kernel, state: MassState, clip: float = 0.0) -> tuple[MassState, float]:
     """Apply the kernel once and renormalize.
 
@@ -322,11 +355,9 @@ def kernel_step(kernel, state: MassState, clip: float = 0.0) -> tuple[MassState,
     """
     lo, hi = state.window.lo - 1, state.window.hi + 1
     up, stay, down = kernel.rows(lo, hi)
-    v = np.zeros(hi - lo + 1)
-    v[1:-1] = state.values
-    w = v * stay
-    w[1:] += v[:-1] * up[:-1]
-    w[:-1] += v[1:] * down[1:]
+    w = np.zeros(hi - lo + 1)
+    w[1:-1] = state.values
+    _forward_step(w, up, stay, down, 0, len(w) - 1)
     survival = float(w.sum())
     if survival <= 0.0:
         raise DegenerateKernelError("all mass killed in one step")

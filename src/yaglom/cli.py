@@ -37,6 +37,7 @@ from .measures import (
 from .montecarlo import absorption_times, orey_trace, simulate_absorbed
 from .scenarios import PRESETS, oscillation_probe, preset_hints, preset_kernel
 from .spectral import (
+    MIN_RHO_FACTORS,
     e0_r_zeta,
     estimate_rho,
     green_partial,
@@ -68,6 +69,7 @@ DEFAULTS = {
     "budgets": {"n_max": 50000, "mc_paths": 200000, "horizon_M": 4096},
     "out_dir": "yaglom_out",
 }
+MC_PATH_CAP = 200000
 
 
 class ConfigError(Exception):
@@ -193,6 +195,15 @@ def _write_json(path: Path, cfg: dict, results: dict) -> None:
         fh.write("\n")
 
 
+def _write_measures(out: Path, cfg: dict, window: Window, plus, minus) -> None:
+    sites = window.sites()
+    header = ["site", "mu_plus_raw", "mu_plus_prob", "mu_minus_raw", "mu_minus_prob"]
+    columns = [sites]
+    for m in (plus, minus):
+        columns += [m.value(sites), prob_values(m, window)]
+    _write_csv(out / "measures.csv", cfg, header, zip(*(c.tolist() for c in columns)))
+
+
 def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
@@ -211,6 +222,9 @@ def _jsonable(obj):
 def cmd_yaglom(cfg, base, kernel, hints, out: Path) -> dict:
     x0, n = int(cfg["x0"]), int(cfg["n"])
     tracked = tuple(int(y) for y in cfg["tracked_sites"])
+    for y in tracked:
+        if abs(y - x0) > n:
+            raise ConfigError(f"tracked site {y} outside the window [{x0 - n}, {x0 + n}]")
     trace = evolve_trace(kernel, x0, n, tracked=tracked, clip=float(cfg.get("clip") or 0.0))
     header = ["n", "survival_factor", "log_mass"] + [f"ratio_{y}" for y in tracked]
     logm = np.cumsum(np.log(trace.survival_factors))
@@ -232,6 +246,10 @@ def cmd_yaglom(cfg, base, kernel, hints, out: Path) -> dict:
         "final_survival_factor": float(trace.survival_factors[-1]),
         "log_mass": dist.log_mass,
         "clipped_mass_bound": dist.clipped,
+        "edge_lost": trace.edge_lost,
+        "clip_lost": trace.clip_lost,
+        "live_hull_width": len(trace.live_hull),
+        "zero_sites": int(dist.values.size - np.count_nonzero(dist.values)),
     }
     ref = _reference_measure(base, hints, x0) if not cfg.get("square_even") else None
     if ref is not None:
@@ -243,6 +261,8 @@ def cmd_yaglom(cfg, base, kernel, hints, out: Path) -> dict:
 
 def cmd_spectral(cfg, base, kernel, hints, out: Path) -> dict:
     x0, n = int(cfg["x0"]), int(cfg["n"])
+    if n < MIN_RHO_FACTORS:
+        raise BudgetError(f"spectral needs n >= {MIN_RHO_FACTORS} to estimate rho, got n={n}")
     trace = evolve_trace(kernel, x0, n)
     est = estimate_rho(trace)
     results: dict = {
@@ -290,19 +310,7 @@ def cmd_invariant(cfg, base, kernel, hints, out: Path) -> dict:
             rows.append([c, m.d0, normalizer_T(m)])
         _write_csv(out / "family.csv", cfg, ["c", "d0", "T"], rows)
         mp, mm = extremal_plus(params), extremal_minus(params)
-        sites = window.sites()
-        _write_csv(
-            out / "measures.csv",
-            cfg,
-            ["site", "mu_plus_raw", "mu_plus_prob", "mu_minus_raw", "mu_minus_prob"],
-            zip(
-                sites.tolist(),
-                mp.value(sites).tolist(),
-                prob_values(mp, window).tolist(),
-                mm.value(sites).tolist(),
-                prob_values(mm, window).tolist(),
-            ),
-        )
+        _write_measures(out, cfg, window, mp, mm)
         upper_plus = np.cumsum(prob_values(mp, window)[::-1])[::-1]
         upper_minus = np.cumsum(prob_values(mm, window)[::-1])[::-1]
         results = {
@@ -315,19 +323,7 @@ def cmd_invariant(cfg, base, kernel, hints, out: Path) -> dict:
     elif "mirror" in hints:
         mp = hints["mirror"]
         plus, minus = mirror_extremal(mp, +1), mirror_extremal(mp, -1)
-        sites = window.sites()
-        _write_csv(
-            out / "measures.csv",
-            cfg,
-            ["site", "mu_plus_raw", "mu_plus_prob", "mu_minus_raw", "mu_minus_prob"],
-            zip(
-                sites.tolist(),
-                plus.value(sites).tolist(),
-                prob_values(plus, window).tolist(),
-                minus.value(sites).tolist(),
-                prob_values(minus, window).tolist(),
-            ),
-        )
+        _write_measures(out, cfg, window, plus, minus)
         results = {
             "T": plus.T,
             "pi_plus_at_0": 1.0 / plus.T,
@@ -361,19 +357,14 @@ def cmd_transform(cfg, base, kernel, hints, out: Path) -> dict:
         "hhat": {str(x): est.table[x] for x in sites},
         "all_converged": est.verdict(),
     }
+    tk = None
     if "mirror" in hints:
         mp = hints["mirror"]
         tk = h_transform(base, mirror_hhat(mp), mp.R)
-        w = hitting_split(tk, x0, M_cap=int(cfg["budgets"]["horizon_M"]))
-        results["boundary_weights"] = {
-            "w_minus": w.w_minus,
-            "w_plus": w.w_plus,
-            "converged": w.converged,
-            "horizon": w.horizon,
-        }
     if "two_sided" in hints:
         params = hints["two_sided"]
         tk = h_transform(base, dual_harmonic(extremal_plus(params)), params.R)
+    if tk is not None:
         w = hitting_split(tk, x0, M_cap=int(cfg["budgets"]["horizon_M"]))
         results["boundary_weights"] = {
             "w_minus": w.w_minus,
@@ -388,7 +379,8 @@ def cmd_transform(cfg, base, kernel, hints, out: Path) -> dict:
 def cmd_simulate(cfg, base, kernel, hints, out: Path) -> dict:
     x0 = int(cfg["x0"])
     seed = int(cfg["seed"])
-    n_paths = min(int(cfg["budgets"]["mc_paths"]), 200000)
+    requested = int(cfg["budgets"]["mc_paths"])
+    n_paths = min(requested, MC_PATH_CAP)
     zeta = absorption_times(kernel, x0, n_paths, seed)
     _write_csv(out / "zeta.csv", cfg, ["path", "zeta"], enumerate(zeta.tolist()))
     sample = simulate_absorbed(kernel, x0, min(int(cfg["n"]), 5000), seed + 7)
@@ -398,6 +390,8 @@ def cmd_simulate(cfg, base, kernel, hints, out: Path) -> dict:
     results: dict = {
         "seed": seed,
         "paths": n_paths,
+        "paths_requested": requested,
+        "paths_capped": requested > MC_PATH_CAP,
         "sample_path_absorbed_at": sample.absorbed_at,
         "mean_zeta": float(zeta.mean()),
         "survival_tail": {str(m): float((zeta > m).mean()) for m in (5, 10, 20)},
@@ -437,7 +431,7 @@ def cmd_simulate(cfg, base, kernel, hints, out: Path) -> dict:
         rho_lazy = 0.5 + 0.5 * params.rho
         rk = time_reversal(lazy, mplus, rho_lazy)
         m_grid = tuple(int(m) for m in (cfg.get("orey_m_grid") or (64, 256, 1024)))
-        tr = orey_trace(rk, lazy, _Prob(mplus), m_grid, seed + 1, probes=(0,))
+        tr = orey_trace(rk, lazy, mplus, m_grid, seed + 1, probes=(0,))
         _write_csv(
             out / "orey.csv",
             cfg,
@@ -449,16 +443,6 @@ def cmd_simulate(cfg, base, kernel, hints, out: Path) -> dict:
         results["pi_plus_at_0"] = 1.0 / normalizer_T(mplus)
     _write_json(out / "simulate_report.json", cfg, results)
     return results
-
-
-class _Prob:
-    """Normalized view of a raw measure (prob = value / T)."""
-
-    def __init__(self, measure):
-        self._m = measure
-
-    def prob(self, x):
-        return self._m.value(x) / self._m.T
 
 
 def cmd_conditions(cfg, base, kernel, hints, out: Path) -> dict:
@@ -482,7 +466,7 @@ def cmd_kesten(cfg, base, kernel, hints, out: Path) -> dict:
     _write_csv(out / "oscillation.csv", cfg, ["n1", "n2", "tv"], rows)
     rho_by_budget = {}
     for n in n_grid:
-        if n >= 200:
+        if n >= MIN_RHO_FACTORS:
             est = estimate_rho(probe.survival_factors[:n])
             rho_by_budget[str(n)] = {
                 "rho_hat": est.rho_hat,

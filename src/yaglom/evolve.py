@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chain import DegenerateKernelError, MassState, Window
+from .chain import DegenerateKernelError, MassState, Window, _forward_step, _hull
 
 __all__ = [
     "YaglomTrace",
@@ -35,7 +35,10 @@ class YaglomTrace:
     site y, ``tracked_ratios[y][k]`` is K^{k+1}(x0,y)/K^k(x0,y), with NaN
     while y is unreachable (parity or range).  ``distribution`` is the
     conditioned law at step n; ``snapshots`` holds optional intermediate
-    conditioned laws keyed by step.
+    conditioned laws keyed by step.  The distribution's ``clipped`` total
+    splits into ``edge_lost`` (mass that stepped off a capped window) and
+    ``clip_lost`` (mass discarded by tail clipping); ``live_hull`` is the
+    final support widened by one site per side, clamped to the window.
     """
 
     start: int
@@ -45,6 +48,9 @@ class YaglomTrace:
     tracked_ratios: dict[int, np.ndarray] = field(default_factory=dict)
     tracked_values: dict[int, np.ndarray] = field(default_factory=dict)
     snapshots: dict[int, MassState] = field(default_factory=dict)
+    edge_lost: float = 0.0
+    clip_lost: float = 0.0
+    live_hull: Window | None = None
 
 
 def evolve_trace(
@@ -66,13 +72,14 @@ def evolve_trace(
         Sites whose pointwise ratio series are recorded.
     clip
         Optional relative tail threshold; discarded mass is accumulated in
-        the returned distribution's ``clipped`` field.
+        ``clip_lost`` and in the returned distribution's ``clipped`` total.
     snapshot_at
         Steps at which to store intermediate conditioned distributions.
     max_halfwidth
         Optional cap on the window half-width; mass stepping beyond the
-        capped window is discarded into the ``clipped`` accumulator.  The
-        default grows the window exactly (one site per side per step).
+        capped window is discarded into ``edge_lost`` and the ``clipped``
+        total.  The default grows the window exactly (one site per side
+        per step).  Either way each step costs O(live hull), not O(window).
 
     Raises
     ------
@@ -86,8 +93,8 @@ def evolve_trace(
     up, stay, down = kernel.rows(lo, hi)
     v = np.zeros(hi - lo + 1)
     v[x0 - lo] = 1.0
-    log_mass = 0.0
-    clipped = 0.0
+    a, b = _hull(v, x0 - lo, x0 - lo)
+    log_mass = edge_lost = clip_lost = 0.0
     surv = np.empty(n)
     snaps: dict[int, MassState] = {}
     want = set(snapshot_at)
@@ -98,32 +105,32 @@ def evolve_trace(
             raise ValueError(f"tracked site {y} outside the capped window")
         tracked_vals[y][0] = 1.0 if y == x0 else 0.0
     for k in range(n):
-        w = v * stay
-        w[1:] += v[:-1] * up[:-1]
-        w[:-1] += v[1:] * down[1:]
         # up-flow out of hi and down-flow out of lo fall off the window
         edge = v[0] * down[0] + v[-1] * up[-1]
-        s = float(w.sum())
+        a, b = _forward_step(v, up, stay, down, a, b)
+        live = v[a : b + 1]
+        s = float(live.sum())
         if s <= 0.0:
             raise DegenerateKernelError(f"total extinction at step {k + 1}")
         if edge > 0.0:
-            clipped += edge / s
+            edge_lost += edge / s
         if clip > 0.0:
-            small = w < clip * s
-            lost = float(w[small].sum())
+            small = live < clip * s
+            lost = float(live[small].sum())
             if lost > 0.0:
-                w[small] = 0.0
-                clipped += lost / s
-                s = float(w.sum())
-        v = w / s
+                live[small] = 0.0
+                clip_lost += lost / s
+                s = float(live.sum())
+        live /= s
         surv[k] = s
         log_mass += math.log(s)
         for y in tracked:
             tracked_vals[y][k + 1] = v[y - lo]
         if (k + 1) in want:
-            snaps[k + 1] = MassState(Window(lo, hi), v.copy(), log_mass, clipped)
+            snaps[k + 1] = MassState(Window(lo, hi), v.copy(), log_mass, edge_lost + clip_lost)
 
-    dist = MassState(Window(lo, hi), v, log_mass, clipped)
+    dist = MassState(Window(lo, hi), v, log_mass, edge_lost + clip_lost)
+    a, b = _hull(v, a, b)
     ratios: dict[int, np.ndarray] = {}
     for y in tracked:
         vals = tracked_vals[y]
@@ -134,7 +141,10 @@ def evolve_trace(
         # K^{k+1}(x0,y)/K^k(x0,y) = s_k * v_{k+1}(y) / v_k(y)
         r[ok] = surv[ok] * cur[ok] / prev[ok]
         ratios[y] = r
-    return YaglomTrace(x0, n, surv, dist, ratios, tracked_vals, snaps)
+    return YaglomTrace(
+        x0, n, surv, dist, ratios, tracked_vals, snaps,
+        edge_lost, clip_lost, Window(lo + a, lo + b),
+    )
 
 
 def taboo_first_return(kernel, x0: int, n_max: int) -> np.ndarray:
@@ -151,14 +161,12 @@ def taboo_first_return(kernel, x0: int, n_max: int) -> np.ndarray:
     i0 = x0 - lo
     v = np.zeros(hi - lo + 1)
     v[i0] = 1.0
+    a, b = i0 - 1, i0 + 1
     f = np.empty(n_max)
     for k in range(n_max):
-        w = v * stay
-        w[1:] += v[:-1] * up[:-1]
-        w[:-1] += v[1:] * down[1:]
-        f[k] = w[i0]
-        w[i0] = 0.0
-        v = w
+        a, b = _forward_step(v, up, stay, down, a, b)
+        f[k] = v[i0]
+        v[i0] = 0.0
     return f
 
 

@@ -20,7 +20,6 @@ from .spectral import TwoSidedParams, quadratic_roots
 
 __all__ = [
     "ClosedFormMeasure",
-    "TabulatedMeasure",
     "DualHarmonic",
     "MirrorParams",
     "MirrorMeasure",
@@ -90,24 +89,6 @@ class ClosedFormMeasure:
 
     def prob(self, x):
         return self.value(x) / self.T
-
-    def tabulate(self, window: Window, normalized: bool = False) -> "TabulatedMeasure":
-        vals = np.exp(self.log_value(window.sites()))
-        if not normalized:
-            return TabulatedMeasure(window, vals, "raw", 0.0)
-        T = self.T
-        covered = float(vals.sum())
-        return TabulatedMeasure(window, vals / T, "probability", (T - covered) / T)
-
-
-@dataclass(frozen=True)
-class TabulatedMeasure:
-    """Window tabulation of a measure with its truncation tail bound."""
-
-    window: Window
-    values: np.ndarray
-    scale_tag: str
-    tail_bound: float
 
 
 def family_measure(params: TwoSidedParams, c: float) -> ClosedFormMeasure:
@@ -349,14 +330,6 @@ class MirrorMeasure:
 
     def prob(self, x):
         return self.value(x) / self.T
-
-    def tabulate(self, window: Window, normalized: bool = False) -> TabulatedMeasure:
-        vals = np.exp(self.log_value(window.sites()))
-        if not normalized:
-            return TabulatedMeasure(window, vals, "raw", 0.0)
-        T = self.T
-        covered = float(vals.sum())
-        return TabulatedMeasure(window, vals / T, "probability", (T - covered) / T)
 
 
 def mirror_extremal(params: MirrorParams, side: int) -> MirrorMeasure:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta
 
-from .chain import MassState, Window
+from .chain import MassState, Window, _forward_step
 from .evolve import YaglomTrace
 
 __all__ = [
@@ -92,6 +92,9 @@ def _richardson(series: np.ndarray) -> np.ndarray:
     return e
 
 
+MIN_RHO_FACTORS = 200
+
+
 def estimate_rho(
     trace: YaglomTrace | np.ndarray, cauchy_tol: float = 1e-3
 ) -> SpectralEstimate:
@@ -103,8 +106,8 @@ def estimate_rho(
     non-convergent and the bound reported is infinite.
     """
     series = trace.survival_factors if isinstance(trace, YaglomTrace) else np.asarray(trace)
-    if len(series) < 200:
-        raise ValueError("need at least 200 survival factors")
+    if len(series) < MIN_RHO_FACTORS:
+        raise ValueError(f"need at least {MIN_RHO_FACTORS} survival factors")
     extrap = _richardson(series)
     tail = extrap[len(extrap) // 2 :]
     last = extrap[-min(50, len(extrap) // 4) :]
@@ -192,19 +195,19 @@ def green_partial(kernel, x: int, y, w: float, N: int) -> GreenPartial:
     up, stay, down = kernel.rows(lo, hi)
     v = np.zeros(hi - lo + 1)
     v[x - lo] = 1.0
+    a, b = N - 1, N + 1
     log_mass = 0.0
     logw = math.log(w) if w > 0.0 else -math.inf
     terms = np.zeros(N + 1)
     terms[0] = 1.0 if (want_S or y == x) else 0.0
     for n in range(1, N + 1):
-        u = v * stay
-        u[1:] += v[:-1] * up[:-1]
-        u[:-1] += v[1:] * down[1:]
-        s = float(u.sum())
+        a, b = _forward_step(v, up, stay, down, a, b)
+        live = v[a : b + 1]
+        s = float(live.sum())
         if s <= 0.0:
             terms[n:] = 0.0
             break
-        v = u / s
+        live /= s
         log_mass += math.log(s)
         if w == 0.0:
             continue
@@ -264,18 +267,18 @@ def chi_entrance(kernel, z: int, w: float, N: int):
         up, stay, down = kernel.rows(lo, hi)
         v = np.zeros(hi - lo + 1)
         v[z - lo] = 1.0
+        a, b = N - 1, N + 1
         log_mass = 0.0
         logw = math.log(w)
         for n in range(1, N + 1):
-            u = v * stay
-            u[1:] += v[:-1] * up[:-1]
-            u[:-1] += v[1:] * down[1:]
-            s = float(u.sum())
+            a, b = _forward_step(v, up, stay, down, a, b)
+            live = v[a : b + 1]
+            s = float(live.sum())
             if s <= 0.0:
                 break
-            v = u / s
+            live /= s
             log_mass += math.log(s)
-            acc += math.exp(log_mass + n * logw) * v
+            acc[a : b + 1] += math.exp(log_mass + n * logw) * live
     total = float(acc.sum())
     return MassState(Window(lo, hi), acc / total, math.log(total))
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Window
+from .chain import Window, _forward_step, _hull
 from .measures import Mixture, c_max
 from .spectral import TwoSidedParams, quadratic_roots
 
@@ -177,16 +177,16 @@ def _target_series(kernel, start: int, target: int, n_max: int):
     up, stay, down = kernel.rows(lo, hi)
     v = np.zeros(hi - lo + 1)
     v[start - lo] = 1.0
+    a, b = _hull(v, start - lo, start - lo)
     logm = np.zeros(n_max + 1)
     val = np.zeros(n_max + 1)
     val[0] = 1.0 if start == target else 0.0
     acc = 0.0
     for n in range(1, n_max + 1):
-        w = v * stay
-        w[1:] += v[:-1] * up[:-1]
-        w[:-1] += v[1:] * down[1:]
-        s = float(w.sum())
-        v = w / s
+        a, b = _forward_step(v, up, stay, down, a, b)
+        live = v[a : b + 1]
+        s = float(live.sum())
+        live /= s
         acc += math.log(s)
         logm[n] = acc
         val[n] = v[target - lo]

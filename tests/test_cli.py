@@ -119,6 +119,7 @@ def test_simulate_reproducible_outputs(tmp_path):
     assert za[1:] == zb[1:]
     rep = read_report(tmp_path / "a" / "simulate_report.json")
     assert rep["results"]["seed"] == 77
+    assert rep["results"]["paths_capped"] is False
 
 
 def test_kesten_subcommand_small_grid(tmp_path):
@@ -144,3 +145,37 @@ def test_invariant_and_transform_subcommands(tmp_path):
     ) == 0
     rep = read_report(tmp_path / "t" / "transform_report.json")
     assert rep["results"]["boundary_weights"]["w_plus"] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_spectral_below_rho_minimum_is_budget_error(tmp_path, capsys):
+    assert run(["spectral", "--n", "100", "--out-dir", tmp_path]) == 4
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("budget exhausted:") and "200" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_tracked_site_outside_window_is_config_error(tmp_path, capsys):
+    code = run(["yaglom", "--n", "50", "--tracked-sites", "500", "--out-dir", tmp_path])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "500" in err and "[-50, 50]" in err
+
+
+def test_yaglom_report_splits_edge_and_clip_loss(tmp_path):
+    out = tmp_path / "y"
+    assert run(["yaglom", "--lazify", "0.5", "--n", "3000", "--clip", "1e-30",
+                "--out-dir", out]) == 0
+    res = read_report(out / "yaglom_report.json")["results"]
+    assert res["edge_lost"] == 0.0 and res["clip_lost"] > 0.0
+    assert res["edge_lost"] + res["clip_lost"] == res["clipped_mass_bound"]
+    assert 0 < res["live_hull_width"] < 6001
+    assert res["zero_sites"] >= 6001 - res["live_hull_width"]
+
+
+def test_simulate_reports_path_cap(tmp_path):
+    out = tmp_path / "m"
+    assert run(["simulate", "--mc-paths", "250000", "--n", "200", "--out-dir", out]) == 0
+    res = read_report(out / "simulate_report.json")["results"]
+    assert res["paths_requested"] == 250000
+    assert res["paths_capped"] is True
+    assert res["paths"] == 200000

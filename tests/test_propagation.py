@@ -1,0 +1,256 @@
+"""The live-hull propagation core against the dense tridiagonal step.
+
+``dense_step`` below is the three-line update every forward run used to
+copy, applied to the whole window.  It stays here as the oracle: stepping
+only the live hull must give the same sites, and sums that differ only in
+their summation order (a few ulps).
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from yaglom import (
+    NNKernel,
+    Region,
+    chi_entrance,
+    estimate_hhat,
+    evolve_trace,
+    green_partial,
+    lazify,
+    preset_kernel,
+    taboo_first_return,
+)
+from yaglom.chain import _forward_step, _hull
+from yaglom.spectral import _fit_tail
+
+PRESETS = ("two_sided", "symmetric", "kesten", "alpha_walk")
+REL = 1e-14
+
+
+def dense_step(v, up, stay, down):
+    w = v * stay
+    w[1:] += v[:-1] * up[:-1]
+    w[:-1] += v[1:] * down[1:]
+    return w
+
+
+def dense_trace(kernel, x0, n, tracked=(), clip=0.0, max_halfwidth=None):
+    """The pre-hull ``evolve_trace`` loop, whole window every step."""
+    half = n if max_halfwidth is None else min(n, max_halfwidth)
+    lo, hi = x0 - half, x0 + half
+    up, stay, down = kernel.rows(lo, hi)
+    v = np.zeros(hi - lo + 1)
+    v[x0 - lo] = 1.0
+    log_mass = clipped = 0.0
+    surv = np.empty(n)
+    vals = {y: np.full(n + 1, np.nan) for y in tracked}
+    for y in tracked:
+        vals[y][0] = 1.0 if y == x0 else 0.0
+    for k in range(n):
+        w = dense_step(v, up, stay, down)
+        edge = v[0] * down[0] + v[-1] * up[-1]
+        s = float(w.sum())
+        if edge > 0.0:
+            clipped += edge / s
+        if clip > 0.0:
+            small = w < clip * s
+            lost = float(w[small].sum())
+            if lost > 0.0:
+                w[small] = 0.0
+                clipped += lost / s
+                s = float(w.sum())
+        v = w / s
+        surv[k] = s
+        log_mass += math.log(s)
+        for y in tracked:
+            vals[y][k + 1] = v[y - lo]
+    return surv, log_mass, v, clipped, vals
+
+
+def dense_forward_runs(kernel, x0, n):
+    """Per-step (log K^n(x0,S), normalised vector) on the window x0 +- n."""
+    lo = x0 - n
+    up, stay, down = kernel.rows(lo, x0 + n)
+    v = np.zeros(2 * n + 1)
+    v[x0 - lo] = 1.0
+    log_mass = 0.0
+    for _ in range(n):
+        w = dense_step(v, up, stay, down)
+        s = float(w.sum())
+        v = w / s
+        log_mass += math.log(s)
+        yield lo, log_mass, v
+
+
+def assert_rel(got, want, rel=REL):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)
+    scale = np.maximum(np.abs(want[ok]), np.finfo(float).tiny)
+    assert np.all(np.abs(got[ok] - want[ok]) <= rel * scale)
+
+
+def assert_norm_rel(got, want, rel=REL):
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", PRESETS)
+@pytest.mark.parametrize(
+    "mode", [{}, {"max_halfwidth": 120, "clip": 1e-20}], ids=["growing", "capped"]
+)
+def test_trace_matches_dense_loop(name, mode):
+    kernel = lazify(preset_kernel(name), 0.25)
+    x0, n, tracked = 3, 1500, (3, 0, -2, 7)
+    tr = evolve_trace(kernel, x0, n, tracked=tracked, **mode)
+    surv, log_mass, v, clipped, vals = dense_trace(kernel, x0, n, tracked, **mode)
+    assert_rel(tr.survival_factors, surv)
+    assert tr.distribution.log_mass == pytest.approx(log_mass, rel=REL)
+    assert_norm_rel(tr.distribution.values, v)
+    assert tr.distribution.clipped == pytest.approx(clipped, rel=REL, abs=0.0)
+    for y in tracked:
+        assert_rel(tr.tracked_values[y], vals[y])
+        prev, cur = vals[y][:-1], vals[y][1:]
+        ratio = np.where(prev > 0, surv * cur / np.where(prev > 0, prev, 1.0), np.nan)
+        assert_rel(tr.tracked_ratios[y], ratio)
+    if mode:
+        assert clipped > 0.0
+    else:
+        assert clipped == 0.0
+
+
+@pytest.mark.parametrize(
+    "mode, edge, clip",
+    [({}, False, False),
+     ({"max_halfwidth": 60}, True, False),
+     ({"clip": 1e-12}, False, True),
+     ({"max_halfwidth": 30, "clip": 1e-12}, True, True)],
+)
+def test_edge_and_clip_losses_sum_to_clipped(mode, edge, clip):
+    tr = evolve_trace(lazify(preset_kernel("symmetric"), 0.5), 0, 800, **mode)
+    assert (tr.edge_lost > 0.0) == edge
+    assert (tr.clip_lost > 0.0) == clip
+    assert tr.edge_lost + tr.clip_lost == tr.distribution.clipped
+
+
+def test_live_hull_brackets_the_final_support():
+    tr = evolve_trace(lazify(preset_kernel("two_sided"), 0.5), 0, 4000)
+    dist = tr.distribution
+    nz = dist.window.lo + np.flatnonzero(dist.values)
+    assert tr.live_hull.lo == nz[0] - 1
+    assert tr.live_hull.hi == nz[-1] + 1
+    assert len(tr.live_hull) < len(dist.window) // 2
+
+
+def test_taboo_first_return_matches_dense_loop():
+    kernel = lazify(preset_kernel("two_sided"), 0.5)
+    x0, n = 2, 600
+    lo = x0 - n
+    up, stay, down = kernel.rows(lo, x0 + n)
+    v = np.zeros(2 * n + 1)
+    v[x0 - lo] = 1.0
+    f = np.empty(n)
+    for k in range(n):
+        v = dense_step(v, up, stay, down)
+        f[k] = v[x0 - lo]
+        v[x0 - lo] = 0.0
+    # no sums involved: site-for-site the same arithmetic
+    np.testing.assert_array_equal(taboo_first_return(kernel, x0, n), f)
+
+
+@pytest.mark.parametrize("y", [0, "S"])
+def test_green_partial_matches_dense_loop(y):
+    kernel = preset_kernel("two_sided")
+    x, w, N = 1, 1.1, 1200
+    terms = np.zeros(N + 1)
+    terms[0] = 1.0 if y in ("S", x) else 0.0
+    for n, (lo, log_mass, v) in enumerate(dense_forward_runs(kernel, x, N), start=1):
+        terms[n] = math.exp(log_mass + n * math.log(w)) * (1.0 if y == "S" else v[y - lo])
+    g = green_partial(kernel, x, y, w, N)
+    assert g.value == pytest.approx(terms.sum(), rel=REL)
+    assert g.tail_estimate == pytest.approx(_fit_tail(terms, N), rel=1e-12)
+
+
+def test_chi_entrance_matches_dense_loop():
+    kernel = preset_kernel("two_sided")
+    z, w, N = -2, 1.1, 800
+    acc = np.zeros(2 * N + 1)
+    acc[N] = 1.0
+    for n, (_, log_mass, v) in enumerate(dense_forward_runs(kernel, z, N), start=1):
+        acc += math.exp(log_mass + n * math.log(w)) * v
+    total = float(acc.sum())
+    chi = chi_entrance(kernel, z, w, N)
+    assert_norm_rel(chi.values, acc / total)
+    assert chi.log_mass == pytest.approx(math.log(total), rel=REL)
+
+
+def test_estimate_hhat_matches_dense_loop():
+    kernel = lazify(preset_kernel("symmetric"), 0.5)
+    x0, n, sites = 0, 900, (-2, 0, 1, 3)
+
+    def series(start):
+        lo = start - n - 1
+        up, stay, down = kernel.rows(lo, start + n + 1)
+        v = np.zeros(2 * n + 3)
+        v[start - lo] = 1.0
+        logm, val = np.zeros(n + 1), np.zeros(n + 1)
+        val[0] = 1.0 if start == x0 else 0.0
+        for k in range(1, n + 1):
+            w = dense_step(v, up, stay, down)
+            s = float(w.sum())
+            v = w / s
+            logm[k] = logm[k - 1] + math.log(s)
+            val[k] = v[x0 - lo]
+        return logm, val
+
+    logm0, val0 = series(x0)
+    est = estimate_hhat(kernel, x0, sites, n)
+    for x in sites:
+        logmx, valx = series(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.exp(logmx - logm0) * valx / val0
+        want[~np.isfinite(want)] = np.nan
+        assert_rel(est.series[x], want, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rates=st.lists(
+        st.tuples(
+            st.floats(0.0, 0.5), st.floats(0.0, 0.5), st.floats(0.0, 0.5)
+        ),
+        min_size=3,
+        max_size=3,
+    ),
+    half=st.integers(0, 12),
+    offset=st.integers(-12, 12),
+    steps=st.integers(1, 40),
+    zap=st.sets(st.integers(-12, 12), max_size=4),
+)
+def test_hull_stays_in_window_and_covers_support(rates, half, offset, steps, zap):
+    """After every step the hull lies in the window, every site outside it
+    is 0.0, and the step equals the dense one site for site, also when
+    sites are zeroed between steps (as clipping and taboo runs do)."""
+    (p0, r0, q0), (p1, r1, q1), (p2, r2, q2) = rates
+    kernel = NNKernel(
+        (Region(None, -1, p0, r0, q0), Region(1, None, p1, r1, q1)),
+        ((0, p2, r2, q2),),
+    )
+    lo, hi = -half, half
+    up, stay, down = kernel.rows(lo, hi)
+    x0 = min(max(offset, lo), hi)
+    v = np.zeros(hi - lo + 1)
+    v[x0 - lo] = 1.0
+    a, b = _hull(v, x0 - lo, x0 - lo)
+    for _ in range(steps):
+        want = dense_step(v, up, stay, down)
+        a, b = _forward_step(v, up, stay, down, a, b)
+        np.testing.assert_array_equal(v, want)
+        assert 0 <= a <= b <= len(v) - 1
+        assert not v[:a].any() and not v[b + 1 :].any()
+        for y in zap:
+            if lo <= y <= hi:
+                v[y - lo] = 0.0
