@@ -48,7 +48,6 @@ from .spectral import (
     green_partial,
     k2n00_asymptotic,
     quadratic_roots,
-    two_sided_rho,
 )
 from .transforms import (
     BoundaryWeights,

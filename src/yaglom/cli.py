@@ -31,13 +31,13 @@ from .measures import (
     invariance_residual,
     mirror_extremal,
     mirror_hhat,
-    normalizer_T,
     prob_values,
 )
 from .montecarlo import absorption_times, orey_trace, simulate_absorbed
 from .scenarios import PRESETS, oscillation_probe, preset_hints, preset_kernel
 from .spectral import (
     MIN_RHO_FACTORS,
+    closed_form_V,
     e0_r_zeta,
     estimate_rho,
     green_partial,
@@ -285,7 +285,7 @@ def cmd_spectral(cfg, base, kernel, hints, out: Path) -> dict:
                 "base_rho_closed_form": params.rho,
                 "t0": t0,
                 "t1": t1,
-                "V": 0.5 + 0.5 * (1 - math.sqrt(1 - params.a * params.b / (params.p * params.q))),
+                "V": closed_form_V(params),
                 "E0_R_zeta_closed_form": e0_r_zeta(params),
                 "E0_R_zeta_green": 1.0 + (params.R - 1.0) * g.total,
                 "k2n00_asymptotic_n200": k2n00_asymptotic(params, 200),
@@ -307,7 +307,7 @@ def cmd_invariant(cfg, base, kernel, hints, out: Path) -> dict:
         for c in grid:
             m = family_measure(params, float(c))
             residuals[f"{c:.6f}"] = invariance_residual(base, m, params.rho, Window(-60, 60))
-            rows.append([c, m.d0, normalizer_T(m)])
+            rows.append([c, m.d0, m.T])
         _write_csv(out / "family.csv", cfg, ["c", "d0", "T"], rows)
         mp, mm = extremal_plus(params), extremal_minus(params)
         _write_measures(out, cfg, window, mp, mm)
@@ -317,7 +317,7 @@ def cmd_invariant(cfg, base, kernel, hints, out: Path) -> dict:
             "c_max": c1,
             "residuals": residuals,
             "pi_plus_at_0": float(prob_values(mp, Window(0, 0))[0]),
-            "one_over_T": 1.0 / normalizer_T(mp),
+            "one_over_T": 1.0 / mp.T,
             "stochastic_order_min_gap": float(np.min(upper_plus - upper_minus)),
         }
     elif "mirror" in hints:
@@ -440,7 +440,7 @@ def cmd_simulate(cfg, base, kernel, hints, out: Path) -> dict:
         )
         results["orey_final_position"] = tr.positions[m_grid[-1]]
         results["orey_ratio_at_0"] = tr.ratios[m_grid[-1]][0]
-        results["pi_plus_at_0"] = 1.0 / normalizer_T(mplus)
+        results["pi_plus_at_0"] = 1.0 / mplus.T
     _write_json(out / "simulate_report.json", cfg, results)
     return results
 

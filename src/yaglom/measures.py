@@ -10,6 +10,7 @@ checker certifies rho-invariance of any evaluable measure on a window.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,8 +47,69 @@ def c_max(params: TwoSidedParams) -> float:
     return math.sqrt(1.0 - params.a * params.b / (params.p * params.q))
 
 
+def _log_side(pieces, x):
+    """log sum (alpha + beta x) t^x over one side's pieces, each alpha > 0."""
+    logs = [math.log(a) + np.log1p(b / a * x) + x * math.log(t) for a, b, t in pieces]
+    return functools.reduce(np.logaddexp, logs)
+
+
+class _ClosedForm:
+    """A function on the integers that is 1 at site 0 and, on each side of
+    0, a sum of pieces (alpha + beta x) t^x in the signed site x.
+
+    Subclasses return ``(right, left)`` tuples of ``(alpha, beta, t)`` from
+    ``_pieces``: the right pieces hold for x > 0, the left ones for x < 0.
+    ``value`` raises each fixed base t to x instead of exponentiating
+    ``log_value``, so neighbour ratios stay exact to rounding and
+    invariance residuals stay at rounding level.
+    """
+
+    def _pieces(self):
+        raise NotImplementedError
+
+    def _sides(self):
+        # a zero piece adds nothing to value or T, and log(0) to log_value
+        return [[pc for pc in side if pc[0] or pc[1]] for side in self._pieces()]
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        right, left = self._sides()
+        xp, xn = np.maximum(x, 0.0), np.minimum(x, 0.0)
+        pos = sum((a + b * xp) * t**xp for a, b, t in right)
+        neg = sum((a + b * xn) * t**xn for a, b, t in left)
+        out = np.where(x > 0, pos, np.where(x < 0, neg, 1.0))
+        return out if out.ndim else float(out)
+
+    def log_value(self, x):
+        x = np.asarray(x, dtype=float)
+        right, left = self._sides()
+        pos = _log_side(right, np.maximum(x, 0.0))
+        neg = _log_side(left, np.minimum(x, 0.0))
+        out = np.where(x > 0, pos, np.where(x < 0, neg, 0.0))
+        return out if out.ndim else float(out)
+
+    @property
+    def T(self) -> float:
+        """Total mass sum_x value(x), in closed form."""
+        right, left = self._sides()
+        if any(t >= 1.0 for _, _, t in right) or any(t <= 1.0 for _, _, t in left):
+            raise ValueError(f"{type(self).__name__} has infinite total mass")
+        # right pieces summed over x >= 0, then site 0 set back to its value 1
+        pos = 1.0 - sum(a for a, _, _ in right)
+        for a, b, t in right:
+            pos += a / (1.0 - t) + b * t / (1.0 - t) ** 2
+        neg = 0.0
+        for a, b, t in left:  # summed over x <= -1, in the decay base u = 1/t
+            u = 1.0 / t
+            neg += a * u / (1.0 - u) - b * u / (1.0 - u) ** 2
+        return pos + neg
+
+    def prob(self, x):
+        return self.value(x) / self.T
+
+
 @dataclass(frozen=True)
-class ClosedFormMeasure:
+class ClosedFormMeasure(_ClosedForm):
     """rho-invariant measure of the two-sided walk.
 
     mu(x) = (1 + c x) sqrt(p/q)^x for x > 0, d0 t0^x + d1 t1^x for x < 0,
@@ -62,33 +124,9 @@ class ClosedFormMeasure:
     t0: float
     t1: float
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
+    def _pieces(self):
         s = math.sqrt(self.params.p / self.params.q)
-        xp = np.maximum(x, 0.0)
-        xn = np.minimum(x, 0.0)
-        pos = (1.0 + self.c * xp) * s**xp
-        neg = self.d0 * self.t0**xn + self.d1 * self.t1**xn
-        out = np.where(x > 0, pos, np.where(x < 0, neg, 1.0))
-        return out if out.ndim else float(out)
-
-    def log_value(self, x):
-        x = np.asarray(x, dtype=float)
-        s = math.sqrt(self.params.p / self.params.q)
-        with np.errstate(divide="ignore"):
-            pos = np.log1p(self.c * np.maximum(x, 0.0)) + x * math.log(s)
-            ln_d0 = math.log(self.d0) if self.d0 > 0 else -math.inf
-            ln_d1 = math.log(self.d1) if self.d1 > 0 else -math.inf
-            neg = np.logaddexp(ln_d0 + x * math.log(self.t0), ln_d1 + x * math.log(self.t1))
-        out = np.where(x > 0, pos, np.where(x < 0, neg, 0.0))
-        return out if out.ndim else float(out)
-
-    @property
-    def T(self) -> float:
-        return normalizer_T(self)
-
-    def prob(self, x):
-        return self.value(x) / self.T
+        return ((1.0, self.c, s),), ((self.d0, 0.0, self.t0), (self.d1, 0.0, self.t1))
 
 
 def family_measure(params: TwoSidedParams, c: float) -> ClosedFormMeasure:
@@ -120,10 +158,7 @@ def extremal_minus(params: TwoSidedParams) -> ClosedFormMeasure:
 
 def normalizer_T(m: ClosedFormMeasure) -> float:
     """Total mass T(c) = sum_x mu(x), in closed form."""
-    s = math.sqrt(m.params.p / m.params.q)
-    head = 1.0 / (1.0 - s) + m.c * s / (1.0 - s) ** 2
-    neg = m.d0 * (1.0 / m.t0) / (1.0 - 1.0 / m.t0) + m.d1 * (1.0 / m.t1) / (1.0 - 1.0 / m.t1)
-    return head + neg
+    return m.T
 
 
 def invariance_residual(kernel, measure, rho: float, window: Window) -> float:
@@ -155,22 +190,12 @@ def harmonic_residual(kernel, h, rho: float, window: Window) -> float:
 
 
 @dataclass(frozen=True)
-class _TwoSidedGamma:
+class _TwoSidedGamma(_ClosedForm):
     params: TwoSidedParams
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        pos = (self.params.p / self.params.q) ** x
-        neg = (self.params.b / self.params.a) ** (-x)
-        out = np.where(x >= 0, pos, neg)
-        return out if out.ndim else float(out)
-
-    def log_value(self, x):
-        x = np.asarray(x, dtype=float)
-        pos = x * math.log(self.params.p / self.params.q)
-        neg = -x * math.log(self.params.b / self.params.a)
-        out = np.where(x >= 0, pos, neg)
-        return out if out.ndim else float(out)
+    def _pieces(self):
+        pm = self.params
+        return ((1.0, 0.0, pm.p / pm.q),), ((1.0, 0.0, pm.a / pm.b),)
 
 
 def reversibility_gamma(params: TwoSidedParams) -> _TwoSidedGamma:
@@ -199,7 +224,7 @@ def gamma_log_values(kernel, lo: int, hi: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DualHarmonic:
+class DualHarmonic(_ClosedForm):
     """h = mu/gamma: the rho-harmonic dual of an invariant measure.
 
     For the two-sided walk, h(x) = (1 + c x)(q/p)^{x/2} for x >= 0 and
@@ -209,27 +234,10 @@ class DualHarmonic:
 
     measure: ClosedFormMeasure
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
+    def _pieces(self):
         m = self.measure
         s = math.sqrt(m.params.q / m.params.p)
-        xp = np.maximum(x, 0.0)
-        xn = np.minimum(x, 0.0)
-        pos = (1.0 + m.c * xp) * s**xp
-        neg = m.d0 * m.t1**-xn + m.d1 * m.t0**-xn
-        out = np.where(x >= 0, pos, neg)
-        return out if out.ndim else float(out)
-
-    def log_value(self, x):
-        x = np.asarray(x, dtype=float)
-        m = self.measure
-        s = math.sqrt(m.params.q / m.params.p)
-        ln_d0 = math.log(m.d0) if m.d0 > 0 else -math.inf
-        ln_d1 = math.log(m.d1) if m.d1 > 0 else -math.inf
-        pos = np.log1p(m.c * np.maximum(x, 0.0)) + x * math.log(s)
-        neg = np.logaddexp(ln_d0 - x * math.log(m.t1), ln_d1 - x * math.log(m.t0))
-        out = np.where(x >= 0, pos, neg)
-        return out if out.ndim else float(out)
+        return ((1.0, m.c, s),), ((m.d0, 0.0, 1.0 / m.t1), (m.d1, 0.0, 1.0 / m.t0))
 
 
 def dual_harmonic(m: ClosedFormMeasure) -> DualHarmonic:
@@ -288,7 +296,7 @@ class MirrorParams:
 
 
 @dataclass(frozen=True)
-class MirrorMeasure:
+class MirrorMeasure(_ClosedForm):
     """Extremal invariant measure of the mirror chain.
 
     With s = sqrt(p/q) and side = +1: mu(0) = 1, mu(x) = (e/p + 2 c1 x) s^x
@@ -299,37 +307,13 @@ class MirrorMeasure:
     params: MirrorParams
     side: int
 
-    def value(self, x):
-        x = self.side * np.asarray(x, dtype=float)
+    def _pieces(self):
         pm = self.params
         s = math.sqrt(pm.p / pm.q)
-        base = pm.exit_prob / pm.p
-        xp = np.maximum(x, 0.0)
-        xn = np.minimum(x, 0.0)
-        pos = (base + 2.0 * pm.slope_mu * xp) * s**xp
-        neg = base * s**-xn
-        out = np.where(x > 0, pos, np.where(x < 0, neg, 1.0))
-        return out if out.ndim else float(out)
-
-    def log_value(self, x):
-        x = self.side * np.asarray(x, dtype=float)
-        pm = self.params
-        logs = 0.5 * math.log(pm.p / pm.q)
-        base = pm.exit_prob / pm.p
-        pos = np.log(base + 2.0 * pm.slope_mu * np.maximum(x, 0.0)) + x * logs
-        neg = math.log(base) - x * logs
-        out = np.where(x > 0, pos, np.where(x < 0, neg, 0.0))
-        return out if out.ndim else float(out)
-
-    @property
-    def T(self) -> float:
-        pm = self.params
-        s = math.sqrt(pm.p / pm.q)
-        base = pm.exit_prob / pm.p
-        return 1.0 + 2.0 * base * s / (1.0 - s) + 2.0 * pm.slope_mu * s / (1.0 - s) ** 2
-
-    def prob(self, x):
-        return self.value(x) / self.T
+        base, slope = pm.exit_prob / pm.p, 2.0 * pm.slope_mu
+        right = slope if self.side > 0 else 0.0
+        left = -slope if self.side < 0 else 0.0
+        return ((base, right, s),), ((base, left, 1.0 / s),)
 
 
 def mirror_extremal(params: MirrorParams, side: int) -> MirrorMeasure:
@@ -339,7 +323,7 @@ def mirror_extremal(params: MirrorParams, side: int) -> MirrorMeasure:
 
 
 @dataclass(frozen=True)
-class MirrorHarmonic:
+class MirrorHarmonic(_ClosedForm):
     """rho-harmonic functions of the mirror chain.
 
     side = 0 gives hhat(x) = (1 + c |x|) sqrt(q/p)^{|x|} with c = p/e - 1,
@@ -350,23 +334,13 @@ class MirrorHarmonic:
     params: MirrorParams
     side: int = 0
 
-    def _tilt(self, x):
+    def _pieces(self):
         pm = self.params
-        if self.side == 0:
-            return pm.slope_h * np.abs(x)
-        return 2.0 * pm.slope_h * np.maximum(self.side * x, 0.0)
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        s = math.sqrt(self.params.q / self.params.p)
-        out = (1.0 + self._tilt(x)) * s ** np.abs(x)
-        return out if out.ndim else float(out)
-
-    def log_value(self, x):
-        x = np.asarray(x, dtype=float)
-        logs = 0.5 * math.log(self.params.q / self.params.p)
-        out = np.log1p(self._tilt(x)) + np.abs(x) * logs
-        return out if out.ndim else float(out)
+        s = math.sqrt(pm.q / pm.p)
+        slope = pm.slope_h if self.side == 0 else 2.0 * pm.slope_h
+        right = slope if self.side >= 0 else 0.0
+        left = -slope if self.side <= 0 else 0.0
+        return ((1.0, right, s),), ((1.0, left, 1.0 / s),)
 
 
 def mirror_hhat(params: MirrorParams) -> MirrorHarmonic:

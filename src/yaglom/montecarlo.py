@@ -40,9 +40,15 @@ class TrajectorySample:
     absorbed_at: int | None
 
 
-def _row_tables(kernel, lo: int, hi: int):
-    up, stay, down = kernel.rows(lo, hi)
-    return lo, up, stay, down
+def _stochastic_rows(tk, check: Window, tol: float, lo: int, hi: int):
+    """Up/stay rows of a conditioned kernel on [lo, hi], renormalised to
+    sum to one, after checking its row sums on ``check`` against ``tol``."""
+    resid = tk.stochastic_residual(check)
+    if resid > tol:
+        raise ValueError(f"{type(tk).__name__} not stochastic: residual {resid:g}")
+    up, stay, down = tk.rows(lo, hi)
+    total = up + stay + down
+    return up / total, stay / total
 
 
 def simulate_absorbed(kernel, x0: int, horizon: int, seed: int) -> TrajectorySample:
@@ -50,7 +56,8 @@ def simulate_absorbed(kernel, x0: int, horizon: int, seed: int) -> TrajectorySam
     if horizon < 1:
         raise ValueError("need horizon >= 1")
     rng = np.random.default_rng(seed)
-    lo, up, stay, down = _row_tables(kernel, x0 - horizon, x0 + horizon)
+    lo = x0 - horizon
+    up, stay, down = kernel.rows(lo, x0 + horizon)
     path = [x0]
     x = x0
     for n in range(1, horizon + 1):
@@ -82,7 +89,7 @@ def absorption_times(
     zeta = np.zeros(n_paths, dtype=np.int64)
     alive = np.ones(n_paths, dtype=bool)
     H = horizon
-    lo, up, stay, down = _row_tables(kernel, x0 - H, x0 + H)
+    up, stay, down = kernel.rows(x0 - H, x0 + H)
     n = 0
     while alive.any():
         n += 1
@@ -90,8 +97,8 @@ def absorption_times(
             raise RuntimeError("paths not absorbed within max_steps")
         if n >= H:
             H *= 2
-            lo, up, stay, down = _row_tables(kernel, x0 - H, x0 + H)
-        idx = xs[alive] - lo
+            up, stay, down = kernel.rows(x0 - H, x0 + H)
+        idx = xs[alive] - (x0 - H)
         u = rng.random(int(alive.sum()))
         pu = up[idx]
         ps = pu + stay[idx]
@@ -135,7 +142,7 @@ def r_zeta_conditional(
         raise ValueError("need killing with rate in (0,1) at the kill site")
     rng = np.random.default_rng(seed)
     H = 512
-    lo, up, stay, down = _row_tables(kernel, x0 - H, x0 + H)
+    up, stay, down = kernel.rows(x0 - H, x0 + H)
     total = up + stay + down
     upn, stayn = up / total, stay / total  # unkilled chain
     xs = np.full(n_paths, x0, dtype=np.int64)
@@ -150,11 +157,11 @@ def r_zeta_conditional(
             break
         if n >= H:
             H *= 2
-            lo, up, stay, down = _row_tables(kernel, x0 - H, x0 + H)
+            up, stay, down = kernel.rows(x0 - H, x0 + H)
             total = up + stay + down
             upn, stayn = up / total, stay / total
         sub = np.flatnonzero(active)
-        idx = xs[sub] - lo
+        idx = xs[sub] - (x0 - H)
         u = rng.random(len(sub))
         step = np.where(u < upn[idx], 1, np.where(u < upn[idx] + stayn[idx], 0, -1))
         xs[sub] += step
@@ -173,13 +180,9 @@ def r_zeta_conditional(
 
 def simulate_transformed(tk, x0: int, steps: int, seed: int) -> TrajectorySample:
     """Sample one never-absorbed path of a (stochastic) transformed kernel."""
-    resid = tk.stochastic_residual(Window(x0 - 16, x0 + 16))
-    if resid > 1e-9:
-        raise ValueError(f"transformed kernel not stochastic: residual {resid:g}")
+    lo = x0 - steps
+    up, stay = _stochastic_rows(tk, Window(x0 - 16, x0 + 16), 1e-9, lo, x0 + steps)
     rng = np.random.default_rng(seed)
-    lo, up, stay, down = _row_tables(tk, x0 - steps, x0 + steps)
-    total = up + stay + down
-    up, stay = up / total, stay / total
     path = np.empty(steps + 1, dtype=np.int64)
     path[0] = x0
     x = x0
@@ -196,13 +199,9 @@ def simulate_transformed(tk, x0: int, steps: int, seed: int) -> TrajectorySample
 
 def transformed_finals(tk, x0: int, steps: int, n_paths: int, seed: int) -> np.ndarray:
     """Final positions of ``n_paths`` conditioned-chain paths."""
-    resid = tk.stochastic_residual(Window(x0 - 16, x0 + 16))
-    if resid > 1e-9:
-        raise ValueError(f"transformed kernel not stochastic: residual {resid:g}")
+    lo = x0 - steps
+    up, stay = _stochastic_rows(tk, Window(x0 - 16, x0 + 16), 1e-9, lo, x0 + steps)
     rng = np.random.default_rng(seed)
-    lo, up, stay, down = _row_tables(tk, x0 - steps, x0 + steps)
-    total = up + stay + down
-    up, stay = up / total, stay / total
     xs = np.full(n_paths, x0, dtype=np.int64)
     for _ in range(steps):
         idx = xs - lo
@@ -221,13 +220,8 @@ def empirical_hitting_split(
     """
     if M <= abs(x):
         raise ValueError("need M > |x|")
-    resid = tk.stochastic_residual(Window(x - 8, x + 8))
-    if resid > 1e-9:
-        raise ValueError(f"transformed kernel not stochastic: residual {resid:g}")
+    up, stay = _stochastic_rows(tk, Window(x - 8, x + 8), 1e-9, -M, M)
     rng = np.random.default_rng(seed)
-    lo, up, stay, down = _row_tables(tk, -M, M)
-    total = up + stay + down
-    up, stay = up / total, stay / total
     xs = np.full(n_paths, x, dtype=np.int64)
     alive = np.ones(n_paths, dtype=bool)
     hit_plus = np.zeros(n_paths, dtype=bool)
@@ -237,7 +231,7 @@ def empirical_hitting_split(
         if steps > max_steps:
             raise RuntimeError("hitting simulation exceeded max_steps")
         sub = np.flatnonzero(alive)
-        idx = xs[sub] - lo
+        idx = xs[sub] + M
         u = rng.random(len(sub))
         xs[sub] += np.where(u < up[idx], 1, np.where(u >= up[idx] + stay[idx], -1, 0))
         done_plus = sub[xs[sub] >= M]
@@ -300,15 +294,11 @@ def orey_trace(
     m_grid = sorted(set(int(m) for m in m_grid))
     if not m_grid or m_grid[0] < 1:
         raise ValueError("m_grid must hold positive steps")
-    resid = rk.stochastic_residual(Window(-16, 16))
-    if resid > 1e-6:
-        raise ValueError(f"reversed kernel not stochastic: residual {resid:g}")
     rng = np.random.default_rng(seed)
     x0, truncated = sample_initial_site(init_measure, rng)
     m_max = m_grid[-1]
-    lo, up, stay, down = _row_tables(rk, x0 - m_max, x0 + m_max)
-    total = up + stay + down
-    up, stay = up / total, stay / total
+    lo = x0 - m_max
+    up, stay = _stochastic_rows(rk, Window(-16, 16), 1e-6, lo, x0 + m_max)
     positions: dict[int, int] = {}
     ratios: dict[int, dict[int, float]] = {}
     want = set(m_grid)

@@ -23,7 +23,6 @@ __all__ = [
     "SpectralEstimate",
     "GreenPartial",
     "estimate_rho",
-    "two_sided_rho",
     "quadratic_roots",
     "closed_form_F00",
     "closed_form_V",
@@ -118,11 +117,6 @@ def estimate_rho(
     return SpectralEstimate(rho_hat, spread)
 
 
-def two_sided_rho(params: TwoSidedParams) -> float:
-    """Spectral radius 2 sqrt(pq) of the two-sided walk."""
-    return params.rho
-
-
 def quadratic_roots(params: TwoSidedParams) -> tuple[float, float]:
     """Roots 1 < t0 <= t1 of b s^2 - 2 sqrt(pq) s + a = 0.
 
@@ -149,8 +143,13 @@ def closed_form_F00(params: TwoSidedParams, z: float) -> float:
 
 
 def closed_form_V(params: TwoSidedParams) -> float:
-    """F_00 at the radius: V = 1/2 + (1 - sqrt(1 - ab/pq))/2 < 1."""
-    return closed_form_F00(params, params.R)
+    """F_00 at the radius: V = 1/2 + (1 - sqrt(1 - ab/pq))/2 < 1.
+
+    Written out rather than read off ``closed_form_F00(params, R)``: there
+    1 - 4pqR^2 rounds to a few ulps off 0, and its square root costs half
+    the digits.
+    """
+    return 0.5 + 0.5 * (1 - math.sqrt(1 - params.a * params.b / (params.p * params.q)))
 
 
 def e0_r_zeta(params: TwoSidedParams) -> float:
@@ -181,8 +180,9 @@ def green_partial(kernel, x: int, y, w: float, N: int) -> GreenPartial:
     """sum_{n<=N} w^n K^n(x,y) with a fitted tail bound.
 
     ``y`` may be a site or the string ``"S"`` for the full survival mass.
-    Raises if the terms are detected to grow geometrically (w beyond the
-    radius of convergence).
+    A site outside [x-N, x+N] is out of reach in N steps: its partial sum
+    and tail are 0.  Raises if the terms are detected to grow geometrically
+    (w beyond the radius of convergence).
     """
     if w < 0.0:
         raise ValueError("need w >= 0")
@@ -192,6 +192,8 @@ def green_partial(kernel, x: int, y, w: float, N: int) -> GreenPartial:
     if want_S and y != "S":
         raise ValueError("y must be a site or 'S'")
     lo, hi = x - N, x + N
+    if not (want_S or lo <= y <= hi):
+        return GreenPartial(0.0, 0.0, N + 1)
     up, stay, down = kernel.rows(lo, hi)
     v = np.zeros(hi - lo + 1)
     v[x - lo] = 1.0

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import Window, _forward_step, _hull
-from .measures import Mixture, c_max
-from .spectral import TwoSidedParams, quadratic_roots
+from .measures import Mixture, dual_harmonic, extremal_plus
+from .spectral import TwoSidedParams
 
 __all__ = [
     "TransformedKernel",
@@ -40,8 +40,20 @@ def _as_log_fn(h):
     return lambda x: np.log(h(np.asarray(x, dtype=float)))
 
 
+class _KernelView:
+    """Row access shared by kernels derived from a base kernel."""
+
+    def row(self, x: int):
+        up, stay, down = self.rows(x, x)
+        return float(up[0]), float(stay[0]), float(down[0])
+
+    def stochastic_residual(self, window: Window) -> float:
+        up, stay, down = self.rows(window.lo, window.hi)
+        return float(np.max(np.abs(up + stay + down - 1.0)))
+
+
 @dataclass(frozen=True)
-class TransformedKernel:
+class TransformedKernel(_KernelView):
     """h-transform of a kernel: rows R K(x,y) h(y)/h(x).
 
     Stochastic (rows sum to one) exactly when h is rho-harmonic with
@@ -60,14 +72,6 @@ class TransformedKernel:
         stay = self.R * stay
         return up, stay, down
 
-    def row(self, x: int):
-        up, stay, down = self.rows(x, x)
-        return float(up[0]), float(stay[0]), float(down[0])
-
-    def stochastic_residual(self, window: Window) -> float:
-        up, stay, down = self.rows(window.lo, window.hi)
-        return float(np.max(np.abs(up + stay + down - 1.0)))
-
 
 def h_transform(kernel, h, R: float) -> TransformedKernel:
     """Transform ``kernel`` by a positive function h at weight R."""
@@ -77,7 +81,7 @@ def h_transform(kernel, h, R: float) -> TransformedKernel:
 
 
 @dataclass(frozen=True)
-class ReversedKernel:
+class ReversedKernel(_KernelView):
     """Time reversal of a kernel with respect to a positive measure.
 
     Rows are mu(z) K(z,x) / (theta mu(x)); they sum to one exactly when
@@ -96,14 +100,6 @@ class ReversedKernel:
         down = b_up[:-2] * np.exp(lm[:-2] - lm[1:-1]) / self.theta
         stay = b_stay[1:-1] / self.theta
         return up, stay, down
-
-    def row(self, x: int):
-        up, stay, down = self.rows(x, x)
-        return float(up[0]), float(stay[0]), float(down[0])
-
-    def stochastic_residual(self, window: Window) -> float:
-        up, stay, down = self.rows(window.lo, window.hi)
-        return float(np.max(np.abs(up + stay + down - 1.0)))
 
 
 def time_reversal(kernel, measure, theta: float) -> ReversedKernel:
@@ -257,12 +253,7 @@ def estimate_hhat(
 def closed_form_hhat(params: TwoSidedParams, x) -> float | np.ndarray:
     """hhat of the two-sided walk: t0^{-x} for x < 0, (1+c1 x)(q/p)^{x/2}
     for x >= 0, with c1 = sqrt(1 - ab/pq).  Equals mu_plus/gamma pointwise."""
-    t0, _ = quadratic_roots(params)
-    c1 = c_max(params)
-    x = np.asarray(x, dtype=float)
-    s = math.sqrt(params.q / params.p)
-    out = np.where(x < 0, t0**-x, (1.0 + c1 * np.maximum(x, 0.0)) * s**x)
-    return out if out.ndim else float(out)
+    return dual_harmonic(extremal_plus(params)).value(x)
 
 
 def mixture_limit(weights: BoundaryWeights, pi_minus, pi_plus) -> Mixture:

@@ -40,7 +40,6 @@ from yaglom import (
     prob_values,
     quadratic_roots,
     reversibility_gamma,
-    two_sided_rho,
 )
 from yaglom.evolve import brute_force_distribution
 from yaglom.montecarlo import absorption_times, simulate_absorbed
@@ -114,7 +113,7 @@ def test_criterion_03_root_and_duality_identities():
     for _ in range(100):
         params = random_params(rng)
         t0, t1 = quadratic_roots(params)
-        rho = two_sided_rho(params)
+        rho = params.rho
         worst = max(worst, abs(t0 * t1 - params.a / params.b) / (params.a / params.b))
         for t in (t0, t1):
             worst = max(worst, abs(params.a / t + params.b * t - rho))

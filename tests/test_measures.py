@@ -26,7 +26,7 @@ from yaglom import (
     quadratic_roots,
     reversibility_gamma,
 )
-from yaglom.measures import Mixture, gamma_log_values
+from yaglom.measures import MirrorHarmonic, Mixture, gamma_log_values
 
 PARAMS = TwoSidedParams(0.25, 0.75, 0.9, 0.1)
 KERNEL = build_two_sided(0.25, 0.75, 0.9, 0.1)
@@ -186,6 +186,50 @@ MIRROR = MirrorParams(0.25, 0.125)
 MKERNEL = build_symmetric(0.25)
 
 
+# ---------------------------------------------------------------------------
+# the shared closed-form protocol
+# ---------------------------------------------------------------------------
+
+CLOSED_FORMS = {
+    "family_c0": lambda: family_measure(PARAMS, 0.0),
+    "family_half_c1": lambda: family_measure(PARAMS, 0.5 * c_max(PARAMS)),
+    "family_c1": lambda: family_measure(PARAMS, c_max(PARAMS)),
+    "gamma": lambda: reversibility_gamma(PARAMS),
+    "dual_plus": lambda: dual_harmonic(extremal_plus(PARAMS)),
+    "dual_minus": lambda: dual_harmonic(extremal_minus(PARAMS)),
+    "mirror_plus": lambda: mirror_extremal(MIRROR, +1),
+    "mirror_minus": lambda: mirror_extremal(MIRROR, -1),
+    "mirror_h_minus": lambda: MirrorHarmonic(MIRROR, -1),
+    "mirror_h_hat": lambda: MirrorHarmonic(MIRROR, 0),
+    "mirror_h_plus": lambda: MirrorHarmonic(MIRROR, +1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_closed_form_protocol(name):
+    f = CLOSED_FORMS[name]()
+    assert f.value(0) == 1.0
+    xs = np.arange(-200, 201)
+    assert np.max(np.abs(f.log_value(xs) - np.log(f.value(xs)))) <= 1e-13
+    if name.startswith(("dual", "mirror_h")):
+        with pytest.raises(ValueError):
+            f.T  # harmonic functions grow: no finite mass
+    else:
+        direct = float(f.value(np.arange(-3000, 3001)).sum())
+        assert f.T == pytest.approx(direct, rel=1e-12)
+
+
+def test_invariance_residuals_at_rounding_level():
+    # value raises fixed bases to the site, so neighbour ratios are exact
+    # to rounding; exp(log_value) would leave residuals near 1e-14
+    for c in np.linspace(0.0, c_max(PARAMS), 11):
+        m = family_measure(PARAMS, float(c))
+        assert invariance_residual(KERNEL, m, PARAMS.rho, Window(-60, 60)) <= 2e-15
+    for side in (+1, -1):
+        m = mirror_extremal(MIRROR, side)
+        assert invariance_residual(MKERNEL, m, MIRROR.rho, Window(-60, 60)) <= 2e-15
+
+
 def test_mirror_params_guard():
     with pytest.raises(ValueError):
         MirrorParams(0.25, 0.25)  # boundary case: null R-recurrent
@@ -220,8 +264,6 @@ def test_mirror_hhat_harmonic_and_symmetric():
     xs = np.arange(-20, 21)
     assert np.allclose(hh.value(xs), hh.value(-xs), rtol=1e-15)
     # hhat is the average of the two extremal harmonics
-    from yaglom.measures import MirrorHarmonic
-
     h_p = MirrorHarmonic(MIRROR, +1)
     h_m = MirrorHarmonic(MIRROR, -1)
     assert np.allclose(hh.value(xs), 0.5 * (h_p.value(xs) + h_m.value(xs)), rtol=1e-14)
@@ -245,8 +287,6 @@ def test_mirror_extremals_match_entrance_kernel():
 def test_mirror_duality_h_times_gamma():
     # gamma h_plus recovers the +inf extremal measure, computed from the
     # kernel itself rather than from closed-form gamma
-    from yaglom.measures import MirrorHarmonic
-
     lo, hi = -30, 30
     lgamma = gamma_log_values(MKERNEL, lo, hi)
     h_p = MirrorHarmonic(MIRROR, +1)

@@ -24,7 +24,12 @@ from yaglom import (
     transformed_finals,
 )
 from yaglom.chain import NNKernel, Region
-from yaglom.montecarlo import absorption_times, orey_trace, r_zeta_conditional
+from yaglom.montecarlo import (
+    absorption_times,
+    empirical_hitting_split,
+    orey_trace,
+    r_zeta_conditional,
+)
 
 PARAMS = TwoSidedParams(0.25, 0.75, 0.9, 0.1)
 KERNEL = build_two_sided(0.25, 0.75, 0.9, 0.1)
@@ -145,6 +150,21 @@ def test_simulate_transformed_never_absorbed():
     s = simulate_transformed(tk, 0, 500, seed=17)
     assert s.absorbed_at is None
     assert len(s.path) == 501
+
+
+def test_samplers_reject_non_stochastic_kernels():
+    # h = 1 is not harmonic, and theta = 1 is not the measure's eigenvalue
+    tk = h_transform(KERNEL, lambda x: np.ones_like(np.asarray(x, dtype=float)), PARAMS.R)
+    with pytest.raises(ValueError, match="not stochastic"):
+        simulate_transformed(tk, 0, 50, seed=1)
+    with pytest.raises(ValueError, match="not stochastic"):
+        transformed_finals(tk, 0, 50, 10, seed=1)
+    with pytest.raises(ValueError, match="not stochastic"):
+        empirical_hitting_split(tk, 0, 20, 10, seed=1)
+    mplus = extremal_plus(PARAMS)
+    rk = time_reversal(KERNEL, mplus, 1.0)
+    with pytest.raises(ValueError, match="not stochastic"):
+        orey_trace(rk, KERNEL, mplus, (16,), seed=1)
 
 
 def test_orey_plus_reversal_drifts_up_and_recovers_extremal():

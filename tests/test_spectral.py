@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,7 +21,6 @@ from yaglom import (
     prob_values,
     quadratic_roots,
     taboo_first_return,
-    two_sided_rho,
 )
 from yaglom.chain import Window
 
@@ -43,8 +43,8 @@ def test_params_validation():
 
 
 def test_two_sided_rho_closed_form():
-    assert two_sided_rho(PARAMS) == pytest.approx(0.8660254037844387, abs=1e-12)
-    assert two_sided_rho(TwoSidedParams(0.2, 0.8, 0.9, 0.1)) == pytest.approx(0.8)
+    assert PARAMS.rho == pytest.approx(0.8660254037844387, abs=1e-12)
+    assert TwoSidedParams(0.2, 0.8, 0.9, 0.1).rho == pytest.approx(0.8)
 
 
 def test_quadratic_roots_values_and_identities():
@@ -142,6 +142,19 @@ def test_e0_r_zeta_closed_form():
     assert e0_r_zeta(PARAMS) == pytest.approx(2.081666, abs=1e-5)
 
 
+def test_closed_form_V_and_e0_r_zeta_against_mpmath():
+    # 50-digit reference from the same (float) rates
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        params = random_params(rng)
+        with mpmath.workdps(50):
+            p, q, a, b = (mpmath.mpf(v) for v in (params.p, params.q, params.a, params.b))
+            V = mpmath.mpf(1) / 2 + (1 - mpmath.sqrt(1 - a * b / (p * q))) / 2
+            e0 = (1 - p - b) / (2 * mpmath.sqrt(p * q)) / (1 - V)
+            assert abs(closed_form_V(params) - V) <= 1e-14 * V
+            assert abs(e0_r_zeta(params) - e0) <= 1e-14 * e0
+
+
 def test_green_partial_zero_weight():
     k = build_two_sided(0.25, 0.75, 0.9, 0.1)
     g = green_partial(k, 3, 3, 0.0, 10)
@@ -150,6 +163,16 @@ def test_green_partial_zero_weight():
     assert g.value == 1.0
     g = green_partial(k, 3, 4, 0.0, 10)
     assert g.value == 0.0
+
+
+def test_green_partial_site_beyond_reach_is_zero():
+    # K^n(0, y) = 0 for |y| > N >= n: the window edge is no wrap-around
+    k = lazify(build_two_sided(0.25, 0.75, 0.9, 0.1), 0.5)
+    for y in (-101, 101):
+        g = green_partial(k, 0, y, 1.0, 100)
+        assert g.value == 0.0 and g.tail_estimate == 0.0 and g.terms == 101
+    for y in (-100, 100):
+        assert green_partial(k, 0, y, 1.0, 100).value > 0.0
 
 
 def test_green_partial_E_R_zeta_identity():
