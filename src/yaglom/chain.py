@@ -340,6 +340,42 @@ def _forward_step(v, up, stay, down, a: int, b: int) -> tuple[int, int]:
     return _hull(v, a, b)
 
 
+def _normalised_run(v, up, stay, down, n: int, clip: float = 0.0):
+    """Replace ``v`` by ``v K`` up to ``n`` times in place, renormalising each time.
+
+    ``v`` is nonnegative, not all zero, and covers the same window as the
+    rate arrays.  Each step yields ``(s, log_mass, edge, clipped, a, b)``:
+    the survival factor (the live sum after clipping), the running sum of
+    log(s), the mass that flowed off the window ends and the mass removed by
+    clipping (both as fractions of the sum before clipping), and the live
+    hull [a, b].  With ``clip`` > 0, entries below ``clip`` times that sum
+    are set to 0.0.  The run stops early once all mass is gone.
+    """
+    first, last = np.flatnonzero(v)[[0, -1]].tolist()
+    a, b = _hull(v, first, last)
+    log_mass = 0.0
+    for _ in range(n):
+        # up-flow out of the last site and down-flow out of the first
+        edge = float(v[0] * down[0] + v[-1] * up[-1])
+        a, b = _forward_step(v, up, stay, down, a, b)
+        live = v[a : b + 1]
+        s = float(live.sum())
+        if s <= 0.0:
+            return
+        edge /= s
+        clipped = 0.0
+        if clip > 0.0:
+            small = live < clip * s
+            lost = float(live[small].sum())
+            if lost > 0.0:
+                live[small] = 0.0
+                clipped = lost / s
+                s = float(live.sum())
+        live /= s
+        log_mass += math.log(s)
+        yield s, log_mass, edge, clipped, a, b
+
+
 def kernel_step(kernel, state: MassState, clip: float = 0.0) -> tuple[MassState, float]:
     """Apply the kernel once and renormalize.
 
@@ -357,20 +393,11 @@ def kernel_step(kernel, state: MassState, clip: float = 0.0) -> tuple[MassState,
     up, stay, down = kernel.rows(lo, hi)
     w = np.zeros(hi - lo + 1)
     w[1:-1] = state.values
-    _forward_step(w, up, stay, down, 0, len(w) - 1)
-    survival = float(w.sum())
-    if survival <= 0.0:
+    step = next(_normalised_run(w, up, stay, down, 1, clip), None)
+    if step is None:
         raise DegenerateKernelError("all mass killed in one step")
-    clipped = state.clipped
-    if clip > 0.0:
-        small = w < clip * survival
-        lost = float(w[small].sum())
-        if lost > 0.0:
-            w[small] = 0.0
-            clipped += lost / survival
-            survival = float(w.sum())
-    w /= survival
+    survival, log_s, _, clipped, _, _ = step
     return (
-        MassState(Window(lo, hi), w, state.log_mass + math.log(survival), clipped),
+        MassState(Window(lo, hi), w, state.log_mass + log_s, state.clipped + clipped),
         survival,
     )

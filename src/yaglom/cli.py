@@ -105,13 +105,15 @@ def resolve_config(file_cfg: dict, overrides: dict) -> dict:
     cfg = json.loads(json.dumps(DEFAULTS))  # deep copy
     for key, val in file_cfg.items():
         if key == "budgets":
+            if not isinstance(val, dict):
+                raise ConfigError("budgets must be an object")
             cfg["budgets"].update(val)
         else:
             cfg[key] = val
     for key, val in overrides.items():
         if val is None:
             continue
-        if key in ("n_max", "mc_paths", "horizon_M"):
+        if key in DEFAULTS["budgets"]:
             cfg["budgets"][key] = val
         else:
             cfg[key] = val
@@ -119,22 +121,44 @@ def resolve_config(file_cfg: dict, overrides: dict) -> dict:
     return cfg
 
 
+def _int_list(values) -> list[int]:
+    return [int(y) for y in values]
+
+
 def _check_schema(cfg: dict) -> None:
     chain = cfg.get("chain")
     if not isinstance(chain, dict):
         raise ConfigError("chain must be an object")
     if "preset" in chain:
-        if chain["preset"] not in PRESETS:
+        if not isinstance(chain["preset"], str) or chain["preset"] not in PRESETS:
             raise ConfigError(
                 f"unknown preset {chain['preset']!r}; choose from {sorted(PRESETS)}"
             )
+        if not isinstance(chain.get("params", {}), dict):
+            raise ConfigError("chain.params must be an object")
     elif "regions" in chain:
-        for entry in chain["regions"]:
+        regions = chain["regions"]
+        if not (isinstance(regions, list) and all(isinstance(e, dict) for e in regions)):
+            raise ConfigError("chain.regions must be a list of objects")
+        for entry in regions:
             missing = {"p", "r", "q"} - set(entry)
             if missing:
                 raise ConfigError(f"region entry missing keys: {sorted(missing)}")
     else:
         raise ConfigError("chain needs either a preset or a regions list")
+    # try each conversion the subcommands apply, so that none fails later;
+    # the optional fields may be null
+    checks = [(k, cfg[k], int, "an integer") for k in ("x0", "n", "seed")]
+    checks += [(f"budgets.{k}", cfg["budgets"][k], int, "an integer") for k in DEFAULTS["budgets"]]
+    numbers, lists = ("lazify", "clip"), ("tracked_sites", "sites", "n_grid", "orey_m_grid")
+    checks += [(k, cfg[k], float, "a number") for k in numbers if cfg.get(k) is not None]
+    checks += [(k, cfg[k], _int_list, "a list of integers") for k in lists if cfg.get(k) is not None]
+    checks.append(("out_dir", cfg["out_dir"], Path, "a path"))
+    for name, value, cast, kind in checks:
+        try:
+            cast(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{name} must be {kind}, got {value!r}") from None
     if cfg["lazify"] is not None and not 0.0 <= float(cfg["lazify"]) < 1.0:
         raise ConfigError("lazify must lie in [0, 1)")
     if int(cfg["n"]) < 1:
@@ -149,12 +173,15 @@ def kernel_from_config(cfg: dict):
         base = preset_kernel(chain["preset"], params)
         hints = preset_hints(chain["preset"], params)
     else:
+        def site(v):
+            return None if v is None else int(v)
+
         regions = tuple(
-            Region(entry.get("from"), entry.get("to"), entry["p"], entry["r"], entry["q"])
-            for entry in chain["regions"]
+            Region(site(e.get("from")), site(e.get("to")), *(float(e[k]) for k in "prq"))
+            for e in chain["regions"]
         )
         overrides = tuple(
-            (o["site"], o["p"], o["r"], o["q"]) for o in chain.get("overrides", [])
+            (int(o["site"]), *(float(o[k]) for k in "prq")) for o in chain.get("overrides", [])
         )
         base = NNKernel(regions, overrides)
         hints = {}
@@ -166,14 +193,24 @@ def kernel_from_config(cfg: dict):
     return base, kernel, hints
 
 
+def _hhat_transform(base, hints):
+    """The base chain h-transformed by its closed-form hhat, when known."""
+    if "two_sided" in hints:
+        params = hints["two_sided"]
+        return h_transform(base, dual_harmonic(extremal_plus(params)), params.R)
+    if "mirror" in hints:
+        mp = hints["mirror"]
+        return h_transform(base, mirror_hhat(mp), mp.R)
+    return None
+
+
 def _reference_measure(base, hints, x0: int):
     """Closed-form limit of the conditioned law from x0, when known."""
     if "two_sided" in hints:
         return extremal_plus(hints["two_sided"])
     if "mirror" in hints:
         mp = hints["mirror"]
-        tk = h_transform(base, mirror_hhat(mp), mp.R)
-        weights = hitting_split(tk, x0)
+        weights = hitting_split(_hhat_transform(base, hints), x0)
         return mixture_limit(
             weights, mirror_extremal(mp, -1), mirror_extremal(mp, +1)
         )
@@ -221,7 +258,7 @@ def _jsonable(obj):
 
 def cmd_yaglom(cfg, base, kernel, hints, out: Path) -> dict:
     x0, n = int(cfg["x0"]), int(cfg["n"])
-    tracked = tuple(int(y) for y in cfg["tracked_sites"])
+    tracked = tuple(int(y) for y in cfg["tracked_sites"] or ())
     for y in tracked:
         if abs(y - x0) > n:
             raise ConfigError(f"tracked site {y} outside the window [{x0 - n}, {x0 + n}]")
@@ -341,29 +378,19 @@ def cmd_transform(cfg, base, kernel, hints, out: Path) -> dict:
     kill_site = int(hints.get("kill_site", 0))
     sites = tuple(int(s) for s in (cfg.get("sites") or (-3, -2, -1, 0, 1, 2, 3)))
     est = estimate_hhat(kernel, kill_site, sites, n)
-    rows = []
-    closed = None
+    closed = {}
     if "two_sided" in hints:
         closed = {x: float(closed_form_hhat(hints["two_sided"], x)) for x in sites}
     elif "mirror" in hints:
         hh = mirror_hhat(hints["mirror"])
         closed = {x: float(hh.value(x)) for x in sites}
-    for x in sites:
-        row = [x, est.table[x], est.converged[x], est.spreads[x]]
-        row.append(closed[x] if closed else "")
-        rows.append(row)
+    rows = [[x, est.table[x], est.converged[x], est.spreads[x], closed.get(x, "")] for x in sites]
     _write_csv(out / "hhat.csv", cfg, ["site", "estimate", "converged", "spread", "closed_form"], rows)
     results: dict = {
         "hhat": {str(x): est.table[x] for x in sites},
         "all_converged": est.verdict(),
     }
-    tk = None
-    if "mirror" in hints:
-        mp = hints["mirror"]
-        tk = h_transform(base, mirror_hhat(mp), mp.R)
-    if "two_sided" in hints:
-        params = hints["two_sided"]
-        tk = h_transform(base, dual_harmonic(extremal_plus(params)), params.R)
+    tk = _hhat_transform(base, hints)
     if tk is not None:
         w = hitting_split(tk, x0, M_cap=int(cfg["budgets"]["horizon_M"]))
         results["boundary_weights"] = {
@@ -544,13 +571,8 @@ def main(argv=None) -> int:
             "horizon_M": args.horizon_M,
         }
         cfg = resolve_config(load_config(args.config), overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         base, kernel, hints = kernel_from_config(cfg)
-    except (ConfigError, KeyError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -188,9 +188,8 @@ def check_conditions(
             {"note": "needs a single killing site and uniform aperiodicity"},
         )
 
-    stay_floor = _min_stay(kernel)
     out["7"] = ConditionVerdict(
-        "holds" if stay_floor >= 0.5 else "fails", {"min_stay": stay_floor}
+        "holds" if min_stay >= 0.5 else "fails", {"min_stay": min_stay}
     )
 
     # --- dominant boundary point: hhat against the +inf extremal ---------

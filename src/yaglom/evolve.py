@@ -9,13 +9,12 @@ ground-truth oracle at small n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .chain import DegenerateKernelError, MassState, Window, _forward_step, _hull
+from .chain import DegenerateKernelError, MassState, Window, _forward_step, _hull, _normalised_run
 
 __all__ = [
     "YaglomTrace",
@@ -93,8 +92,7 @@ def evolve_trace(
     up, stay, down = kernel.rows(lo, hi)
     v = np.zeros(hi - lo + 1)
     v[x0 - lo] = 1.0
-    a, b = _hull(v, x0 - lo, x0 - lo)
-    log_mass = edge_lost = clip_lost = 0.0
+    edge_lost = clip_lost = 0.0
     surv = np.empty(n)
     snaps: dict[int, MassState] = {}
     want = set(snapshot_at)
@@ -104,31 +102,18 @@ def evolve_trace(
         if not lo <= y <= hi:
             raise ValueError(f"tracked site {y} outside the capped window")
         tracked_vals[y][0] = 1.0 if y == x0 else 0.0
-    for k in range(n):
-        # up-flow out of hi and down-flow out of lo fall off the window
-        edge = v[0] * down[0] + v[-1] * up[-1]
-        a, b = _forward_step(v, up, stay, down, a, b)
-        live = v[a : b + 1]
-        s = float(live.sum())
-        if s <= 0.0:
-            raise DegenerateKernelError(f"total extinction at step {k + 1}")
-        if edge > 0.0:
-            edge_lost += edge / s
-        if clip > 0.0:
-            small = live < clip * s
-            lost = float(live[small].sum())
-            if lost > 0.0:
-                live[small] = 0.0
-                clip_lost += lost / s
-                s = float(live.sum())
-        live /= s
-        surv[k] = s
-        log_mass += math.log(s)
+    run = _normalised_run(v, up, stay, down, n, clip)
+    k = 0  # steps completed
+    for k, (s, log_mass, edge, clipped, a, b) in enumerate(run, start=1):
+        surv[k - 1] = s
+        edge_lost += edge
+        clip_lost += clipped
         for y in tracked:
-            tracked_vals[y][k + 1] = v[y - lo]
-        if (k + 1) in want:
-            snaps[k + 1] = MassState(Window(lo, hi), v.copy(), log_mass, edge_lost + clip_lost)
-
+            tracked_vals[y][k] = v[y - lo]
+        if k in want:
+            snaps[k] = MassState(Window(lo, hi), v.copy(), log_mass, edge_lost + clip_lost)
+    if k < n:
+        raise DegenerateKernelError(f"total extinction at step {k + 1}")
     dist = MassState(Window(lo, hi), v, log_mass, edge_lost + clip_lost)
     a, b = _hull(v, a, b)
     ratios: dict[int, np.ndarray] = {}

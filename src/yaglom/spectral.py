@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta
 
-from .chain import MassState, Window, _forward_step
+from .chain import MassState, Window, _normalised_run
 from .evolve import YaglomTrace
 
 __all__ = [
@@ -197,24 +197,12 @@ def green_partial(kernel, x: int, y, w: float, N: int) -> GreenPartial:
     up, stay, down = kernel.rows(lo, hi)
     v = np.zeros(hi - lo + 1)
     v[x - lo] = 1.0
-    a, b = N - 1, N + 1
-    log_mass = 0.0
     logw = math.log(w) if w > 0.0 else -math.inf
     terms = np.zeros(N + 1)
     terms[0] = 1.0 if (want_S or y == x) else 0.0
-    for n in range(1, N + 1):
-        a, b = _forward_step(v, up, stay, down, a, b)
-        live = v[a : b + 1]
-        s = float(live.sum())
-        if s <= 0.0:
-            terms[n:] = 0.0
-            break
-        live /= s
-        log_mass += math.log(s)
-        if w == 0.0:
-            continue
-        amp = log_mass + n * logw
-        terms[n] = math.exp(amp) * (1.0 if want_S else v[y - lo])
+    run = _normalised_run(v, up, stay, down, N)
+    for n, (_, log_mass, *_) in enumerate(run, start=1):
+        terms[n] = math.exp(log_mass + n * logw) * (1.0 if want_S else v[y - lo])
     partial = float(terms.sum())
     tail = _fit_tail(terms, N)
     return GreenPartial(partial, tail, N + 1)
@@ -263,24 +251,13 @@ def chi_entrance(kernel, z: int, w: float, N: int):
     if N < 0:
         raise ValueError("need N >= 0")
     lo, hi = z - N, z + N
-    acc = np.zeros(hi - lo + 1)
-    acc[z - lo] = 1.0
-    if N >= 1:
-        up, stay, down = kernel.rows(lo, hi)
-        v = np.zeros(hi - lo + 1)
-        v[z - lo] = 1.0
-        a, b = N - 1, N + 1
-        log_mass = 0.0
-        logw = math.log(w)
-        for n in range(1, N + 1):
-            a, b = _forward_step(v, up, stay, down, a, b)
-            live = v[a : b + 1]
-            s = float(live.sum())
-            if s <= 0.0:
-                break
-            live /= s
-            log_mass += math.log(s)
-            acc[a : b + 1] += math.exp(log_mass + n * logw) * live
+    up, stay, down = kernel.rows(lo, hi)
+    v = np.zeros(hi - lo + 1)
+    v[z - lo] = 1.0
+    acc = v.copy()
+    run = _normalised_run(v, up, stay, down, N)
+    for n, (_, log_mass, _, _, a, b) in enumerate(run, start=1):
+        acc[a : b + 1] += math.exp(log_mass + n * math.log(w)) * v[a : b + 1]
     total = float(acc.sum())
     return MassState(Window(lo, hi), acc / total, math.log(total))
 

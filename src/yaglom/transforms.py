@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Window, _forward_step, _hull
+from .chain import Window, _normalised_run
 from .measures import Mixture, dual_harmonic, extremal_plus
 from .spectral import TwoSidedParams
 
@@ -166,29 +166,6 @@ def hitting_split(
     return BoundaryWeights(1.0 - w, w, delta < tol, delta, M)
 
 
-def _target_series(kernel, start: int, target: int, n_max: int):
-    """Per-step (log K^n(start,S), K^n(start,target)/K^n(start,S))."""
-    lo, hi = start - n_max, start + n_max
-    lo, hi = min(lo, target - 1), max(hi, target + 1)
-    up, stay, down = kernel.rows(lo, hi)
-    v = np.zeros(hi - lo + 1)
-    v[start - lo] = 1.0
-    a, b = _hull(v, start - lo, start - lo)
-    logm = np.zeros(n_max + 1)
-    val = np.zeros(n_max + 1)
-    val[0] = 1.0 if start == target else 0.0
-    acc = 0.0
-    for n in range(1, n_max + 1):
-        a, b = _forward_step(v, up, stay, down, a, b)
-        live = v[a : b + 1]
-        s = float(live.sum())
-        live /= s
-        acc += math.log(s)
-        logm[n] = acc
-        val[n] = v[target - lo]
-    return logm, val
-
-
 @dataclass
 class HhatEstimate:
     """Ratio series K^n(x, x0)/K^n(x0, x0) with convergence diagnostics."""
@@ -204,10 +181,15 @@ class HhatEstimate:
 
 
 def _window_cauchy(series: np.ndarray, width: int = 50, rel_tol: float = 1e-3):
-    """Max sliding-window spread over the last half, relative to the level."""
+    """Max sliding-window spread over the last half, relative to the level.
+
+    A tail with no positive finite entry (a site out of reach, or a
+    period-2 chain whose ratio is 0 or 0/0 at every step) has no level to
+    converge to: it is reported as not converged with an infinite spread.
+    """
     half = series[len(series) // 2 :]
     half = half[np.isfinite(half)]
-    if len(half) < width + 1:
+    if len(half) < width + 1 or not (half > 0.0).any():
         return math.inf, False
     level = abs(float(np.median(half))) or 1.0
     windows = np.lib.stride_tricks.sliding_window_view(half, width)
@@ -224,29 +206,33 @@ def estimate_hhat(
 ) -> HhatEstimate:
     """Estimate hhat(x)/hhat(x0) from the ratio series K^n(x,x0)/K^n(x0,x0).
 
-    Killing is assumed confined to x0.  Non-convergence (the Kesten case)
-    is a verdict per site, decided by a sliding Cauchy window over the
-    last half of the series, not an exception.
+    The ratios at step n are entries of one backward vector K^n e_{x0}.
+    Since (K h)(x) = up[x] h(x+1) + stay[x] h(x) + down[x] h(x-1), that
+    vector comes from one forward run on the transposed rates
+    (down[x+1], stay[x], up[x-1]); each step's normalisation cancels in
+    the ratio.  Non-convergence (the Kesten case) is a verdict per site,
+    decided by a sliding Cauchy window over the last half of the series,
+    not an exception.
     """
-    logm0, val0 = _target_series(kernel, x0, x0, n_max)
-    out: dict[int, float] = {}
-    conv: dict[int, bool] = {}
-    spreads: dict[int, float] = {}
-    series: dict[int, np.ndarray] = {}
-    for x in sites:
-        if x == x0:
-            ratio = np.ones(n_max + 1)
-        else:
-            logmx, valx = _target_series(kernel, x, x0, n_max)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.exp(logmx - logm0) * valx / val0
-            ratio[~np.isfinite(ratio)] = np.nan
-        series[x] = ratio
-        finite = ratio[np.isfinite(ratio)]
-        out[x] = float(finite[-1]) if len(finite) else math.nan
-        spread, ok = _window_cauchy(ratio, rel_tol=rel_tol)
-        spreads[x] = spread
-        conv[x] = ok
+    sites = tuple(sites)
+    lo, hi = min((x0 - n_max, *sites)), max((x0 + n_max, *sites))
+    up, stay, down = kernel.rows(lo - 1, hi + 1)
+    v = np.zeros(hi - lo + 1)
+    v[x0 - lo] = 1.0
+    idx = np.array([x - lo for x in sites] + [x0 - lo])
+    vals = np.zeros((n_max + 1, len(idx)))
+    vals[0] = v[idx]
+    run = _normalised_run(v, down[2:], stay[1:-1], up[:-2], n_max)
+    for n, _ in enumerate(run, start=1):
+        vals[n] = v[idx]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = vals[:, :-1] / vals[:, -1:]
+    ratios[~np.isfinite(ratios)] = np.nan
+    series = {x: np.ones(n_max + 1) if x == x0 else r.copy() for x, r in zip(sites, ratios.T)}
+    out, conv, spreads = {}, {}, {}
+    for x, ratio in series.items():
+        out[x] = float(ratio[np.isfinite(ratio)][-1])  # step 0 is always finite
+        spreads[x], conv[x] = _window_cauchy(ratio, rel_tol=rel_tol)
     return HhatEstimate(x0, out, conv, spreads, series)
 
 

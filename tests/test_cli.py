@@ -60,6 +60,28 @@ def test_missing_chain_keys_is_schema_error(tmp_path):
     assert run(["yaglom", "--config", cfg, "--out-dir", tmp_path]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("yaglom", {"chain": {"preset": "two_sided", "params": {"p": "x"}}}),
+        ("yaglom", {"chain": {"preset": "two_sided", "params": {"zz": 1}}}),
+        ("yaglom", {"n": "ten"}),
+        ("yaglom", {"lazify": "x"}),
+        ("yaglom", {"x0": "a"}),
+        ("yaglom", {"budgets": 5}),
+        ("yaglom", {"tracked_sites": 5}),
+        ("yaglom", {"chain": {"regions": 5}}),
+        ("simulate", {"seed": "s"}),
+    ],
+)
+def test_malformed_config_is_one_line_config_error(tmp_path, capsys, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 50, **cfg}))
+    assert run([command, "--config", path, "--out-dir", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+
+
 def test_invalid_kernel_is_validation_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -145,6 +167,16 @@ def test_invariant_and_transform_subcommands(tmp_path):
     ) == 0
     rep = read_report(tmp_path / "t" / "transform_report.json")
     assert rep["results"]["boundary_weights"]["w_plus"] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_transform_period_two_is_not_converged(tmp_path):
+    out = tmp_path / "t"
+    assert run(["transform", "--preset", "two_sided", "--n", "2000", "--out-dir", out]) == 0
+    assert read_report(out / "transform_report.json")["results"]["all_converged"] is False
+    with open(out / "hhat.csv") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    converged = {int(r["site"]): r["converged"] == "True" for r in rows}
+    assert converged == {-3: False, -2: True, -1: False, 0: True, 1: False, 2: True, 3: False}
 
 
 def test_spectral_below_rho_minimum_is_budget_error(tmp_path, capsys):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from yaglom import (
     NNKernel,
     Region,
+    brute_force_distribution,
     chi_entrance,
     estimate_hhat,
     evolve_trace,
@@ -35,6 +36,14 @@ def dense_step(v, up, stay, down):
     w = v * stay
     w[1:] += v[:-1] * up[:-1]
     w[:-1] += v[1:] * down[1:]
+    return w
+
+
+def dense_backward(h, up, stay, down):
+    """(K h)(x) = up[x] h(x+1) + stay[x] h(x) + down[x] h(x-1), zero outside."""
+    w = h * stay
+    w[1:] += down[1:] * h[:-1]
+    w[:-1] += up[:-1] * h[1:]
     return w
 
 
@@ -216,15 +225,89 @@ def test_estimate_hhat_matches_dense_loop():
         assert_rel(est.series[x], want, rel=1e-12)
 
 
+@pytest.mark.parametrize("name", ("two_sided", "symmetric", "kesten"))
+def test_estimate_hhat_matches_exact_oracle(name):
+    """Every entry of the backward run against exact K^n(x,x0)/K^n(x0,x0)."""
+    kernel = lazify(preset_kernel(name), 0.5)
+    x0, n_max, sites = 0, 12, (-3, -2, -1, 0, 1, 2, 3)
+    est = estimate_hhat(kernel, x0, sites, n_max)
+    for n in range(n_max + 1):
+        at_x0 = {x: brute_force_distribution(kernel, x, n)[0].get(x0, 0) for x in sites}
+        for x in sites:
+            want = float(at_x0[x] / at_x0[x0])
+            assert abs(est.series[x][n] - want) <= 1e-14 * want
+
+
+def test_estimate_hhat_is_mirror_symmetric():
+    """Ratios at -x and +x are entries of one backward vector from the
+    mirror point, so they agree to rounding."""
+    est = estimate_hhat(lazify(preset_kernel("symmetric"), 0.5), 0, (-3, -2, -1, 1, 2, 3), 2500)
+    for x in (1, 2, 3):
+        assert abs(est.table[-x] - est.table[x]) <= 1e-14 * est.table[x]
+        assert_rel(est.series[-x], est.series[x])
+
+
+def test_estimate_hhat_site_out_of_reach_is_zero():
+    est = estimate_hhat(lazify(preset_kernel("two_sided"), 0.5), 0, (0, 50), 10)
+    np.testing.assert_array_equal(est.series[50], np.zeros(11))
+    np.testing.assert_array_equal(est.series[0], np.ones(11))
+    assert est.table[50] == 0.0 and not est.converged[50]
+
+
+def test_estimate_hhat_reads_rows_once():
+    class CountingKernel:
+        def __init__(self, kernel):
+            self.kernel, self.calls = kernel, 0
+
+        def rows(self, lo, hi):
+            self.calls += 1
+            return self.kernel.rows(lo, hi)
+
+    counting = CountingKernel(lazify(preset_kernel("kesten"), 0.5))
+    estimate_hhat(counting, 0, (-3, -1, 0, 1, 3, 40), 300)
+    assert counting.calls == 1
+
+
+rate_triples = st.lists(
+    st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5), st.floats(0.0, 0.5)),
+    min_size=3,
+    max_size=3,
+)
+
+
+def random_kernel(rates):
+    (p0, r0, q0), (p1, r1, q1), (p2, r2, q2) = rates
+    return NNKernel(
+        (Region(None, -1, p0, r0, q0), Region(1, None, p1, r1, q1)),
+        ((0, p2, r2, q2),),
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    rates=st.lists(
-        st.tuples(
-            st.floats(0.0, 0.5), st.floats(0.0, 0.5), st.floats(0.0, 0.5)
-        ),
-        min_size=3,
-        max_size=3,
-    ),
+    rates=rate_triples,
+    half=st.integers(0, 12),
+    offset=st.integers(-12, 12),
+    steps=st.integers(1, 40),
+)
+def test_transposed_forward_step_is_backward_step(rates, half, offset, steps):
+    """A forward step on the rates (down[x+1], stay[x], up[x-1]) is the
+    dense K h step on the window, site for site."""
+    lo, hi = -half, half
+    up, stay, down = random_kernel(rates).rows(lo - 1, hi + 1)
+    x0 = min(max(offset, lo), hi)
+    h = np.zeros(hi - lo + 1)
+    h[x0 - lo] = 1.0
+    a, b = _hull(h, x0 - lo, x0 - lo)
+    for _ in range(steps):
+        want = dense_backward(h, up[1:-1], stay[1:-1], down[1:-1])
+        a, b = _forward_step(h, down[2:], stay[1:-1], up[:-2], a, b)
+        np.testing.assert_array_equal(h, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rates=rate_triples,
     half=st.integers(0, 12),
     offset=st.integers(-12, 12),
     steps=st.integers(1, 40),
@@ -234,11 +317,7 @@ def test_hull_stays_in_window_and_covers_support(rates, half, offset, steps, zap
     """After every step the hull lies in the window, every site outside it
     is 0.0, and the step equals the dense one site for site, also when
     sites are zeroed between steps (as clipping and taboo runs do)."""
-    (p0, r0, q0), (p1, r1, q1), (p2, r2, q2) = rates
-    kernel = NNKernel(
-        (Region(None, -1, p0, r0, q0), Region(1, None, p1, r1, q1)),
-        ((0, p2, r2, q2),),
-    )
+    kernel = random_kernel(rates)
     lo, hi = -half, half
     up, stay, down = kernel.rows(lo, hi)
     x0 = min(max(offset, lo), hi)

@@ -168,6 +168,15 @@ def test_estimate_hhat_kesten_nonconvergent():
     assert not (est.converged[-1] or est.converged[1])
 
 
+def test_estimate_hhat_period_two_odd_sites_not_converged():
+    """Period 2: K^n(x,0) is 0 at even n and 0/0 at odd n when x is odd, so
+    the ratio has no level; an even site's ratio is defined every other step."""
+    est = estimate_hhat(KERNEL, 0, (-1, 1, 2), 2000)
+    assert not est.converged[-1] and not est.converged[1]
+    assert est.spreads[-1] == est.spreads[1] == math.inf
+    assert est.converged[2]
+
+
 def test_closed_form_hhat_values():
     t0, _ = quadratic_roots(PARAMS)
     assert closed_form_hhat(PARAMS, 0) == 1.0
