@@ -163,6 +163,11 @@ def _check_schema(cfg: dict) -> None:
         raise ConfigError("lazify must lie in [0, 1)")
     if int(cfg["n"]) < 1:
         raise ConfigError("n must be a positive step count")
+    if int(cfg["seed"]) < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg['seed']!r}")
+    for key in ("n_grid", "orey_m_grid"):
+        if cfg.get(key) is not None and min(_int_list(cfg[key]), default=1) < 1:
+            raise ConfigError(f"{key} entries must be positive step counts, got {cfg[key]!r}")
 
 
 def kernel_from_config(cfg: dict):

@@ -187,7 +187,9 @@ _ALPHA_DEFAULT = dict(alpha=0.9, a=0.6, b=0.4)
 PRESETS = {
     "two_sided": lambda **kw: build_two_sided(**{**_TWO_SIDED_DEFAULT, **kw}),
     "symmetric": lambda **kw: build_symmetric(**{**_SYMMETRIC_DEFAULT, **kw}),
-    "kesten": lambda **kw: build_kesten(kw.pop("schedule", default_kesten_schedule())),
+    "kesten": lambda schedule=None: build_kesten(
+        default_kesten_schedule() if schedule is None else schedule
+    ),
     "alpha_walk": lambda **kw: build_alpha_walk(**{**_ALPHA_DEFAULT, **kw}),
 }
 

@@ -72,12 +72,22 @@ def test_missing_chain_keys_is_schema_error(tmp_path):
         ("yaglom", {"tracked_sites": 5}),
         ("yaglom", {"chain": {"regions": 5}}),
         ("simulate", {"seed": "s"}),
+        ("simulate", {"seed": -1}),
+        ("simulate", {"orey_m_grid": [0, 64]}),
+        ("kesten", {"chain": {"preset": "kesten"}, "n_grid": [0, 64]}),
+        ("kesten", {"chain": {"preset": "kesten", "params": {"zz": 1}}}),
     ],
 )
 def test_malformed_config_is_one_line_config_error(tmp_path, capsys, command, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"n": 50, **cfg}))
     assert run([command, "--config", path, "--out-dir", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+
+
+def test_negative_seed_flag_is_config_error(tmp_path, capsys):
+    assert run(["simulate", "--seed", "-1", "--out-dir", tmp_path / "o"]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error:") and len(err.splitlines()) == 1
 

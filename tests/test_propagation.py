@@ -17,7 +17,9 @@ from yaglom import (
     NNKernel,
     Region,
     brute_force_distribution,
+    check_conditions,
     chi_entrance,
+    estimate_rho,
     estimate_hhat,
     evolve_trace,
     green_partial,
@@ -26,7 +28,7 @@ from yaglom import (
     taboo_first_return,
 )
 from yaglom.chain import _forward_step, _hull
-from yaglom.spectral import _fit_tail
+from yaglom.spectral import _fit_tail, _survival_green_terms
 
 PRESETS = ("two_sided", "symmetric", "kesten", "alpha_walk")
 REL = 1e-14
@@ -181,6 +183,70 @@ def test_green_partial_matches_dense_loop(y):
     g = green_partial(kernel, x, y, w, N)
     assert g.value == pytest.approx(terms.sum(), rel=REL)
     assert g.tail_estimate == pytest.approx(_fit_tail(terms, N), rel=1e-12)
+
+
+def _radius_weight(kernel):
+    """The weight check_conditions sums the [2] potential at."""
+    est = estimate_rho(evolve_trace(kernel, 0, 2500))
+    return (1.0 - 2.0 * est.error_bound - 1e-6) / est.rho_hat
+
+
+@pytest.mark.parametrize(
+    "name, lazy, sum_rel",
+    # alpha_walk: the forward runs' log_mass drifts by ~1e-11 over 2000
+    # steps (the sweep stays within 1e-12 of extended precision, below)
+    [("two_sided", 0.5, 1e-13), ("symmetric", 0.5, 1e-13), ("alpha_walk", None, 1e-11)],
+)
+def test_survival_green_sweep_matches_forward_runs(name, lazy, sum_rel):
+    kernel = preset_kernel(name)
+    if lazy is not None:
+        kernel = lazify(kernel, lazy)
+    w, N, starts = _radius_weight(kernel), 2000, (-20, 0, 20)
+    rows = _survival_green_terms(kernel, starts, w, N)
+    assert rows.shape == (3, N + 1)
+    for z, terms in zip(starts, rows):
+        g = green_partial(kernel, z, "S", w, N)
+        assert terms.sum() == pytest.approx(g.value, rel=sum_rel)
+        assert _fit_tail(terms, N) == pytest.approx(g.tail_estimate, rel=1e-10)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs 80-bit long double")
+@pytest.mark.parametrize("name, lazy", [("two_sided", 0.5), ("alpha_walk", None)])
+def test_survival_green_sweep_against_extended_precision(name, lazy):
+    kernel = preset_kernel(name)
+    if lazy is not None:
+        kernel = lazify(kernel, lazy)
+    z, N = 0, 2000
+    up, stay, down = (r.astype(np.longdouble) for r in kernel.rows(z - N, z + N))
+    v = np.zeros(2 * N + 1, dtype=np.longdouble)
+    v[N] = 1.0
+    want = np.ones(N + 1, dtype=np.longdouble)
+    for n in range(1, N + 1):
+        v = dense_step(v, up, stay, down)
+        want[n] = v.sum()
+    got = _survival_green_terms(kernel, (z,), 1.0, N)[0]
+    assert_rel(got, want.astype(float), rel=1e-12)
+
+
+def test_check_conditions_probes_read_rows_once():
+    """Every [2] probe comes from one rows read; the other checkers read
+    windows centred on the kill site 0, the probe sweep does not."""
+
+    class CountingKernel(NNKernel):
+        def rows(self, lo, hi):
+            calls.append((lo, hi))
+            return super().rows(lo, hi)
+
+    calls = []
+    base = lazify(preset_kernel("two_sided"), 0.5)
+    kernel = CountingKernel(base.regions, base.overrides)
+    probes, N = (-7, 5, 11), 300
+    rep = check_conditions(kernel, budgets={"probe_sites": probes, "green_N": N})
+    assert all(f"E_R_zeta_at_{z}" in rep.verdicts["2"].evidence for z in probes)
+    sweep = [(lo, hi) for lo, hi in calls if lo + hi != 0]
+    assert len(sweep) == 1
+    lo, hi = sweep[0]
+    assert lo < min(probes) - N and hi > max(probes) + N
 
 
 def test_chi_entrance_matches_dense_loop():

@@ -95,6 +95,12 @@ def test_presets_registry():
         preset_kernel("unknown")
 
 
+@pytest.mark.parametrize("name", ["two_sided", "symmetric", "kesten", "alpha_walk"])
+def test_presets_reject_unknown_parameters(name):
+    with pytest.raises(TypeError):
+        preset_kernel(name, {"zz": 1})
+
+
 def test_oscillation_probe_single_entry_grid():
     k = lazify(build_two_sided(0.25, 0.75, 0.9, 0.1), 0.5)
     probe = oscillation_probe(k, 0, (200,))

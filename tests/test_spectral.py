@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import zeta
 
 from yaglom import (
     TwoSidedParams,
@@ -23,6 +24,7 @@ from yaglom import (
     taboo_first_return,
 )
 from yaglom.chain import Window
+from yaglom.spectral import _fit_tail
 
 PARAMS = TwoSidedParams(0.25, 0.75, 0.9, 0.1)
 
@@ -186,6 +188,66 @@ def test_green_partial_rejects_supercritical_weight():
     k = build_two_sided(0.25, 0.75, 0.9, 0.1)
     with pytest.raises(ValueError):
         green_partial(k, 0, "S", PARAMS.R * 1.05, 800)
+
+
+def loop_fit_tail(terms, N):
+    """The term-by-term ``_fit_tail``, kept as the oracle of the chunked
+    one; also returns which way the sum ended."""
+    start = max(2, int(0.9 * N))
+    ns = np.arange(start, N + 1, dtype=float)
+    t = terms[start : N + 1]
+    pos = t > 0.0
+    if pos.sum() < 4:
+        return 0.0, "no fit"
+    ns, t = ns[pos], t[pos]
+    ylog = np.log(t) + 1.5 * np.log(ns)
+    A = np.vstack([np.ones_like(ns), ns]).T
+    coef, *_ = np.linalg.lstsq(A, ylog, rcond=None)
+    logc, logg = float(coef[0]), float(coef[1])
+    if logg > 1e-3:
+        raise ValueError("terms growing")
+    c = math.exp(logc)
+    if logg > -1e-12:
+        return c * float(zeta(1.5, N + 1)), "zeta"
+    g = math.exp(logg)
+    tail = 0.0
+    gk = g ** (N + 1)
+    for k in range(N + 1, N + 100000):
+        inc = c * gk * k ** -1.5
+        tail += inc
+        if inc < 1e-16 * max(tail, 1e-300):
+            return tail, "stop"
+        gk *= g
+    return tail, "cap"
+
+
+def test_fit_tail_matches_term_by_term_loop():
+    rng = np.random.default_rng(20261018)
+    ended = set()
+    for i in range(200):
+        c = 10.0 ** rng.uniform(-3, 3)
+        N = int(rng.integers(50, 3000))
+        kind = i % 5
+        if kind == 0:
+            logg = 0.0  # fitted slope within 1e-12 of 0: the zeta branch
+        elif kind == 1:
+            logg = -(10.0 ** rng.uniform(-3, 0))  # stops early
+        elif kind == 2:
+            logg = -(10.0 ** rng.uniform(-11, -6))  # runs to the term cap
+        else:
+            logg = -(10.0 ** rng.uniform(-4, 0))
+        n = np.arange(N + 1.0)
+        terms = np.ones(N + 1)
+        terms[1:] = c * n[1:] ** -1.5 * np.exp(logg * n[1:])
+        want, how = loop_fit_tail(terms, N)
+        ended.add(how)
+        got = _fit_tail(terms, N)
+        assert abs(got - want) <= 1e-14 * abs(want), (c, logg, N, how)
+    assert {"zeta", "stop", "cap"} <= ended
+    terms = np.ones(201)
+    terms[1:] = np.arange(1.0, 201.0) ** -1.5 * np.exp(0.01 * np.arange(1.0, 201.0))
+    with pytest.raises(ValueError):
+        _fit_tail(terms, 200)
 
 
 def test_green_onekill_identity_finite_N():
