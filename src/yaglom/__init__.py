@@ -6,9 +6,7 @@ from .chain import (
     NNKernel,
     Region,
     Window,
-    kernel_step,
     lazify,
-    point_mass,
     square_even,
     validate,
 )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +25,6 @@ __all__ = [
     "validate",
     "lazify",
     "square_even",
-    "kernel_step",
-    "point_mass",
 ]
 
 _MASS_TOL = 1e-12
@@ -182,10 +181,6 @@ class MassState:
         return math.exp(self.log_mass)
 
 
-def point_mass(x0: int) -> MassState:
-    return MassState(Window(x0, x0), np.array([1.0]))
-
-
 def _rate_violations(label: str, p: float, r: float, q: float) -> list[str]:
     out = []
     if p <= 0.0:
@@ -340,64 +335,244 @@ def _forward_step(v, up, stay, down, a: int, b: int) -> tuple[int, int]:
     return _hull(v, a, b)
 
 
-def _normalised_run(v, up, stay, down, n: int, clip: float = 0.0):
-    """Replace ``v`` by ``v K`` up to ``n`` times in place, renormalising each time.
+# Steps per block of an unclipped run: one band product applies K^m.
+_BLOCK = 32
+# A block whose mass K^m(v, S) falls below this is stepped one step at a
+# time instead, so that no S_j underflows.
+_MIN_BLOCK_MASS = 1e-200
 
-    ``v`` is nonnegative, not all zero, and covers the same window as the
-    rate arrays.  Each step yields ``(s, log_mass, edge, clipped, a, b)``:
-    the survival factor (the live sum after clipping), the running sum of
-    log(s), the mass that flowed off the window ends and the mass removed by
-    clipping (both as fractions of the sum before clipping), and the live
-    hull [a, b].  With ``clip`` > 0, entries below ``clip`` times that sum
-    are set to 0.0.  The run stops early once all mass is gone.
+
+class _Record(NamedTuple):
+    """The steps a normalised run took since its last yield.
+
+    ``surv`` holds the survival factor of each step and ``log_mass`` the
+    log of the total mass after it.  ``edge`` and ``clipped`` sum, over the
+    steps, the mass that flowed off the window ends and the mass removed by
+    clipping, each as a fraction of its step's sum before clipping.
+    Row i of ``watched`` holds the conditioned values at the watch sites
+    after the record's step i + 1 (None without watch sites), and [a, b] is
+    the live hull at the end.
     """
-    first, last = np.flatnonzero(v)[[0, -1]].tolist()
-    a, b = _hull(v, first, last)
-    log_mass = 0.0
-    for _ in range(n):
+
+    surv: np.ndarray
+    log_mass: np.ndarray
+    edge: float
+    clipped: float
+    watched: np.ndarray | None
+    a: int
+    b: int
+
+
+def _backward(h, up, stay, down):
+    """(K h)(x) = up[x] h(x+1) + stay[x] h(x) + down[x] h(x-1) along the last
+    axis, with h taken as 0 past both ends."""
+    out = stay * h
+    out[..., :-1] += up[..., :-1] * h[..., 1:]
+    out[..., 1:] += down[..., 1:] * h[..., :-1]
+    return out
+
+
+class _BlockTables:
+    """Powers of a window's kernel for advancing a run ``_BLOCK`` = m steps at once.
+
+    The kernel is the one a run steps with: rates as given on the window
+    and 0 outside it, so mass leaving the window is lost.  For sites in
+    ``[lo, hi]`` the tables hold the band columns ``G[y, t] = K^m(y-m+t, y)``
+    and ``C[x, j-1] = (K^j 1)(x)`` for j = 1..m.  Both rows at a site depend
+    only on the rates within m sites of it, so sites share a row id: each
+    site within m of a rate change has its own, and each run of constant
+    rates between such sites has one.  A row is computed the first time a
+    table range needs its id.  ``cols[i, t, j-1] = K^j(w-m+t, w)`` for the
+    i-th watch site w.
+    """
+
+    def __init__(self, up, stay, down, watch):
+        m = _BLOCK
+        self.rates = (up, stay, down)
+        self.width = width = len(up)
+        change = (up[1:] != up[:-1]) | (stay[1:] != stay[:-1]) | (down[1:] != down[:-1])
+        changes = np.concatenate(([0], np.cumsum(change)))  # rate changes at sites 1..i
+        ys = np.arange(width)
+        special = (ys < m) | (ys >= width - m)  # near a window end
+        inner = ys[m : width - m]
+        special[m : width - m] = changes[inner + m] > changes[inner - m]
+        fresh = special.copy()
+        fresh[0] = True
+        fresh[1:] |= special[:-1]
+        self.ids = np.cumsum(fresh, dtype=np.int32) - 1
+        self.reps = ys[fresh]  # the first site with each id
+        self.G_rows = np.empty((self.reps.size, 2 * m + 1))
+        self.C_rows = np.empty((self.reps.size, m))
+        self.done = np.zeros(self.reps.size, dtype=bool)
+        self.lo, self.hi = 0, -1
+        self.G = self.C = self.cols = None
+        if watch.size:
+            near = watch[:, None] + np.arange(-m, m + 1)
+            self.watch_idx = np.clip(near, 0, width - 1)
+            self.watch_mask = (near >= 0) & (near < width)
+            h = np.zeros((watch.size, 2 * m + 1))
+            h[:, m] = 1.0
+            rates = self._near(watch)
+            self.cols = np.empty((watch.size, 2 * m + 1, m))
+            for j in range(m):
+                h = _backward(h, *rates)
+                self.cols[:, :, j] = h
+
+    def _near(self, sites):
+        """Rates at x = y-m..y+m for each site y, one row per site, 0 off the window."""
+        x = sites[:, None] + np.arange(-_BLOCK, _BLOCK + 1)
+        inside = (x >= 0) & (x < self.width)
+        x = np.clip(x, 0, self.width - 1)
+        return [r[x] * inside for r in self.rates]
+
+    def _compute(self, need) -> None:
+        """Fill the rows of the ids ``need``."""
+        m = _BLOCK
+        reps = self.reps[need]
+        x = reps[:, None] + np.arange(-m, m + 1)
+        h = np.zeros((2, reps.size, 2 * m + 1))
+        h[0, :, m] = 1.0  # e_y, stepped to the column K^j(., y)
+        h[1] = (x >= 0) & (x < self.width)  # 1 on the window, stepped to K^j 1
+        rates = self._near(reps)
+        for j in range(m):
+            h = _backward(h, *rates)
+            self.C_rows[need, j] = h[1, :, m]
+        self.G_rows[need] = h[0]
+        self.done[need] = True
+
+    def _cover(self, lo: int, hi: int) -> None:
+        """Make the tables span at least the sites lo..hi."""
+        if self.lo <= lo and hi <= self.hi:
+            return
+        grow = max(4 * _BLOCK, (hi - lo) // 8)
+        lo, hi = max(lo - grow, 0), min(hi + grow, self.width - 1)
+        ids = self.ids[lo : hi + 1]
+        need = np.unique(ids[~self.done[ids]])
+        if need.size:
+            self._compute(need)
+        self.G = self.C = None  # free the old tables first
+        self.G, self.C = self.G_rows[ids], self.C_rows[ids]
+        self.lo, self.hi = lo, hi
+
+    def block(self, v, a: int, b: int):
+        """Replace ``v`` by ``v K^m / S_m`` in place, with S_j = v K^j 1.
+
+        ``v`` is a contiguous float64 array.  The live hull [a, b] must lie
+        at least 2m sites inside both window ends: the product reads ``v``
+        on the support widened by 2m sites per side, and no mass leaves
+        the window.  Returns ``(S, watched, a, b)``, with ``watched[j-1]``
+        the values ``(v K^j)(w) / S_j`` at the watch sites and [a, b] the
+        new hull, or None, leaving ``v`` untouched, when S_m is below
+        ``_MIN_BLOCK_MASS``.
+        """
+        m = _BLOCK
+        f, l = a + 1, b - 1  # the support
+        self._cover(f - m, l + m)
+        seg = v[f : l + 1]
+        S = seg @ self.C[f - self.lo : l + 1 - self.lo]
+        if not S[-1] >= _MIN_BLOCK_MASS:
+            return None
+        watched = None
+        if self.cols is not None:
+            near = v[self.watch_idx] * self.watch_mask
+            watched = np.einsum("ix,ixj->ji", near, self.cols) / S[:, None]
+        # row i is v[f - 2m + i : f + i + 1], the inputs to site f - m + i
+        windows = np.ndarray(
+            (seg.size + 2 * m, 2 * m + 1), buffer=v, offset=8 * (f - 2 * m), strides=(8, 8)
+        )
+        out = np.einsum("ij,ij->i", windows, self.G[f - m - self.lo : l + m + 1 - self.lo])
+        out /= S[-1]
+        v[f - m : l + m + 1] = out
+        nz = np.flatnonzero(out)
+        return S, watched, max(f - m + nz[0] - 1, 0), min(f - m + nz[-1] + 1, len(v) - 1)
+
+
+def _steps(v, up, stay, down, a: int, b: int, count: int, clip: float, watch):
+    """Up to ``count`` single renormalised steps, fewer if all mass dies.
+
+    Returns ``(surv, edge, clipped, watched, a, b)`` as in ``_Record``.
+    """
+    surv, watched = [], []
+    edge_sum = clip_sum = 0.0
+    for _ in range(count):
         # up-flow out of the last site and down-flow out of the first
         edge = float(v[0] * down[0] + v[-1] * up[-1])
         a, b = _forward_step(v, up, stay, down, a, b)
         live = v[a : b + 1]
         s = float(live.sum())
         if s <= 0.0:
-            return
-        edge /= s
-        clipped = 0.0
+            break
+        edge_sum += edge / s
         if clip > 0.0:
             small = live < clip * s
             lost = float(live[small].sum())
             if lost > 0.0:
                 live[small] = 0.0
-                clipped = lost / s
+                clip_sum += lost / s
                 s = float(live.sum())
         live /= s
-        log_mass += math.log(s)
-        yield s, log_mass, edge, clipped, a, b
+        surv.append(s)
+        if watch.size:
+            watched.append(v[watch])
+    watched = np.array(watched).reshape(len(surv), watch.size) if watch.size else None
+    return np.array(surv), edge_sum, clip_sum, watched, a, b
 
 
-def kernel_step(kernel, state: MassState, clip: float = 0.0) -> tuple[MassState, float]:
-    """Apply the kernel once and renormalize.
+def _normalised_run(v, up, stay, down, n: int, clip: float = 0.0, watch=(), stops=()):
+    """Replace ``v`` by ``v K`` up to ``n`` times in place, renormalising.
 
-    Returns the new state and the survival factor K^{n+1}(x0,S)/K^n(x0,S).
-    The window grows by one site on each side.  With ``clip`` > 0, values
-    below ``clip`` (as a fraction of surviving mass) are discarded and
-    their total is accumulated into the state's ``clipped`` bound.
+    ``v`` is nonnegative, not all zero, and covers the same window as the
+    rate arrays.  The run yields a ``_Record`` for the steps since its last
+    yield, with ``v`` as the conditioned law after them; ``watch`` holds
+    window indices whose values every step records.  Records end at every
+    step in ``stops`` and after at most ``_BLOCK`` = m steps.
 
-    Raises
-    ------
-    DegenerateKernelError
-        If the surviving mass vanishes (all mass was killed).
+    Unclipped stretches of m steps whose live hull lies at least 2m sites
+    inside both window ends go in one block: one band product gives
+    ``v K^m``, and one matrix product gives every step's mass
+    ``S_j = v K^j 1``.  Everything else is stepped one step at a time: with
+    ``clip`` > 0, entries below ``clip`` times the step's sum are set to
+    0.0.  The run stops early once all mass is gone.  ``log_mass`` gains one
+    log per record, through a compensated sum.
     """
-    lo, hi = state.window.lo - 1, state.window.hi + 1
-    up, stay, down = kernel.rows(lo, hi)
-    w = np.zeros(hi - lo + 1)
-    w[1:-1] = state.values
-    step = next(_normalised_run(w, up, stay, down, 1, clip), None)
-    if step is None:
-        raise DegenerateKernelError("all mass killed in one step")
-    survival, log_s, _, clipped, _, _ = step
-    return (
-        MassState(Window(lo, hi), w, state.log_mass + log_s, state.clipped + clipped),
-        survival,
-    )
+    watch = np.asarray(watch, dtype=np.intp).reshape(-1)
+    first, last = np.flatnonzero(v)[[0, -1]].tolist()
+    a, b = _hull(v, first, last)
+    # blocks read v through a strided view of its buffer
+    blockable = clip == 0.0 and v.dtype == np.float64 and v.flags.c_contiguous
+    tables = None
+    k, log_mass, carry = 0, 0.0, 0.0
+    for end in sorted({int(s) for s in stops if 0 < s < n} | {n}):
+        while k < end:
+            count = min(_BLOCK, end - k)
+            blocked = None
+            if blockable and count == _BLOCK and 2 * _BLOCK <= a < b < len(v) - 2 * _BLOCK:
+                tables = tables or _BlockTables(up, stay, down, watch)
+                blocked = tables.block(v, a, b)
+            if blocked is not None:
+                S, watched, a, b = blocked
+                surv = S.copy()
+                surv[1:] /= S[:-1]
+                partial = np.log(S)
+                edge = clipped = 0.0
+            else:
+                surv, edge, clipped, watched, a, b = _steps(
+                    v, up, stay, down, a, b, count, clip, watch
+                )
+                if not surv.size:
+                    return
+                partial = np.cumsum(np.log(surv))
+            log_masses = partial + carry
+            log_masses += log_mass
+            # Neumaier's compensated sum of the per-record logs
+            x = float(partial[-1])
+            total = log_mass + x
+            if abs(log_mass) >= abs(x):
+                carry += (log_mass - total) + x
+            else:
+                carry += (x - total) + log_mass
+            log_mass = total
+            k += surv.size
+            yield _Record(surv, log_masses, edge, clipped, watched, a, b)
+            if surv.size < count:
+                return

@@ -165,6 +165,10 @@ def _check_schema(cfg: dict) -> None:
         raise ConfigError("n must be a positive step count")
     if int(cfg["seed"]) < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg['seed']!r}")
+    if int(cfg["budgets"]["mc_paths"]) < 1:
+        raise ConfigError(f"budgets.mc_paths must be positive, got {cfg['budgets']['mc_paths']!r}")
+    if cfg.get("clip") is not None and not 0.0 <= float(cfg["clip"]) < 1.0:
+        raise ConfigError(f"clip must lie in [0, 1), got {cfg['clip']!r}")
     for key in ("n_grid", "orey_m_grid"):
         if cfg.get(key) is not None and min(_int_list(cfg[key]), default=1) < 1:
             raise ConfigError(f"{key} entries must be positive step counts, got {cfg[key]!r}")
@@ -270,11 +274,8 @@ def cmd_yaglom(cfg, base, kernel, hints, out: Path) -> dict:
     trace = evolve_trace(kernel, x0, n, tracked=tracked, clip=float(cfg.get("clip") or 0.0))
     header = ["n", "survival_factor", "log_mass"] + [f"ratio_{y}" for y in tracked]
     logm = np.cumsum(np.log(trace.survival_factors))
-    rows = [
-        [k + 1, trace.survival_factors[k], logm[k]]
-        + [trace.tracked_ratios[y][k] for y in tracked]
-        for k in range(n)
-    ]
+    ratios = [trace.tracked_ratios[y].tolist() for y in tracked]
+    rows = zip(range(1, n + 1), trace.survival_factors.tolist(), logm.tolist(), *ratios)
     _write_csv(out / "trace.csv", cfg, header, rows)
     dist = trace.distribution
     _write_csv(

@@ -80,6 +80,15 @@ def evolve_trace(
         total.  The default grows the window exactly (one site per side
         per step).  Either way each step costs O(live hull), not O(window).
 
+    An unclipped run advances 32 steps at a time while its live hull lies
+    at least 64 sites inside both window ends: one band product applies
+    ``K^32``, and the survival factors and tracked values of the steps in
+    between come from precomputed tables of ``K^j 1`` and of the columns
+    ``K^j(., y)``.  Blocks end at the snapshot steps.  Clipped runs, and
+    the steps close to a window's ends, go one step at a time.  Both modes
+    agree with single dense steps to a few ulps.  ``log_mass`` gains one
+    ``log`` per block, so it does not drift over long runs.
+
     Raises
     ------
     DegenerateKernelError
@@ -92,36 +101,38 @@ def evolve_trace(
     up, stay, down = kernel.rows(lo, hi)
     v = np.zeros(hi - lo + 1)
     v[x0 - lo] = 1.0
+    tracked = tuple(tracked)
+    for y in tracked:
+        if not lo <= y <= hi:
+            raise ValueError(f"tracked site {y} outside the capped window")
     edge_lost = clip_lost = 0.0
     surv = np.empty(n)
     snaps: dict[int, MassState] = {}
     want = set(snapshot_at)
-    tracked = tuple(tracked)
-    tracked_vals = {y: np.full(n + 1, np.nan) for y in tracked}
-    for y in tracked:
-        if not lo <= y <= hi:
-            raise ValueError(f"tracked site {y} outside the capped window")
-        tracked_vals[y][0] = 1.0 if y == x0 else 0.0
-    run = _normalised_run(v, up, stay, down, n, clip)
+    vals = np.full((n + 1, len(tracked)), np.nan)
+    vals[0] = [1.0 if y == x0 else 0.0 for y in tracked]
+    watch = [y - lo for y in tracked]
     k = 0  # steps completed
-    for k, (s, log_mass, edge, clipped, a, b) in enumerate(run, start=1):
-        surv[k - 1] = s
-        edge_lost += edge
-        clip_lost += clipped
-        for y in tracked:
-            tracked_vals[y][k] = v[y - lo]
+    for rec in _normalised_run(v, up, stay, down, n, clip, watch, want):
+        k0, k = k, k + rec.surv.size
+        surv[k0:k] = rec.surv
+        edge_lost += rec.edge
+        clip_lost += rec.clipped
+        if tracked:
+            vals[k0 + 1 : k + 1] = rec.watched
         if k in want:
-            snaps[k] = MassState(Window(lo, hi), v.copy(), log_mass, edge_lost + clip_lost)
+            snaps[k] = MassState(Window(lo, hi), v.copy(), rec.log_mass[-1], edge_lost + clip_lost)
     if k < n:
         raise DegenerateKernelError(f"total extinction at step {k + 1}")
-    dist = MassState(Window(lo, hi), v, log_mass, edge_lost + clip_lost)
-    a, b = _hull(v, a, b)
+    dist = MassState(Window(lo, hi), v, rec.log_mass[-1], edge_lost + clip_lost)
+    a, b = _hull(v, rec.a, rec.b)
+    tracked_vals = {y: vals[:, i].copy() for i, y in enumerate(tracked)}
     ratios: dict[int, np.ndarray] = {}
     for y in tracked:
-        vals = tracked_vals[y]
+        val = tracked_vals[y]
         r = np.full(n, np.nan)
-        prev = vals[:-1]
-        cur = vals[1:]
+        prev = val[:-1]
+        cur = val[1:]
         ok = (prev > 0) & np.isfinite(prev) & np.isfinite(cur)
         # K^{k+1}(x0,y)/K^k(x0,y) = s_k * v_{k+1}(y) / v_k(y)
         r[ok] = surv[ok] * cur[ok] / prev[ok]

@@ -180,6 +180,14 @@ def oscillation_probe(
     return OscillationProbe(n_grid, tv, max_tv, trace.survival_factors)
 
 
+def _kesten_schedule(schedule) -> KestenSchedule:
+    if schedule is None:
+        return default_kesten_schedule()
+    if not isinstance(schedule, KestenSchedule):
+        raise TypeError(f"kesten schedule must be a KestenSchedule, got {type(schedule).__name__}")
+    return schedule
+
+
 _TWO_SIDED_DEFAULT = dict(p=0.25, q=0.75, a=0.9, b=0.1)
 _SYMMETRIC_DEFAULT = dict(p=0.25)
 _ALPHA_DEFAULT = dict(alpha=0.9, a=0.6, b=0.4)
@@ -187,9 +195,7 @@ _ALPHA_DEFAULT = dict(alpha=0.9, a=0.6, b=0.4)
 PRESETS = {
     "two_sided": lambda **kw: build_two_sided(**{**_TWO_SIDED_DEFAULT, **kw}),
     "symmetric": lambda **kw: build_symmetric(**{**_SYMMETRIC_DEFAULT, **kw}),
-    "kesten": lambda schedule=None: build_kesten(
-        default_kesten_schedule() if schedule is None else schedule
-    ),
+    "kesten": lambda schedule=None: build_kesten(_kesten_schedule(schedule)),
     "alpha_walk": lambda **kw: build_alpha_walk(**{**_ALPHA_DEFAULT, **kw}),
 }
 

@@ -200,9 +200,12 @@ def green_partial(kernel, x: int, y, w: float, N: int) -> GreenPartial:
     logw = math.log(w) if w > 0.0 else -math.inf
     terms = np.zeros(N + 1)
     terms[0] = 1.0 if (want_S or y == x) else 0.0
-    run = _normalised_run(v, up, stay, down, N)
-    for n, (_, log_mass, *_) in enumerate(run, start=1):
-        terms[n] = math.exp(log_mass + n * logw) * (1.0 if want_S else v[y - lo])
+    watch = () if want_S else (y - lo,)
+    n = 0
+    for rec in _normalised_run(v, up, stay, down, N, watch=watch):
+        n0, n = n, n + rec.surv.size
+        block = np.exp(rec.log_mass + np.arange(n0 + 1, n + 1) * logw)
+        terms[n0 + 1 : n + 1] = block if want_S else block * rec.watched[:, 0]
     return _summed(terms, N)
 
 
@@ -232,9 +235,11 @@ def _survival_green_terms(kernel, starts, w: float, N: int) -> np.ndarray:
     logw = math.log(w) if w > 0.0 else -math.inf
     terms = np.zeros((len(idx), N + 1))
     terms[:, 0] = 1.0
-    run = _normalised_run(v, down[2:], stay[1:-1], up[:-2], N)
-    for n, (_, log_mass, *_) in enumerate(run, start=1):
-        terms[:, n] = math.exp(log_mass + n * logw) * v[idx]
+    n = 0
+    for rec in _normalised_run(v, down[2:], stay[1:-1], up[:-2], N, watch=idx):
+        n0, n = n, n + rec.surv.size
+        weight = np.exp(rec.log_mass + np.arange(n0 + 1, n + 1) * logw)
+        terms[:, n0 + 1 : n + 1] = (weight[:, None] * rec.watched).T
     return terms
 
 
@@ -297,9 +302,11 @@ def chi_entrance(kernel, z: int, w: float, N: int):
     v = np.zeros(hi - lo + 1)
     v[z - lo] = 1.0
     acc = v.copy()
-    run = _normalised_run(v, up, stay, down, N)
-    for n, (_, log_mass, _, _, a, b) in enumerate(run, start=1):
-        acc[a : b + 1] += math.exp(log_mass + n * math.log(w)) * v[a : b + 1]
+    # one record per step: every step's law enters the sum
+    run = _normalised_run(v, up, stay, down, N, stops=range(1, N))
+    for n, rec in enumerate(run, start=1):
+        weight = math.exp(rec.log_mass[-1] + n * math.log(w))
+        acc[rec.a : rec.b + 1] += weight * v[rec.a : rec.b + 1]
     total = float(acc.sum())
     return MassState(Window(lo, hi), acc / total, math.log(total))
 

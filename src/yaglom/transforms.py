@@ -222,9 +222,10 @@ def estimate_hhat(
     idx = np.array([x - lo for x in sites] + [x0 - lo])
     vals = np.zeros((n_max + 1, len(idx)))
     vals[0] = v[idx]
-    run = _normalised_run(v, down[2:], stay[1:-1], up[:-2], n_max)
-    for n, _ in enumerate(run, start=1):
-        vals[n] = v[idx]
+    n = 0
+    for rec in _normalised_run(v, down[2:], stay[1:-1], up[:-2], n_max, watch=idx):
+        n0, n = n, n + rec.surv.size
+        vals[n0 + 1 : n + 1] = rec.watched
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = vals[:, :-1] / vals[:, -1:]
     ratios[~np.isfinite(ratios)] = np.nan

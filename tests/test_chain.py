@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,19 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yaglom import (
-    DegenerateKernelError,
     NNKernel,
     Region,
     Window,
     build_alpha_walk,
     build_two_sided,
-    kernel_step,
     lazify,
-    point_mass,
     square_even,
     validate,
 )
-from yaglom.evolve import brute_force_distribution
+from yaglom.evolve import brute_force_distribution, evolve_trace
 
 
 def two_sided():
@@ -109,52 +105,15 @@ def test_square_even_valid_on_even_class():
     assert validate(sq, Window(-30, 30)) == []
 
 
-def test_kernel_step_survival_factor_at_kill_site():
-    state = point_mass(0)
-    new, s = kernel_step(two_sided(), state)
-    assert s == pytest.approx(0.35, abs=1e-15)
-    assert new.window == Window(-1, 1)
-    assert math.exp(new.log_mass) == pytest.approx(0.35, abs=1e-15)
-
-
-def test_kernel_step_conservative_off_kill_site():
-    _, s = kernel_step(two_sided(), point_mass(5))
-    assert s == 1.0
-
-
-def test_kernel_step_two_steps_match_path_enumeration():
-    k = two_sided()
-    state = point_mass(0)
-    for _ in range(2):
-        state, _ = kernel_step(k, state)
-    exact, survival = brute_force_distribution(k, 0, 2)
-    assert math.exp(state.log_mass) == pytest.approx(float(survival), rel=1e-14)
-    for site, frac in exact.items():
-        assert state[site] * float(survival) == pytest.approx(float(frac), rel=1e-13)
-
-
-def test_kernel_step_degenerate_raises():
-    dead = NNKernel((Region(None, None, 0.0, 0.0, 0.0),))
-    with pytest.raises(DegenerateKernelError):
-        kernel_step(dead, point_mass(0))
-
-
 def test_clip_tracks_discarded_mass():
     k = lazify(two_sided(), 0.5)
-    state = point_mass(0)
-    for _ in range(60):
-        state, _ = kernel_step(k, state, clip=1e-12)
-    exact = point_mass(0)
-    for _ in range(60):
-        exact, _ = kernel_step(k, exact)
-    assert 0.0 < state.clipped < 1e-9
-    lo = state.window.lo
-    diff = np.abs(
-        state.values
-        - exact.values[lo - exact.window.lo : lo - exact.window.lo + len(state.values)]
-    ).sum()
+    clipped = evolve_trace(k, 0, 60, clip=1e-12).distribution
+    exact = evolve_trace(k, 0, 60).distribution
+    assert 0.0 < clipped.clipped < 1e-9
+    assert exact.clipped == 0.0
+    diff = np.abs(clipped.values - exact.values).sum()
     # renormalization amplifies discards; same order, not a strict bound
-    assert diff < 100 * state.clipped + 1e-12
+    assert diff < 100 * clipped.clipped + 1e-12
 
 
 def test_mass_state_rejects_unnormalized():

@@ -76,6 +76,11 @@ def test_missing_chain_keys_is_schema_error(tmp_path):
         ("simulate", {"orey_m_grid": [0, 64]}),
         ("kesten", {"chain": {"preset": "kesten"}, "n_grid": [0, 64]}),
         ("kesten", {"chain": {"preset": "kesten", "params": {"zz": 1}}}),
+        *[(command, {"chain": {"preset": "kesten", "params": {"schedule": {"a": [1, 16]}}}})
+          for command in ("yaglom", "simulate", "transform", "spectral", "conditions", "kesten")],
+        ("simulate", {"budgets": {"mc_paths": -5}}),
+        ("yaglom", {"clip": -1}),
+        ("kesten", {"chain": {"preset": "kesten"}, "clip": -1}),
     ],
 )
 def test_malformed_config_is_one_line_config_error(tmp_path, capsys, command, cfg):

@@ -86,6 +86,35 @@ def test_extinction_raises():
         evolve_trace(dead, 0, 3)
 
 
+def test_fully_killing_kernel_raises_in_a_blocked_run():
+    # long enough for a block: its mass is 0, so the run falls back to
+    # single steps and reports the extinction at step 1
+    dead = NNKernel((Region(None, None, 0.0, 0.0, 0.0),))
+    with pytest.raises(DegenerateKernelError, match="step 1$"):
+        evolve_trace(dead, 0, 200)
+
+
+def test_first_step_survival_factor_at_kill_site():
+    tr = evolve_trace(build_two_sided(0.25, 0.75, 0.9, 0.1), 0, 1)
+    assert tr.survival_factors[0] == pytest.approx(0.35, abs=1e-15)
+    assert tr.distribution.window == Window(-1, 1)
+    assert math.exp(tr.distribution.log_mass) == pytest.approx(0.35, abs=1e-15)
+
+
+def test_first_step_conservative_off_kill_site():
+    tr = evolve_trace(build_two_sided(0.25, 0.75, 0.9, 0.1), 5, 1)
+    assert tr.survival_factors[0] == 1.0
+
+
+def test_two_steps_match_path_enumeration():
+    k = build_two_sided(0.25, 0.75, 0.9, 0.1)
+    tr = evolve_trace(k, 0, 2)
+    exact, survival = brute_force_distribution(k, 0, 2)
+    assert math.exp(tr.distribution.log_mass) == pytest.approx(float(survival), rel=1e-14)
+    for site, frac in exact.items():
+        assert tr.distribution[site] * float(survival) == pytest.approx(float(frac), rel=1e-13)
+
+
 def test_taboo_first_return_small_orders():
     k = lazy_walk()
     f = taboo_first_return(k, 0, 12)
