@@ -14,7 +14,6 @@ from .evolve import (
     YaglomTrace,
     brute_force_distribution,
     evolve_trace,
-    mass_outside,
     taboo_first_return,
     total_variation,
 )

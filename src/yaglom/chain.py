@@ -182,6 +182,8 @@ class MassState:
 
 
 def _rate_violations(label: str, p: float, r: float, q: float) -> list[str]:
+    if not all(map(math.isfinite, (p, r, q))):
+        return [f"non-finite rate at {label}"]
     out = []
     if p <= 0.0:
         out.append(f"p_{label}={p:g} breaks irreducibility")
@@ -198,8 +200,8 @@ def validate(kernel: NNKernel, window: Window | None = None) -> list[str]:
     """Check kernel invariants; an empty report means the kernel is valid.
 
     Violations are data, not exceptions: the report lists one string per
-    problem (coverage gaps/overlaps, zero step rates, negative killing, or
-    no killing anywhere).
+    problem (coverage gaps/overlaps, non-finite or zero step rates, negative
+    killing, or no killing anywhere).
     """
     report: list[str] = []
     regions = kernel.regions

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,18 +59,8 @@ EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_BUDGET = 4
 
-DEFAULTS = {
-    "chain": {"preset": "two_sided"},
-    "lazify": None,
-    "square_even": False,
-    "x0": 0,
-    "n": 2000,
-    "tracked_sites": [0],
-    "seed": 20260810,
-    "budgets": {"n_max": 50000, "mc_paths": 200000, "horizon_M": 4096},
-    "out_dir": "yaglom_out",
-}
 MC_PATH_CAP = 200000
+MAX_SITE = 10**9  # keeps every site index the subcommands form inside int64
 
 
 class ConfigError(Exception):
@@ -86,92 +77,144 @@ def load_config(path: str | None) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError covers invalid JSON
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config document must be a JSON object")
     return cfg
 
 
-_KNOWN_KEYS = set(DEFAULTS) | {"n_grid", "orey_m_grid", "clip", "sites"}
+REQUIRED, OPTIONAL = object(), object()  # defaults: must be given; absent until given
+
+
+class Field(NamedTuple):
+    """One settable value: its path in the config document (``budgets.n_max``),
+    JSON kind, default, range and flag help.  The flag is the path's last
+    part, dashed (``--n-max``).  Only a ``None`` default allows null.  An
+    ``OPTIONAL`` field stays out of the config (and its echo) until given,
+    and the subcommand reading it supplies the default.  ``rule`` is a
+    (test, text) range check, applied to each entry of a list."""
+
+    key: str
+    kind: str
+    default: object = OPTIONAL
+    rule: tuple | None = None
+    help: str | None = None
+    flag: str | None = None
+
+
+def _chain(chain: dict) -> dict:
+    """A preset with optional params, or regions with optional overrides."""
+    out = _fields(chain, _CHAIN, "chain")
+    if not ("preset" in out and not {"regions", "overrides"} & set(out)
+            or "regions" in out and not {"preset", "params"} & set(out)):
+        raise ConfigError("chain takes either a preset with params or regions with overrides")
+    for key, fields in (("regions", _REGION), ("overrides", _OVERRIDE)):
+        if key in out:
+            out[key] = [_fields(e, fields, f"chain.{key}[{i}]") for i, e in enumerate(out[key])]
+    return out
+
+
+def _flag_ints(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",") if tok.strip()]
+
+
+# kind -> (JSON test, what it must be, conversion, flag parser or None for a switch)
+_KINDS = {
+    "int": (lambda v: type(v) is int, "an integer", int, int),
+    "number": (lambda v: type(v) is float or type(v) is int and v.bit_length() < 1024,
+               "a number", float, float),
+    "bool": (lambda v: type(v) is bool, "true or false", bool, None),
+    "str": (lambda v: type(v) is str, "a string", str, str),
+    "ints": (lambda v: type(v) is list and all(type(y) is int for y in v),
+             "a list of integers", list, _flag_ints),
+    "objects": (lambda v: type(v) is list, "a list of objects", list, None),
+    "object": (lambda v: type(v) is dict, "an object", dict, None),
+    "chain": (lambda v: type(v) is dict, "an object", _chain, lambda name: {"preset": name}),
+}
+
+AT_LEAST_1 = (lambda v: v >= 1, "at least 1")
+UNIT = (lambda v: 0.0 <= v < 1.0, "in [0, 1)")
+SITE = (lambda v: abs(v) <= MAX_SITE, f"at most {MAX_SITE} in absolute value")
+
+FIELDS = (
+    Field("chain", "chain", {"preset": "two_sided"}, None,
+          f"chain preset: {', '.join(sorted(PRESETS))}", "--preset"),
+    Field("lazify", "number", None, UNIT, "stay weight r of rI + (1-r)K"),
+    Field("square_even", "bool", False),
+    Field("x0", "int", 0, SITE, "start site"),
+    Field("n", "int", 2000, AT_LEAST_1, "number of steps"),
+    Field("tracked_sites", "ints", [0], SITE, "comma list"),
+    Field("seed", "int", 20260810, (lambda v: v >= 0, "at least 0")),
+    Field("budgets.n_max", "int", 50000, AT_LEAST_1, "budget: max steps"),
+    Field("budgets.mc_paths", "int", 200000, AT_LEAST_1, "budget: paths"),
+    Field("budgets.horizon_M", "int", 4096, AT_LEAST_1, "budget: hitting horizon"),
+    Field("out_dir", "str", "yaglom_out"),
+    Field("n_grid", "ints", OPTIONAL, AT_LEAST_1, "comma list (kesten)"),
+    Field("orey_m_grid", "ints", OPTIONAL, AT_LEAST_1, "comma list (simulate)"),
+    Field("clip", "number", OPTIONAL, UNIT, "relative tail clip threshold"),
+    Field("sites", "ints", OPTIONAL, SITE, "comma list (transform)"),
+)
+_RATES = tuple(Field(k, "number", REQUIRED) for k in "prq")
+_REGION = (Field("from", "int", None, SITE), Field("to", "int", None, SITE), *_RATES)
+_OVERRIDE = (Field("site", "int", REQUIRED, SITE), *_RATES)
+_CHAIN = (
+    Field("preset", "str", OPTIONAL, (lambda v: v in PRESETS, f"one of {sorted(PRESETS)}")),
+    Field("params", "object"),
+    Field("regions", "objects"),
+    Field("overrides", "objects"),
+)
+
+
+def _convert(field: Field, value, name: str):
+    if value is None and field.default is None:
+        return None
+    test, kind, convert, _ = _KINDS[field.kind]
+    if not test(value):
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    value = convert(value)
+    if field.rule is not None:
+        ok, text = field.rule
+        if not all(map(ok, value if field.kind == "ints" else [value])):
+            raise ConfigError(f"{name} must be {text}, got {value!r}")
+    return value
+
+
+def _fields(obj, fields, where: str = "") -> dict:
+    """Check ``obj``'s keys against ``fields``, then convert or default each."""
+    if type(obj) is not dict:
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(obj) - {f.key for f in fields}
+    if unknown:
+        raise ConfigError(f"unknown keys in {where or 'config'}: {sorted(unknown)}")
+    out = {}
+    for f in fields:
+        value = obj.get(f.key, f.default)
+        if value is REQUIRED:
+            raise ConfigError(f"{where} needs the key {f.key!r}")
+        if value is not OPTIONAL:
+            out[f.key] = _convert(f, value, f"{where}.{f.key}" if where else f.key)
+    return out
 
 
 def resolve_config(file_cfg: dict, overrides: dict) -> dict:
-    unknown = set(file_cfg) - _KNOWN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = json.loads(json.dumps(DEFAULTS))  # deep copy
-    for key, val in file_cfg.items():
-        if key == "budgets":
-            if not isinstance(val, dict):
-                raise ConfigError("budgets must be an object")
-            cfg["budgets"].update(val)
-        else:
-            cfg[key] = val
-    for key, val in overrides.items():
-        if val is None:
-            continue
-        if key in DEFAULTS["budgets"]:
-            cfg["budgets"][key] = val
-        else:
-            cfg[key] = val
-    _check_schema(cfg)
+    """Defaults, then the config document, then the non-None ``overrides``
+    (keyed like FIELDS), each checked and converted.  The result is also
+    the config echo written into every report."""
+    given = dict(file_cfg)
+    budgets = given.pop("budgets", {})
+    if type(budgets) is not dict:
+        raise ConfigError("budgets must be an object")
+    dotted = sorted(key for key in given if "." in key)
+    if dotted:
+        raise ConfigError(f"unknown keys in config: {dotted}")
+    given.update((f"budgets.{k}", v) for k, v in budgets.items())
+    given.update((k, v) for k, v in overrides.items() if v is not None)
+    cfg = {"budgets": {}}
+    for key, value in _fields(given, FIELDS).items():
+        group, _, leaf = key.rpartition(".")
+        (cfg[group] if group else cfg)[leaf] = value
     return cfg
-
-
-def _int_list(values) -> list[int]:
-    return [int(y) for y in values]
-
-
-def _check_schema(cfg: dict) -> None:
-    chain = cfg.get("chain")
-    if not isinstance(chain, dict):
-        raise ConfigError("chain must be an object")
-    if "preset" in chain:
-        if not isinstance(chain["preset"], str) or chain["preset"] not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {chain['preset']!r}; choose from {sorted(PRESETS)}"
-            )
-        if not isinstance(chain.get("params", {}), dict):
-            raise ConfigError("chain.params must be an object")
-    elif "regions" in chain:
-        regions = chain["regions"]
-        if not (isinstance(regions, list) and all(isinstance(e, dict) for e in regions)):
-            raise ConfigError("chain.regions must be a list of objects")
-        for entry in regions:
-            missing = {"p", "r", "q"} - set(entry)
-            if missing:
-                raise ConfigError(f"region entry missing keys: {sorted(missing)}")
-    else:
-        raise ConfigError("chain needs either a preset or a regions list")
-    # try each conversion the subcommands apply, so that none fails later;
-    # the optional fields may be null
-    checks = [(k, cfg[k], int, "an integer") for k in ("x0", "n", "seed")]
-    checks += [(f"budgets.{k}", cfg["budgets"][k], int, "an integer") for k in DEFAULTS["budgets"]]
-    numbers, lists = ("lazify", "clip"), ("tracked_sites", "sites", "n_grid", "orey_m_grid")
-    checks += [(k, cfg[k], float, "a number") for k in numbers if cfg.get(k) is not None]
-    checks += [(k, cfg[k], _int_list, "a list of integers") for k in lists if cfg.get(k) is not None]
-    checks.append(("out_dir", cfg["out_dir"], Path, "a path"))
-    for name, value, cast, kind in checks:
-        try:
-            cast(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"{name} must be {kind}, got {value!r}") from None
-    if cfg["lazify"] is not None and not 0.0 <= float(cfg["lazify"]) < 1.0:
-        raise ConfigError("lazify must lie in [0, 1)")
-    if int(cfg["n"]) < 1:
-        raise ConfigError("n must be a positive step count")
-    if int(cfg["seed"]) < 0:
-        raise ConfigError(f"seed must be non-negative, got {cfg['seed']!r}")
-    if int(cfg["budgets"]["mc_paths"]) < 1:
-        raise ConfigError(f"budgets.mc_paths must be positive, got {cfg['budgets']['mc_paths']!r}")
-    if cfg.get("clip") is not None and not 0.0 <= float(cfg["clip"]) < 1.0:
-        raise ConfigError(f"clip must lie in [0, 1), got {cfg['clip']!r}")
-    for key in ("n_grid", "orey_m_grid"):
-        if cfg.get(key) is not None and min(_int_list(cfg[key]), default=1) < 1:
-            raise ConfigError(f"{key} entries must be positive step counts, got {cfg[key]!r}")
 
 
 def kernel_from_config(cfg: dict):
@@ -182,23 +225,14 @@ def kernel_from_config(cfg: dict):
         base = preset_kernel(chain["preset"], params)
         hints = preset_hints(chain["preset"], params)
     else:
-        def site(v):
-            return None if v is None else int(v)
-
-        regions = tuple(
-            Region(site(e.get("from")), site(e.get("to")), *(float(e[k]) for k in "prq"))
-            for e in chain["regions"]
-        )
-        overrides = tuple(
-            (int(o["site"]), *(float(o[k]) for k in "prq")) for o in chain.get("overrides", [])
-        )
+        regions = tuple(Region(e["from"], e["to"], e["p"], e["r"], e["q"])
+                        for e in chain["regions"])
+        overrides = tuple((o["site"], o["p"], o["r"], o["q"]) for o in chain.get("overrides", ()))
         base = NNKernel(regions, overrides)
         hints = {}
-    kernel = base
-    if cfg.get("square_even"):
-        kernel = square_even(kernel)
-    if cfg.get("lazify") is not None:
-        kernel = lazify(kernel, float(cfg["lazify"]))
+    kernel = square_even(base) if cfg["square_even"] else base
+    if cfg["lazify"] is not None:
+        kernel = lazify(kernel, cfg["lazify"])
     return base, kernel, hints
 
 
@@ -266,24 +300,19 @@ def _jsonable(obj):
 
 
 def cmd_yaglom(cfg, base, kernel, hints, out: Path) -> dict:
-    x0, n = int(cfg["x0"]), int(cfg["n"])
-    tracked = tuple(int(y) for y in cfg["tracked_sites"] or ())
+    x0, n = cfg["x0"], cfg["n"]
+    tracked = tuple(cfg["tracked_sites"])
     for y in tracked:
         if abs(y - x0) > n:
             raise ConfigError(f"tracked site {y} outside the window [{x0 - n}, {x0 + n}]")
-    trace = evolve_trace(kernel, x0, n, tracked=tracked, clip=float(cfg.get("clip") or 0.0))
+    trace = evolve_trace(kernel, x0, n, tracked=tracked, clip=cfg.get("clip") or 0.0)
     header = ["n", "survival_factor", "log_mass"] + [f"ratio_{y}" for y in tracked]
-    logm = np.cumsum(np.log(trace.survival_factors))
     ratios = [trace.tracked_ratios[y].tolist() for y in tracked]
-    rows = zip(range(1, n + 1), trace.survival_factors.tolist(), logm.tolist(), *ratios)
+    rows = zip(range(1, n + 1), trace.survival_factors.tolist(), trace.log_mass.tolist(), *ratios)
     _write_csv(out / "trace.csv", cfg, header, rows)
     dist = trace.distribution
-    _write_csv(
-        out / "distribution.csv",
-        cfg,
-        ["site", "mass"],
-        zip(dist.window.sites().tolist(), dist.values.tolist()),
-    )
+    rows = zip(dist.window.sites().tolist(), dist.values.tolist())
+    _write_csv(out / "distribution.csv", cfg, ["site", "mass"], rows)
     results = {
         "steps": n,
         "final_survival_factor": float(trace.survival_factors[-1]),
@@ -294,7 +323,7 @@ def cmd_yaglom(cfg, base, kernel, hints, out: Path) -> dict:
         "live_hull_width": len(trace.live_hull),
         "zero_sites": int(dist.values.size - np.count_nonzero(dist.values)),
     }
-    ref = _reference_measure(base, hints, x0) if not cfg.get("square_even") else None
+    ref = _reference_measure(base, hints, x0) if not cfg["square_even"] else None
     if ref is not None:
         ref_vals = prob_values(ref, dist.window)
         results["tv_to_reference"] = 0.5 * float(np.abs(dist.values - ref_vals).sum())
@@ -303,7 +332,7 @@ def cmd_yaglom(cfg, base, kernel, hints, out: Path) -> dict:
 
 
 def cmd_spectral(cfg, base, kernel, hints, out: Path) -> dict:
-    x0, n = int(cfg["x0"]), int(cfg["n"])
+    x0, n = cfg["x0"], cfg["n"]
     if n < MIN_RHO_FACTORS:
         raise BudgetError(f"spectral needs n >= {MIN_RHO_FACTORS} to estimate rho, got n={n}")
     trace = evolve_trace(kernel, x0, n)
@@ -313,16 +342,15 @@ def cmd_spectral(cfg, base, kernel, hints, out: Path) -> dict:
         "error_bound": est.error_bound,
         "converged": est.converged,
     }
-    _write_csv(
-        out / "survival.csv",
-        cfg,
-        ["n", "survival_factor"],
-        enumerate(trace.survival_factors.tolist(), start=1),
-    )
+    rows = enumerate(trace.survival_factors.tolist(), start=1)
+    _write_csv(out / "survival.csv", cfg, ["n", "survival_factor"], rows)
     if "two_sided" in hints:
         params = hints["two_sided"]
         t0, t1 = quadratic_roots(params)
-        g = green_partial(base, x0, "S", params.R, min(n, 4000))
+        try:
+            g = green_partial(base, 0, "S", params.R, min(n, 4000))
+        except ValueError as exc:  # the tail fit can read a short period-2 series as growing
+            raise BudgetError(f"spectral's Green probe at n={min(n, 4000)}: {exc}") from None
         results.update(
             {
                 "base_rho_closed_form": params.rho,
@@ -379,11 +407,9 @@ def cmd_invariant(cfg, base, kernel, hints, out: Path) -> dict:
 
 
 def cmd_transform(cfg, base, kernel, hints, out: Path) -> dict:
-    x0 = int(cfg["x0"])
-    n = int(cfg["n"])
-    kill_site = int(hints.get("kill_site", 0))
-    sites = tuple(int(s) for s in (cfg.get("sites") or (-3, -2, -1, 0, 1, 2, 3)))
-    est = estimate_hhat(kernel, kill_site, sites, n)
+    kill_site = hints.get("kill_site", 0)
+    sites = tuple(cfg.get("sites") or (-3, -2, -1, 0, 1, 2, 3))
+    est = estimate_hhat(kernel, kill_site, sites, cfg["n"])
     closed = {}
     if "two_sided" in hints:
         closed = {x: float(closed_form_hhat(hints["two_sided"], x)) for x in sites}
@@ -398,7 +424,7 @@ def cmd_transform(cfg, base, kernel, hints, out: Path) -> dict:
     }
     tk = _hhat_transform(base, hints)
     if tk is not None:
-        w = hitting_split(tk, x0, M_cap=int(cfg["budgets"]["horizon_M"]))
+        w = hitting_split(tk, cfg["x0"], M_cap=cfg["budgets"]["horizon_M"])
         results["boundary_weights"] = {
             "w_minus": w.w_minus,
             "w_plus": w.w_plus,
@@ -410,16 +436,16 @@ def cmd_transform(cfg, base, kernel, hints, out: Path) -> dict:
 
 
 def cmd_simulate(cfg, base, kernel, hints, out: Path) -> dict:
-    x0 = int(cfg["x0"])
-    seed = int(cfg["seed"])
-    requested = int(cfg["budgets"]["mc_paths"])
+    x0, seed = cfg["x0"], cfg["seed"]
+    requested = cfg["budgets"]["mc_paths"]
     n_paths = min(requested, MC_PATH_CAP)
-    zeta = absorption_times(kernel, x0, n_paths, seed)
+    try:
+        zeta = absorption_times(kernel, x0, n_paths, seed)
+    except RuntimeError as exc:  # a path outlived the sampler's step cap
+        raise BudgetError(f"simulate from x0={x0}: {exc}") from None
     _write_csv(out / "zeta.csv", cfg, ["path", "zeta"], enumerate(zeta.tolist()))
-    sample = simulate_absorbed(kernel, x0, min(int(cfg["n"]), 5000), seed + 7)
-    _write_csv(
-        out / "trajectory.csv", cfg, ["step", "site"], enumerate(sample.path.tolist())
-    )
+    sample = simulate_absorbed(kernel, x0, min(cfg["n"], 5000), seed + 7)
+    _write_csv(out / "trajectory.csv", cfg, ["step", "site"], enumerate(sample.path.tolist()))
     results: dict = {
         "seed": seed,
         "paths": n_paths,
@@ -433,7 +459,7 @@ def cmd_simulate(cfg, base, kernel, hints, out: Path) -> dict:
         params = hints["two_sided"]
         # under lazify r the exit-time transform shifts radius to
         # 1/(r + (1-r) rho) while E_0 R^zeta keeps its base value
-        r_lazy = float(cfg.get("lazify") or 0.0)
+        r_lazy = cfg["lazify"] or 0.0
         R = 1.0 / (r_lazy + (1.0 - r_lazy) * params.rho)
         vals = R ** zeta.astype(float)
         results["E0_R_zeta_mc_naive"] = float(vals.mean())
@@ -447,9 +473,7 @@ def cmd_simulate(cfg, base, kernel, hints, out: Path) -> dict:
         n_star = 60
         tvals = np.where(zeta <= n_star, vals, 0.0)
         tr = evolve_trace(kernel, x0, n_star)
-        surv = np.concatenate(
-            [[1.0], np.exp(np.cumsum(np.log(tr.survival_factors)))]
-        )
+        surv = np.concatenate([[1.0], np.exp(np.cumsum(np.log(tr.survival_factors)))])
         death = surv[:-1] - surv[1:]
         results["E0_R_zeta_trunc60_mc"] = float(tvals.mean())
         results["E0_R_zeta_trunc60_mc_stderr"] = float(
@@ -463,14 +487,10 @@ def cmd_simulate(cfg, base, kernel, hints, out: Path) -> dict:
         lazy = lazify(base, 0.5)
         rho_lazy = 0.5 + 0.5 * params.rho
         rk = time_reversal(lazy, mplus, rho_lazy)
-        m_grid = tuple(int(m) for m in (cfg.get("orey_m_grid") or (64, 256, 1024)))
+        m_grid = tuple(cfg.get("orey_m_grid") or (64, 256, 1024))
         tr = orey_trace(rk, lazy, mplus, m_grid, seed + 1, probes=(0,))
-        _write_csv(
-            out / "orey.csv",
-            cfg,
-            ["m", "position", "ratio_at_0"],
-            [[m, tr.positions[m], tr.ratios[m][0]] for m in m_grid],
-        )
+        rows = [[m, tr.positions[m], tr.ratios[m][0]] for m in m_grid]
+        _write_csv(out / "orey.csv", cfg, ["m", "position", "ratio_at_0"], rows)
         results["orey_final_position"] = tr.positions[m_grid[-1]]
         results["orey_ratio_at_0"] = tr.ratios[m_grid[-1]][0]
         results["pi_plus_at_0"] = 1.0 / mplus.T
@@ -481,19 +501,24 @@ def cmd_simulate(cfg, base, kernel, hints, out: Path) -> dict:
 def cmd_conditions(cfg, base, kernel, hints, out: Path) -> dict:
     # closed-form hints describe the base chain; they survive lazification
     # (same eigenvectors) but not parity squaring
-    if cfg.get("square_even"):
+    if cfg["square_even"]:
         hints = {k: v for k, v in hints.items() if k == "kill_site"}
-    budgets = {"n_max": min(int(cfg["budgets"]["n_max"]), max(int(cfg["n"]), 2500))}
+    budgets = {"n_max": min(cfg["budgets"]["n_max"], max(cfg["n"], 2500))}
+    if budgets["n_max"] < MIN_RHO_FACTORS:
+        raise BudgetError(
+            f"conditions needs budgets.n_max >= {MIN_RHO_FACTORS} to estimate rho, "
+            f"got {budgets['n_max']}"
+        )
     report = check_conditions(kernel, hints, budgets)
     _write_json(out / "conditions.json", cfg, report.as_dict())
     return {f"condition_{key}": v.status for key, v in sorted(report.verdicts.items())}
 
 
 def cmd_kesten(cfg, base, kernel, hints, out: Path) -> dict:
-    n_grid = tuple(int(n) for n in (cfg.get("n_grid") or (512, 4096, 16384)))
+    n_grid = tuple(cfg.get("n_grid") or (512, 4096, 16384))
     probe = oscillation_probe(
-        kernel, int(cfg["x0"]), n_grid,
-        clip=float(cfg.get("clip") or 1e-20), max_halfwidth=6000,
+        kernel, cfg["x0"], n_grid,
+        clip=cfg.get("clip") or 1e-20, max_halfwidth=6000,
     )
     rows = [[a, b, t] for (a, b), t in sorted(probe.tv.items())]
     _write_csv(out / "oscillation.csv", cfg, ["n1", "n2", "tv"], rows)
@@ -536,49 +561,25 @@ def make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--preset", help=f"chain preset: {', '.join(sorted(PRESETS))}")
-    parser.add_argument("--lazify", type=float, help="stay weight r of rI + (1-r)K")
-    parser.add_argument("--square-even", action="store_true", default=None)
-    parser.add_argument("--x0", type=int, help="start site")
-    parser.add_argument("--n", type=int, help="number of steps")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out-dir", dest="out_dir")
-    parser.add_argument("--tracked-sites", dest="tracked_sites", help="comma list")
-    parser.add_argument("--n-grid", dest="n_grid", help="comma list (kesten)")
-    parser.add_argument("--sites", help="comma list (transform)")
-    parser.add_argument("--clip", type=float, help="relative tail clip threshold")
-    parser.add_argument("--n-max", dest="n_max", type=int, help="budget: max steps")
-    parser.add_argument("--mc-paths", dest="mc_paths", type=int, help="budget: paths")
-    parser.add_argument("--horizon-M", dest="horizon_M", type=int, help="budget: hitting horizon")
+    for f in FIELDS:
+        flag = f.flag or "--" + f.key.rpartition(".")[2].replace("_", "-")
+        parse = _KINDS[f.kind][3]
+        if parse is None:
+            parser.add_argument(flag, dest=f.key, action="store_true", default=None, help=f.help)
+        else:
+            metavar = flag[2:].replace("-", "_").upper()
+            parser.add_argument(flag, dest=f.key, type=parse, metavar=metavar, help=f.help)
     return parser
-
-
-def _comma_ints(text):
-    return [int(tok) for tok in str(text).split(",") if tok.strip() != ""]
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        overrides = {
-            "chain": {"preset": args.preset} if args.preset else None,
-            "lazify": args.lazify,
-            "square_even": args.square_even,
-            "x0": args.x0,
-            "n": args.n,
-            "seed": args.seed,
-            "out_dir": args.out_dir,
-            "tracked_sites": _comma_ints(args.tracked_sites) if args.tracked_sites else None,
-            "n_grid": _comma_ints(args.n_grid) if args.n_grid else None,
-            "sites": _comma_ints(args.sites) if args.sites else None,
-            "clip": args.clip,
-            "n_max": args.n_max,
-            "mc_paths": args.mc_paths,
-            "horizon_M": args.horizon_M,
-        }
+        overrides = {f.key: getattr(args, f.key) for f in FIELDS}
         cfg = resolve_config(load_config(args.config), overrides)
         base, kernel, hints = kernel_from_config(cfg)
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+    # the preset builders reject bad params with the built-in errors
+    except (ConfigError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -589,16 +590,11 @@ def main(argv=None) -> int:
             print(f"  - {msg}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    if int(cfg["n"]) > int(cfg["budgets"]["n_max"]):
-        print(
-            f"budget exhausted: n={cfg['n']} exceeds budgets.n_max={cfg['budgets']['n_max']}",
-            file=sys.stderr,
-        )
-        return EXIT_BUDGET
-
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        if cfg["n"] > cfg["budgets"]["n_max"]:
+            raise BudgetError(f"n={cfg['n']} exceeds budgets.n_max={cfg['budgets']['n_max']}")
+        out = Path(cfg["out_dir"])
+        out.mkdir(parents=True, exist_ok=True)
         results = COMMANDS[args.command](cfg, base, kernel, hints, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -22,7 +22,6 @@ __all__ = [
     "taboo_first_return",
     "brute_force_distribution",
     "total_variation",
-    "mass_outside",
 ]
 
 
@@ -30,7 +29,8 @@ __all__ = [
 class YaglomTrace:
     """Time series produced by iterating a kernel from a point mass.
 
-    ``survival_factors[k]`` is K^{k+1}(x0,S)/K^k(x0,S).  For each tracked
+    ``survival_factors[k]`` is K^{k+1}(x0,S)/K^k(x0,S) and ``log_mass[k]``
+    is log K^{k+1}(x0,S), a compensated running sum.  For each tracked
     site y, ``tracked_ratios[y][k]`` is K^{k+1}(x0,y)/K^k(x0,y), with NaN
     while y is unreachable (parity or range).  ``distribution`` is the
     conditioned law at step n; ``snapshots`` holds optional intermediate
@@ -43,6 +43,7 @@ class YaglomTrace:
     start: int
     steps: int
     survival_factors: np.ndarray
+    log_mass: np.ndarray
     distribution: MassState
     tracked_ratios: dict[int, np.ndarray] = field(default_factory=dict)
     tracked_values: dict[int, np.ndarray] = field(default_factory=dict)
@@ -106,7 +107,7 @@ def evolve_trace(
         if not lo <= y <= hi:
             raise ValueError(f"tracked site {y} outside the capped window")
     edge_lost = clip_lost = 0.0
-    surv = np.empty(n)
+    surv, logm = np.empty(n), np.empty(n)
     snaps: dict[int, MassState] = {}
     want = set(snapshot_at)
     vals = np.full((n + 1, len(tracked)), np.nan)
@@ -116,6 +117,7 @@ def evolve_trace(
     for rec in _normalised_run(v, up, stay, down, n, clip, watch, want):
         k0, k = k, k + rec.surv.size
         surv[k0:k] = rec.surv
+        logm[k0:k] = rec.log_mass
         edge_lost += rec.edge
         clip_lost += rec.clipped
         if tracked:
@@ -138,7 +140,7 @@ def evolve_trace(
         r[ok] = surv[ok] * cur[ok] / prev[ok]
         ratios[y] = r
     return YaglomTrace(
-        x0, n, surv, dist, ratios, tracked_vals, snaps,
+        x0, n, surv, logm, dist, ratios, tracked_vals, snaps,
         edge_lost, clip_lost, Window(lo + a, lo + b),
     )
 
@@ -200,9 +202,3 @@ def total_variation(a: MassState, b: MassState) -> float:
     va[a.window.lo - lo : a.window.hi - lo + 1] = a.values
     vb[b.window.lo - lo : b.window.hi - lo + 1] = b.values
     return 0.5 * float(np.abs(va - vb).sum())
-
-
-def mass_outside(state: MassState, radius: int) -> float:
-    """Mass of the conditioned law outside [-radius, radius]."""
-    sites = state.window.sites()
-    return float(state.values[np.abs(sites) > radius].sum())

@@ -142,8 +142,13 @@ def test_log_mass_matches_exact_value_on_alpha_walk(lazy, n, mode):
     if lazy is not None:
         kernel = lazify(kernel, lazy)
     exact = _exact_alpha_walk_log_mass(kernel, n)
-    got = evolve_trace(kernel, 3, n, **mode).distribution.log_mass
+    tr = evolve_trace(kernel, 3, n, **mode)
+    got = tr.distribution.log_mass
     assert abs(got - exact) <= 1e-15 * abs(exact)
+    # the per-step series ends at the same value and does not drift on the way
+    assert tr.log_mass[-1] == got
+    series = np.array([_exact_alpha_walk_log_mass(kernel, k) for k in range(1, n + 1)])
+    assert_norm_rel(tr.log_mass, series, 1e-15)
 
 
 @pytest.mark.parametrize("mode", [{}, {"clip": 1e-300}], ids=["growing", "clipped"])

@@ -47,6 +47,13 @@ def test_validate_flags_gap_and_overlap():
     assert any("overlap" in m for m in validate(overlap))
 
 
+def test_validate_flags_non_finite_rates():
+    nan_region = NNKernel((Region(None, None, float("nan"), 0.0, 0.5),))
+    assert "non-finite rate at [None,None]" in validate(nan_region)
+    inf_override = NNKernel((Region(None, None, 0.25, 0.0, 0.7),), ((3, 0.25, float("inf"), 0.7),))
+    assert "non-finite rate at 3" in validate(inf_override)
+
+
 def test_lazify_arithmetic():
     k = NNKernel((Region(None, None, 0.25, 0.0, 0.75),))
     lz = lazify(k, 0.5)

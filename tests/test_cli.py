@@ -1,9 +1,23 @@
 import csv
+import functools
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from yaglom.cli import main
+import yaglom.cli
+from yaglom.cli import COMMANDS, MAX_SITE, main
+from yaglom.montecarlo import absorption_times
+from yaglom.scenarios import PRESETS
+
+CUSTOM_CHAIN = {
+    "regions": [
+        {"from": None, "to": -1, "p": 0.45, "r": 0.5, "q": 0.05},
+        {"from": 1, "to": None, "p": 0.125, "r": 0.5, "q": 0.375},
+    ],
+    "overrides": [{"site": 0, "p": 0.125, "r": 0.5, "q": 0.05}],
+}
 
 
 def run(args):
@@ -31,6 +45,7 @@ def test_yaglom_subcommand_two_sided(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0][:3] == ["n", "survival_factor", "log_mass"]
     assert len(rows) == 1501
+    assert float(rows[-1][2]) == rep["results"]["log_mass"]
 
 
 def test_conditions_subcommand_all_holds(tmp_path):
@@ -52,6 +67,7 @@ def test_bad_config_json_is_schema_error(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
     assert run(["yaglom", "--config", cfg, "--out-dir", tmp_path]) == 2
+    assert run(["yaglom", "--config", tmp_path, "--out-dir", tmp_path]) == 2
 
 
 def test_missing_chain_keys_is_schema_error(tmp_path):
@@ -81,6 +97,20 @@ def test_missing_chain_keys_is_schema_error(tmp_path):
         ("simulate", {"budgets": {"mc_paths": -5}}),
         ("yaglom", {"clip": -1}),
         ("kesten", {"chain": {"preset": "kesten"}, "clip": -1}),
+        ("yaglom", {"chain": {"preset": "two_sided", "parms": {"p": 0.4}}}),
+        ("yaglom", {"budgets": {"n_maxx": 10}}),
+        ("yaglom", {"budgets.n_max": 10}),
+        ("yaglom", {"chain": {"regions": [{"p": 0.25, "r": 0.0, "q": 0.7, "kill": 1}]}}),
+        ("yaglom", {"chain": {**CUSTOM_CHAIN, "overrides": [{"site": 0, "p": 0.1, "r": 0.0, "q": 0.1, "kill": 1}]}}),
+        ("yaglom", {"chain": {"preset": "two_sided", "overrides": 5}}),
+        ("yaglom", {"chain": {"preset": "two_sided", "regions": CUSTOM_CHAIN["regions"]}}),
+        ("yaglom", {"square_even": "no"}),
+        ("yaglom", {"n": 2.7}),
+        ("yaglom", {"n": "300"}),
+        ("simulate", {"x0": 1e30}),
+        ("transform", {"x0": 1e30}),
+        ("simulate", {"x0": 10**30}),
+        ("transform", {"budgets": {"horizon_M": 0}}),
     ],
 )
 def test_malformed_config_is_one_line_config_error(tmp_path, capsys, command, cfg):
@@ -113,14 +143,35 @@ def test_invalid_kernel_is_validation_error(tmp_path):
         )
     )
     assert run(["yaglom", "--config", cfg, "--out-dir", tmp_path / "v"]) == 3
+    # Python's json reads the NaN literal
+    cfg.write_text(json.dumps({"chain": {"regions": [{"p": float("nan"), "r": 0.0, "q": 0.5}]}}))
+    assert run(["yaglom", "--config", cfg, "--out-dir", tmp_path / "nan"]) == 3
+    assert not (tmp_path / "nan").exists()
 
 
-def test_budget_exhaustion_exit_code(tmp_path):
+def test_budget_exhaustion_exit_code(tmp_path, capsys, monkeypatch):
     code = run(
         ["yaglom", "--preset", "two_sided", "--lazify", "0.5", "--n", "500",
          "--n-max", "100", "--out-dir", tmp_path]
     )
     assert code == 4
+    # too few steps for the rho estimate behind conditions [1]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 5, "budgets": {"n_max": 10}}))
+    assert run(["conditions", "--config", cfg, "--out-dir", tmp_path / "c"]) == 4
+    # paths drifting away from the only killing site outlive the sampler's
+    # step cap, lowered here from 10**6 so that the run ends fast
+    capped = functools.partial(absorption_times, max_steps=20000)
+    monkeypatch.setattr(yaglom.cli, "absorption_times", capped)
+    outward = [{"to": -1, "p": 0.1, "r": 0.0, "q": 0.9}, {"from": 0, "to": 0, "p": 0.3, "r": 0.0, "q": 0.3},
+               {"from": 1, "p": 0.9, "r": 0.0, "q": 0.1}]
+    cfg.write_text(json.dumps({"chain": {"regions": outward}, "n": 200}))
+    assert run(["simulate", "--config", cfg, "--x0", "2000", "--mc-paths", "10",
+                "--out-dir", tmp_path / "s"]) == 4
+    # the Green probe's tail fit reads these 222 terms as growing
+    assert run(["spectral", "--n", "222", "--out-dir", tmp_path / "g"]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 4 and all(line.startswith("budget exhausted:") for line in err)
 
 
 def test_custom_regions_chain_runs(tmp_path):
@@ -201,6 +252,13 @@ def test_spectral_below_rho_minimum_is_budget_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_spectral_green_probe_starts_at_zero(tmp_path):
+    # E0_R_zeta_* is E_0 R^zeta whatever x0 the survival run starts from
+    assert run(["spectral", "--x0", "5", "--n", "2000", "--out-dir", tmp_path]) == 0
+    res = read_report(tmp_path / "spectral_report.json")["results"]
+    assert res["E0_R_zeta_green"] == pytest.approx(res["E0_R_zeta_closed_form"], rel=1e-3)
+
+
 def test_tracked_site_outside_window_is_config_error(tmp_path, capsys):
     code = run(["yaglom", "--n", "50", "--tracked-sites", "500", "--out-dir", tmp_path])
     assert code == 2
@@ -226,3 +284,70 @@ def test_simulate_reports_path_cap(tmp_path):
     assert res["paths_requested"] == 250000
     assert res["paths_capped"] is True
     assert res["paths"] == 200000
+
+
+# a valid config that runs in milliseconds, and one malformation of it
+VALID = st.fixed_dictionaries(
+    {
+        "chain": st.sampled_from([{"preset": name} for name in sorted(PRESETS)] + [CUSTOM_CHAIN]),
+        "n": st.integers(1, 300),
+        "x0": st.integers(-10, 10),
+        "budgets": st.fixed_dictionaries(
+            {"n_max": st.integers(200, 400), "mc_paths": st.integers(1, 2000),
+             "horizon_M": st.integers(1, 512)}
+        ),
+    },
+    optional={
+        "lazify": st.none() | st.floats(0.0, 0.9),
+        "square_even": st.booleans(),
+        "tracked_sites": st.lists(st.integers(-5, 5), max_size=3),
+        "seed": st.integers(0, 2**40),
+        "n_grid": st.lists(st.integers(1, 600), max_size=3),
+        "orey_m_grid": st.lists(st.integers(1, 128), max_size=3),
+        "clip": st.none() | st.floats(0.0, 0.5),
+        "sites": st.lists(st.integers(-5, 5), max_size=3),
+    },
+)
+# wrong types, and values that, when well typed, stay small enough to run fast
+GARBAGE = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 0), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(-5, 5), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+)
+# beyond every site bound; kept out of the budgets, where they would run for long
+HUGE = st.integers(min_value=MAX_SITE + 1) | st.integers(max_value=-MAX_SITE - 1)
+PARAMS = st.dictionaries(
+    st.sampled_from(["p", "q", "a", "b", "alpha", "exit_prob", "schedule"]), GARBAGE | HUGE,
+    max_size=2,
+)
+TOP_KEYS = ["chain", "n", "x0", "budgets", "lazify", "square_even", "tracked_sites", "seed",
+            "n_grid", "orey_m_grid", "clip", "sites"]
+
+
+@st.composite
+def configs(draw):
+    cfg = draw(VALID)
+    where = draw(st.sampled_from(["none", "top", "budgets", "chain", "entry", "unknown"]))
+    value = draw(GARBAGE if where == "budgets" else GARBAGE | HUGE)
+    if where == "top":
+        cfg[draw(st.sampled_from(TOP_KEYS))] = value
+    elif where == "budgets":
+        cfg["budgets"][draw(st.sampled_from(sorted(cfg["budgets"])))] = value
+    elif where == "chain":
+        key = draw(st.sampled_from(["preset", "params", "regions", "overrides"]))
+        cfg["chain"] = {**cfg["chain"], key: draw(PARAMS) if key == "params" else value}
+    elif where == "entry" and "regions" in cfg["chain"]:
+        entry = {**cfg["chain"]["regions"][0], draw(st.sampled_from(["from", "to", "p", "r", "q"])): value}
+        cfg["chain"] = {**cfg["chain"], "regions": [entry, *cfg["chain"]["regions"][1:]]}
+    elif where == "unknown":
+        holder = draw(st.sampled_from([cfg, cfg["budgets"]]))
+        holder[draw(st.text(min_size=1, max_size=4))] = value
+    return cfg
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(sorted(COMMANDS)), cfg=configs())
+def test_any_config_exits_with_a_documented_code(tmp_path, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", path, "--out-dir", tmp_path / "o"]) in (0, 2, 3, 4)
