@@ -177,9 +177,6 @@ class MassState:
             return 0.0
         return float(self.values[site - self.window.lo])
 
-    def mass(self) -> float:
-        return math.exp(self.log_mass)
-
 
 def _rate_violations(label: str, p: float, r: float, q: float) -> list[str]:
     if not all(map(math.isfinite, (p, r, q))):

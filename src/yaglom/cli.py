@@ -218,7 +218,11 @@ def resolve_config(file_cfg: dict, overrides: dict) -> dict:
 
 
 def kernel_from_config(cfg: dict):
-    """Build (base kernel, transformed kernel, hints) from the chain config."""
+    """Build (base kernel, transformed kernel, hints) from the chain config.
+
+    The closed forms in the hints describe the base chain.  They survive
+    lazification (same eigenvectors) but not parity squaring, so under
+    ``square_even`` only the kill site is kept."""
     chain = cfg["chain"]
     if "preset" in chain:
         params = chain.get("params", {})
@@ -230,7 +234,10 @@ def kernel_from_config(cfg: dict):
         overrides = tuple((o["site"], o["p"], o["r"], o["q"]) for o in chain.get("overrides", ()))
         base = NNKernel(regions, overrides)
         hints = {}
-    kernel = square_even(base) if cfg["square_even"] else base
+    kernel = base
+    if cfg["square_even"]:
+        kernel = square_even(base)
+        hints = {k: v for k, v in hints.items() if k == "kill_site"}
     if cfg["lazify"] is not None:
         kernel = lazify(kernel, cfg["lazify"])
     return base, kernel, hints
@@ -247,13 +254,20 @@ def _hhat_transform(base, hints):
     return None
 
 
-def _reference_measure(base, hints, x0: int):
+def _hitting_split(tk, x0: int, horizon_M: int):
+    try:
+        return hitting_split(tk, x0, M_cap=horizon_M)
+    except ValueError as exc:  # e.g. a start beyond the hitting horizon
+        raise BudgetError(f"hitting split from x0={x0}: {exc}") from None
+
+
+def _reference_measure(base, hints, x0: int, horizon_M: int):
     """Closed-form limit of the conditioned law from x0, when known."""
     if "two_sided" in hints:
         return extremal_plus(hints["two_sided"])
     if "mirror" in hints:
         mp = hints["mirror"]
-        weights = hitting_split(_hhat_transform(base, hints), x0)
+        weights = _hitting_split(_hhat_transform(base, hints), x0, horizon_M)
         return mixture_limit(
             weights, mirror_extremal(mp, -1), mirror_extremal(mp, +1)
         )
@@ -305,6 +319,7 @@ def cmd_yaglom(cfg, base, kernel, hints, out: Path) -> dict:
     for y in tracked:
         if abs(y - x0) > n:
             raise ConfigError(f"tracked site {y} outside the window [{x0 - n}, {x0 + n}]")
+    ref = _reference_measure(base, hints, x0, cfg["budgets"]["horizon_M"])
     trace = evolve_trace(kernel, x0, n, tracked=tracked, clip=cfg.get("clip") or 0.0)
     header = ["n", "survival_factor", "log_mass"] + [f"ratio_{y}" for y in tracked]
     ratios = [trace.tracked_ratios[y].tolist() for y in tracked]
@@ -323,7 +338,6 @@ def cmd_yaglom(cfg, base, kernel, hints, out: Path) -> dict:
         "live_hull_width": len(trace.live_hull),
         "zero_sites": int(dist.values.size - np.count_nonzero(dist.values)),
     }
-    ref = _reference_measure(base, hints, x0) if not cfg["square_even"] else None
     if ref is not None:
         ref_vals = prob_values(ref, dist.window)
         results["tv_to_reference"] = 0.5 * float(np.abs(dist.values - ref_vals).sum())
@@ -407,9 +421,12 @@ def cmd_invariant(cfg, base, kernel, hints, out: Path) -> dict:
 
 
 def cmd_transform(cfg, base, kernel, hints, out: Path) -> dict:
-    kill_site = hints.get("kill_site", 0)
+    kill_site, n = hints.get("kill_site", 0), cfg["n"]
     sites = tuple(cfg.get("sites") or (-3, -2, -1, 0, 1, 2, 3))
-    est = estimate_hhat(kernel, kill_site, sites, cfg["n"])
+    for x in sites:
+        if abs(x - kill_site) > n:
+            raise ConfigError(f"site {x} outside the window [{kill_site - n}, {kill_site + n}]")
+    est = estimate_hhat(kernel, kill_site, sites, n)
     closed = {}
     if "two_sided" in hints:
         closed = {x: float(closed_form_hhat(hints["two_sided"], x)) for x in sites}
@@ -424,7 +441,7 @@ def cmd_transform(cfg, base, kernel, hints, out: Path) -> dict:
     }
     tk = _hhat_transform(base, hints)
     if tk is not None:
-        w = hitting_split(tk, cfg["x0"], M_cap=cfg["budgets"]["horizon_M"])
+        w = _hitting_split(tk, cfg["x0"], cfg["budgets"]["horizon_M"])
         results["boundary_weights"] = {
             "w_minus": w.w_minus,
             "w_plus": w.w_plus,
@@ -436,13 +453,15 @@ def cmd_transform(cfg, base, kernel, hints, out: Path) -> dict:
 
 
 def cmd_simulate(cfg, base, kernel, hints, out: Path) -> dict:
-    x0, seed = cfg["x0"], cfg["seed"]
+    x0, seed, n_max = cfg["x0"], cfg["seed"], cfg["budgets"]["n_max"]
     requested = cfg["budgets"]["mc_paths"]
     n_paths = min(requested, MC_PATH_CAP)
     try:
-        zeta = absorption_times(kernel, x0, n_paths, seed)
-    except RuntimeError as exc:  # a path outlived the sampler's step cap
-        raise BudgetError(f"simulate from x0={x0}: {exc}") from None
+        zeta = absorption_times(kernel, x0, n_paths, seed, max_steps=n_max)
+    except RuntimeError:  # a path outlived the sampler's step cap
+        raise BudgetError(
+            f"simulate from x0={x0}: paths not absorbed within budgets.n_max={n_max} steps"
+        ) from None
     _write_csv(out / "zeta.csv", cfg, ["path", "zeta"], enumerate(zeta.tolist()))
     sample = simulate_absorbed(kernel, x0, min(cfg["n"], 5000), seed + 7)
     _write_csv(out / "trajectory.csv", cfg, ["step", "site"], enumerate(sample.path.tolist()))
@@ -499,10 +518,6 @@ def cmd_simulate(cfg, base, kernel, hints, out: Path) -> dict:
 
 
 def cmd_conditions(cfg, base, kernel, hints, out: Path) -> dict:
-    # closed-form hints describe the base chain; they survive lazification
-    # (same eigenvectors) but not parity squaring
-    if cfg["square_even"]:
-        hints = {k: v for k, v in hints.items() if k == "kill_site"}
     budgets = {"n_max": min(cfg["budgets"]["n_max"], max(cfg["n"], 2500))}
     if budgets["n_max"] < MIN_RHO_FACTORS:
         raise BudgetError(

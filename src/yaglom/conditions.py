@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .chain import NNKernel
 from .evolve import evolve_trace
 from .measures import MirrorHarmonic
-from .spectral import _summed, _survival_green_terms, e0_r_zeta, estimate_rho
+from .spectral import e0_r_zeta, estimate_rho, green_partial
 from .transforms import closed_form_hhat, estimate_hhat
 
 __all__ = ["ConditionVerdict", "ConditionReport", "check_conditions", "DEFAULT_BUDGETS"]
@@ -151,11 +151,10 @@ def check_conditions(
         # against the rho_hat error.
         w = R * (1.0 - 2.0 * est.error_bound - 1e-6)
         green_N = int(b["green_N"])
-        probes = [int(z) for z in b["probe_sites"]]
         status2 = "holds"
-        for z, terms in zip(probes, _survival_green_terms(kernel, probes, w, green_N)):
+        for z in (int(z) for z in b["probe_sites"]):
             try:
-                g = _summed(terms, green_N)
+                g = green_partial(kernel, z, "S", w, green_N)
             except ValueError:
                 # the potential diverges at the survival radius: the
                 # survival and pointwise decay rates disagree, so

@@ -218,7 +218,4 @@ def preset_hints(name: str, params: dict | None = None) -> dict:
         return {"mirror": MirrorParams(p, e), "kill_site": 0}
     if name == "kesten":
         return {"kill_site": 0}
-    if name == "alpha_walk":
-        kw = {**_ALPHA_DEFAULT, **params}
-        return {"alpha": kw["alpha"], "ab": (kw["a"], kw["b"])}
     return {}

@@ -70,7 +70,6 @@ class TwoSidedParams:
 class SpectralEstimate:
     rho_hat: float
     error_bound: float
-    method: str = "ratio-limit"
 
     @property
     def converged(self) -> bool:
@@ -159,17 +158,16 @@ def e0_r_zeta(params: TwoSidedParams) -> float:
 
 @dataclass(frozen=True)
 class GreenPartial:
-    """Partial sum of the potential plus a heuristic tail estimate.
+    """Partial sum of the potential plus a fitted tail estimate.
 
     ``tail_estimate`` comes from fitting c n^(-3/2) g^n to the last decade
-    of terms; it is labelled heuristic because the n^(-3/2) rate is only
-    proven for the closed-form examples.
+    of terms; it is a heuristic, because the n^(-3/2) rate is only proven
+    for the closed-form examples.
     """
 
     value: float
     tail_estimate: float
     terms: int
-    heuristic: bool = True
 
     @property
     def total(self) -> float:
@@ -206,41 +204,7 @@ def green_partial(kernel, x: int, y, w: float, N: int) -> GreenPartial:
         n0, n = n, n + rec.surv.size
         block = np.exp(rec.log_mass + np.arange(n0 + 1, n + 1) * logw)
         terms[n0 + 1 : n + 1] = block if want_S else block * rec.watched[:, 0]
-    return _summed(terms, N)
-
-
-def _summed(terms: np.ndarray, N: int) -> GreenPartial:
-    """Partial sum of ``terms[0..N]`` plus its fitted tail."""
     return GreenPartial(float(terms.sum()), _fit_tail(terms, N), N + 1)
-
-
-def _survival_green_terms(kernel, starts, w: float, N: int) -> np.ndarray:
-    """w^n K^n(z, S) for n = 0..N, one row per start z, from one backward run.
-
-    K^n(z, S) is entry z of K^n 1, so every start reads the same vector:
-    the ones vector stepped on the transposed rates, as in
-    ``estimate_hhat``, over a window N + 1 sites beyond the farthest start
-    on each side.  That window stays dense for the whole run, so a single
-    start stays a forward ``green_partial`` run: on a 2-vCPU Xeon, one
-    start at N = 4000 takes 0.09 s forward and 0.20 s backward, while three
-    starts at N = 2000 take 0.06 s here and 0.13 s in three forward runs.
-    """
-    idx = np.asarray(starts, dtype=int)
-    if not idx.size:
-        return np.zeros((0, N + 1))
-    lo, hi = int(idx.min()) - N - 1, int(idx.max()) + N + 1
-    idx -= lo
-    up, stay, down = kernel.rows(lo - 1, hi + 1)
-    v = np.ones(hi - lo + 1)
-    logw = math.log(w) if w > 0.0 else -math.inf
-    terms = np.zeros((len(idx), N + 1))
-    terms[:, 0] = 1.0
-    n = 0
-    for rec in _normalised_run(v, down[2:], stay[1:-1], up[:-2], N, watch=idx):
-        n0, n = n, n + rec.surv.size
-        weight = np.exp(rec.log_mass + np.arange(n0 + 1, n + 1) * logw)
-        terms[:, n0 + 1 : n + 1] = (weight[:, None] * rec.watched).T
-    return terms
 
 
 _TAIL_TERMS = 99999

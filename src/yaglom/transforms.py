@@ -145,10 +145,14 @@ def hitting_split(
 ) -> BoundaryWeights:
     """Boundary weights by the gambler's-ruin system with doubling horizon.
 
-    Solves the two-point hitting problem on [-M, M] and doubles M until
-    the answer moves by less than ``tol`` (or the cap is reached, in which
-    case ``converged`` is False and ``delta`` reports the last change).
+    Solves the two-point hitting problem on [-M, M], starting from
+    M = max(M_start, 2|x| + 2), and doubles M until the answer moves by
+    less than ``tol`` (or the cap is reached, in which case ``converged``
+    is False and ``delta`` reports the last change).  Raises if
+    2|x| + 2 exceeds ``M_cap``: the first window alone would pass the cap.
     """
+    if 2 * abs(x) + 2 > M_cap:
+        raise ValueError(f"start {x} needs a horizon of {2 * abs(x) + 2}, above M_cap={M_cap}")
     check = Window(-min(M_start, 64), min(M_start, 64))
     resid = tk.stochastic_residual(check)
     if resid > residual_tol:

@@ -1,14 +1,11 @@
 import csv
-import functools
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import yaglom.cli
 from yaglom.cli import COMMANDS, MAX_SITE, main
-from yaglom.montecarlo import absorption_times
 from yaglom.scenarios import PRESETS
 
 CUSTOM_CHAIN = {
@@ -149,7 +146,7 @@ def test_invalid_kernel_is_validation_error(tmp_path):
     assert not (tmp_path / "nan").exists()
 
 
-def test_budget_exhaustion_exit_code(tmp_path, capsys, monkeypatch):
+def test_budget_exhaustion_exit_code(tmp_path, capsys):
     code = run(
         ["yaglom", "--preset", "two_sided", "--lazify", "0.5", "--n", "500",
          "--n-max", "100", "--out-dir", tmp_path]
@@ -160,12 +157,10 @@ def test_budget_exhaustion_exit_code(tmp_path, capsys, monkeypatch):
     cfg.write_text(json.dumps({"n": 5, "budgets": {"n_max": 10}}))
     assert run(["conditions", "--config", cfg, "--out-dir", tmp_path / "c"]) == 4
     # paths drifting away from the only killing site outlive the sampler's
-    # step cap, lowered here from 10**6 so that the run ends fast
-    capped = functools.partial(absorption_times, max_steps=20000)
-    monkeypatch.setattr(yaglom.cli, "absorption_times", capped)
+    # step cap, which is budgets.n_max
     outward = [{"to": -1, "p": 0.1, "r": 0.0, "q": 0.9}, {"from": 0, "to": 0, "p": 0.3, "r": 0.0, "q": 0.3},
                {"from": 1, "p": 0.9, "r": 0.0, "q": 0.1}]
-    cfg.write_text(json.dumps({"chain": {"regions": outward}, "n": 200}))
+    cfg.write_text(json.dumps({"chain": {"regions": outward}, "n": 200, "budgets": {"n_max": 20000}}))
     assert run(["simulate", "--config", cfg, "--x0", "2000", "--mc-paths", "10",
                 "--out-dir", tmp_path / "s"]) == 4
     # the Green probe's tail fit reads these 222 terms as growing
@@ -257,6 +252,30 @@ def test_spectral_green_probe_starts_at_zero(tmp_path):
     assert run(["spectral", "--x0", "5", "--n", "2000", "--out-dir", tmp_path]) == 0
     res = read_report(tmp_path / "spectral_report.json")["results"]
     assert res["E0_R_zeta_green"] == pytest.approx(res["E0_R_zeta_closed_form"], rel=1e-3)
+
+
+def test_transform_site_outside_window_is_config_error(tmp_path, capsys):
+    code = run(["transform", "--n", "50", "--sites", "2,51", "--out-dir", tmp_path])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "51" in err and "[-50, 50]" in err
+
+
+@pytest.mark.parametrize(
+    "command, args",
+    [("transform", ["--n", "300"]), ("yaglom", ["--n", "50", "--tracked-sites", "0"])],
+)
+def test_start_beyond_hitting_horizon_is_budget_error(tmp_path, capsys, command, args):
+    code = run([command, "--preset", "symmetric", "--lazify", "0.5", "--x0", "40",
+                "--horizon-M", "64", *args, "--out-dir", tmp_path / "o"])
+    assert code == 4
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("budget exhausted:") and "x0=40" in err
+    assert len(err.splitlines()) == 1
+    # a start inside the horizon runs
+    code = run([command, "--preset", "symmetric", "--lazify", "0.5", "--x0", "31",
+                "--horizon-M", "64", *args, "--out-dir", tmp_path / "p"])
+    assert code == 0
 
 
 def test_tracked_site_outside_window_is_config_error(tmp_path, capsys):
@@ -351,3 +370,39 @@ def test_any_config_exits_with_a_documented_code(tmp_path, command, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert run([command, "--config", path, "--out-dir", tmp_path / "o"]) in (0, 2, 3, 4)
+
+
+def _no_closed_form(command, out):
+    """Assert that ``command``'s output under square_even has no closed form."""
+    if command == "yaglom":
+        assert "tv_to_reference" not in read_report(out / "yaglom_report.json")["results"]
+    elif command == "spectral":
+        assert "E0_R_zeta_closed_form" not in read_report(out / "spectral_report.json")["results"]
+    elif command == "simulate":
+        res = read_report(out / "simulate_report.json")["results"]
+        assert not any("closed_form" in key or "orey" in key for key in res)
+    elif command == "transform":
+        assert "boundary_weights" not in read_report(out / "transform_report.json")["results"]
+        with open(out / "hhat.csv") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        assert rows and all(r["closed_form"] == "" for r in rows)
+    elif command == "conditions":
+        res = read_report(out / "conditions.json")["results"]
+        assert not any("closed_form" in key for key in res["2"]["evidence"])
+        assert "hhat_at_1" not in res["8"]["evidence"]
+
+
+@pytest.mark.parametrize("preset", ["two_sided", "symmetric"])
+@pytest.mark.parametrize("command", ["yaglom", "spectral", "simulate", "transform", "conditions"])
+def test_square_even_reports_no_closed_form(tmp_path, command, preset):
+    # the closed forms describe the base chain, not its two-step even restriction
+    args = [command, "--preset", preset, "--square-even", "--lazify", "0.5", "--n", "300",
+            "--mc-paths", "200", "--out-dir", tmp_path]
+    assert run(args) == 0
+    _no_closed_form(command, tmp_path)
+
+
+def test_square_even_invariant_is_config_error(tmp_path, capsys):
+    assert run(["invariant", "--preset", "two_sided", "--square-even", "--out-dir", tmp_path]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == "config error: invariant subcommand needs a preset with closed forms"

@@ -19,7 +19,6 @@ from yaglom import (
     brute_force_distribution,
     check_conditions,
     chi_entrance,
-    estimate_rho,
     estimate_hhat,
     evolve_trace,
     green_partial,
@@ -28,7 +27,7 @@ from yaglom import (
     taboo_first_return,
 )
 from yaglom.chain import _forward_step, _hull
-from yaglom.spectral import _fit_tail, _survival_green_terms
+from yaglom.spectral import _fit_tail
 
 PRESETS = ("two_sided", "symmetric", "kesten", "alpha_walk")
 REL = 1e-14
@@ -186,34 +185,10 @@ def test_green_partial_matches_dense_loop(y):
     assert g.tail_estimate == pytest.approx(_fit_tail(terms, N), rel=1e-12)
 
 
-def _radius_weight(kernel):
-    """The weight check_conditions sums the [2] potential at."""
-    est = estimate_rho(evolve_trace(kernel, 0, 2500))
-    return (1.0 - 2.0 * est.error_bound - 1e-6) / est.rho_hat
-
-
-@pytest.mark.parametrize(
-    "name, lazy, sum_rel",
-    # the same for every preset now that neither run's log_mass drifts
-    # (alpha_walk needed 1e-11 while both summed one log per step)
-    [("two_sided", 0.5, 1e-13), ("symmetric", 0.5, 1e-13), ("alpha_walk", None, 1e-13)],
-)
-def test_survival_green_sweep_matches_forward_runs(name, lazy, sum_rel):
-    kernel = preset_kernel(name)
-    if lazy is not None:
-        kernel = lazify(kernel, lazy)
-    w, N, starts = _radius_weight(kernel), 2000, (-20, 0, 20)
-    rows = _survival_green_terms(kernel, starts, w, N)
-    assert rows.shape == (3, N + 1)
-    for z, terms in zip(starts, rows):
-        g = green_partial(kernel, z, "S", w, N)
-        assert terms.sum() == pytest.approx(g.value, rel=sum_rel)
-        assert _fit_tail(terms, N) == pytest.approx(g.tail_estimate, rel=1e-10)
-
-
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs 80-bit long double")
 @pytest.mark.parametrize("name, lazy", [("two_sided", 0.5), ("alpha_walk", None)])
 def test_survival_green_sweep_against_extended_precision(name, lazy):
+    """green_partial's survival sum against an 80-bit dense loop."""
     kernel = preset_kernel(name)
     if lazy is not None:
         kernel = lazify(kernel, lazy)
@@ -225,29 +200,29 @@ def test_survival_green_sweep_against_extended_precision(name, lazy):
     for n in range(1, N + 1):
         v = dense_step(v, up, stay, down)
         want[n] = v.sum()
-    got = _survival_green_terms(kernel, (z,), 1.0, N)[0]
-    assert_rel(got, want.astype(float), rel=1e-12)
+    got = green_partial(kernel, z, "S", 1.0, N).value
+    assert got == pytest.approx(float(want.sum()), rel=1e-12)
 
 
-def test_check_conditions_probes_read_rows_once():
-    """Every [2] probe comes from one rows read; the other checkers read
-    windows centred on the kill site 0, the probe sweep does not."""
-
-    class CountingKernel(NNKernel):
-        def rows(self, lo, hi):
-            calls.append((lo, hi))
-            return super().rows(lo, hi)
-
-    calls = []
-    base = lazify(preset_kernel("two_sided"), 0.5)
-    kernel = CountingKernel(base.regions, base.overrides)
+def test_check_conditions_probes_are_green_partial_runs():
+    """Each [2] probe is E_z R^zeta = 1 + (R - 1) G_{z,S}(w), read off one
+    forward ``green_partial`` run from z at the checker's weight.  At this
+    short N the tail fit from z = 11 reads the terms as growing, which the
+    checker reports as an infinite E_z R^zeta."""
+    kernel = lazify(preset_kernel("two_sided"), 0.5)
     probes, N = (-7, 5, 11), 300
     rep = check_conditions(kernel, budgets={"probe_sites": probes, "green_N": N})
-    assert all(f"E_R_zeta_at_{z}" in rep.verdicts["2"].evidence for z in probes)
-    sweep = [(lo, hi) for lo, hi in calls if lo + hi != 0]
-    assert len(sweep) == 1
-    lo, hi = sweep[0]
-    assert lo < min(probes) - N and hi > max(probes) + N
+    ev = rep.verdicts["2"].evidence
+    R = ev["R"]
+    w = R * (1.0 - 2.0 * ev["rho_error_bound"] - 1e-6)
+    for z in probes[:2]:
+        g = green_partial(kernel, z, "S", w, N)
+        assert ev[f"E_R_zeta_at_{z}"] == 1.0 + (R - 1.0) * g.total
+        assert ev[f"green_tail_at_{z}"] == g.tail_estimate
+    with pytest.raises(ValueError, match="terms growing"):
+        green_partial(kernel, 11, "S", w, N)
+    assert ev["E_R_zeta_at_11"] == math.inf and "green_tail_at_11" not in ev
+    assert rep.status("2") == "fails"
 
 
 def test_chi_entrance_matches_dense_loop():
