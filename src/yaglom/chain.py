@@ -11,7 +11,7 @@ of Z are represented exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -47,13 +47,6 @@ class Region:
     r: float
     q: float
 
-    def contains(self, x: int) -> bool:
-        if self.lo is not None and x < self.lo:
-            return False
-        if self.hi is not None and x > self.hi:
-            return False
-        return True
-
     @property
     def kill(self) -> float:
         return 1.0 - self.p - self.r - self.q
@@ -65,32 +58,27 @@ class NNKernel:
 
     regions: tuple[Region, ...]
     overrides: tuple[tuple[int, float, float, float], ...] = ()
-    _omap: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        omap = {site: (p, r, q) for site, p, r, q in self.overrides}
-        object.__setattr__(self, "_omap", omap)
 
     def row(self, x: int) -> tuple[float, float, float]:
         """Return (up, stay, down) at site x."""
-        hit = self._omap.get(x)
-        if hit is not None:
-            return hit
-        for reg in self.regions:
-            if reg.contains(x):
-                return (reg.p, reg.r, reg.q)
-        raise ValueError(f"site {x} not covered by any region")
+        up, stay, down = self.rows(x, x)
+        return float(up[0]), float(stay[0]), float(down[0])
 
     def kill(self, x: int) -> float:
         p, r, q = self.row(x)
         return 1.0 - p - r - q
 
     def rows(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized (up, stay, down) arrays for sites lo..hi inclusive."""
+        """Vectorized (up, stay, down) arrays for sites lo..hi inclusive.
+
+        Overrides beat regions, and a later region beats an earlier one
+        it overlaps.  Raises ValueError at the first site nothing covers.
+        """
         n = hi - lo + 1
         up = np.empty(n)
         stay = np.empty(n)
         down = np.empty(n)
+        covered = np.zeros(n, dtype=bool)
         for reg in self.regions:
             a = lo if reg.lo is None else max(lo, reg.lo)
             b = hi if reg.hi is None else min(hi, reg.hi)
@@ -99,9 +87,13 @@ class NNKernel:
             up[a - lo : b - lo + 1] = reg.p
             stay[a - lo : b - lo + 1] = reg.r
             down[a - lo : b - lo + 1] = reg.q
+            covered[a - lo : b - lo + 1] = True
         for site, p, r, q in self.overrides:
             if lo <= site <= hi:
                 up[site - lo], stay[site - lo], down[site - lo] = p, r, q
+                covered[site - lo] = True
+        if not covered.all():
+            raise ValueError(f"site {lo + int(np.argmin(covered))} not covered by any region")
         return up, stay, down
 
     def breakpoints(self) -> list[int]:
@@ -234,11 +226,10 @@ def validate(kernel: NNKernel, window: Window | None = None) -> list[str]:
         report.append("no killing anywhere")
 
     if window is not None and not report:
-        for x in window.sites():
-            try:
-                kernel.row(int(x))
-            except ValueError as exc:
-                report.append(str(exc))
+        try:
+            kernel.rows(window.lo, window.hi)
+        except ValueError as exc:
+            report.append(str(exc))
     return report
 
 

@@ -303,8 +303,6 @@ def _jsonable(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if obj is math.inf:
-        return "inf"
     return str(obj)
 
 
@@ -320,7 +318,7 @@ def cmd_yaglom(cfg, base, kernel, hints, out: Path) -> dict:
         if abs(y - x0) > n:
             raise ConfigError(f"tracked site {y} outside the window [{x0 - n}, {x0 + n}]")
     ref = _reference_measure(base, hints, x0, cfg["budgets"]["horizon_M"])
-    trace = evolve_trace(kernel, x0, n, tracked=tracked, clip=cfg.get("clip") or 0.0)
+    trace = evolve_trace(kernel, x0, n, tracked=tracked, clip=cfg.get("clip", 0.0))
     header = ["n", "survival_factor", "log_mass"] + [f"ratio_{y}" for y in tracked]
     ratios = [trace.tracked_ratios[y].tolist() for y in tracked]
     rows = zip(range(1, n + 1), trace.survival_factors.tolist(), trace.log_mass.tolist(), *ratios)
@@ -533,7 +531,7 @@ def cmd_kesten(cfg, base, kernel, hints, out: Path) -> dict:
     n_grid = tuple(cfg.get("n_grid") or (512, 4096, 16384))
     probe = oscillation_probe(
         kernel, cfg["x0"], n_grid,
-        clip=cfg.get("clip") or 1e-20, max_halfwidth=6000,
+        clip=cfg.get("clip", 0.0), max_halfwidth=6000,
     )
     rows = [[a, b, t] for (a, b), t in sorted(probe.tv.items())]
     _write_csv(out / "oscillation.csv", cfg, ["n1", "n2", "tv"], rows)

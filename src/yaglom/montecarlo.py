@@ -2,7 +2,8 @@
 
 All samplers take an explicit seed and are deterministic given it.  Batch
 helpers vectorize over paths with a shared generator, so identical seeds
-reproduce identical outputs byte for byte.
+reproduce identical outputs byte for byte.  Every sampler moves its paths
+by one step rule, ``_move``.
 """
 
 from __future__ import annotations
@@ -40,15 +41,59 @@ class TrajectorySample:
     absorbed_at: int | None
 
 
+# Limits no caller tunes: the batch samplers' first window half-width
+# (doubled as paths walk out), step caps, the reversal's site bound, and
+# the tabulation of initial laws.
+_HALFWIDTH = 256
+_R_ZETA_MAX_STEPS = 200_000
+_R_ZETA_TAIL_TOL = 1e-12
+_HITTING_MAX_STEPS = 2_000_000
+_OREY_SITE_BOUND = 20000
+_INIT_TRUNCATION = 1e-9
+_INIT_HALFWIDTH = 4000
+
+
+def _thresholds(up, stay, down=None):
+    """Cumulative thresholds (up, up+stay, up+stay+down) of each row, as a
+    (3, sites) array.  Without ``down`` the kernel is stochastic and the
+    last threshold is +inf."""
+    upstay = up + stay
+    return np.stack((up, upstay, np.full_like(up, np.inf) if down is None else upstay + down))
+
+
+def _move(u, up, upstay, total):
+    """Where a uniform ``u`` sends a path: 1 - #{thresholds <= u}, that is
+    +1, 0 or -1, or -2 (killed) once u reaches the row total.  Scalars and
+    arrays alike."""
+    return 1 - (u >= up) - (u >= upstay) - (u >= total)
+
+
+def _renormalised(up, stay, down):
+    """Thresholds of the rows rescaled to sum to one."""
+    total = up + stay + down
+    return _thresholds(up / total, stay / total)
+
+
 def _stochastic_rows(tk, check: Window, tol: float, lo: int, hi: int):
-    """Up/stay rows of a conditioned kernel on [lo, hi], renormalised to
-    sum to one, after checking its row sums on ``check`` against ``tol``."""
+    """Thresholds of a conditioned kernel on [lo, hi], renormalised, after
+    checking its row sums on ``check`` against ``tol``."""
     resid = tk.stochastic_residual(check)
     if resid > tol:
         raise ValueError(f"{type(tk).__name__} not stochastic: residual {resid:g}")
-    up, stay, down = tk.rows(lo, hi)
-    total = up + stay + down
-    return up / total, stay / total
+    return _renormalised(*tk.rows(lo, hi))
+
+
+def _walk(cum, lo: int, x0: int, steps: int, rng):
+    """One path of at most ``steps`` moves from x0 on the thresholds ``cum``
+    of sites lo, lo+1, ...; returns the visited sites and the kill time,
+    or None if the path survived."""
+    path = [x0]
+    for n in range(1, steps + 1):
+        move = _move(rng.random(), *cum[:, path[-1] - lo].tolist())
+        if move == -2:
+            return np.array(path), n
+        path.append(path[-1] + move)
+    return np.array(path), None
 
 
 def simulate_absorbed(kernel, x0: int, horizon: int, seed: int) -> TrajectorySample:
@@ -56,27 +101,12 @@ def simulate_absorbed(kernel, x0: int, horizon: int, seed: int) -> TrajectorySam
     if horizon < 1:
         raise ValueError("need horizon >= 1")
     rng = np.random.default_rng(seed)
-    lo = x0 - horizon
-    up, stay, down = kernel.rows(lo, x0 + horizon)
-    path = [x0]
-    x = x0
-    for n in range(1, horizon + 1):
-        i = x - lo
-        u = rng.random()
-        if u < up[i]:
-            x += 1
-        elif u < up[i] + stay[i]:
-            pass
-        elif u < up[i] + stay[i] + down[i]:
-            x -= 1
-        else:
-            return TrajectorySample(seed, x0, np.array(path), n)
-        path.append(x)
-    return TrajectorySample(seed, x0, np.array(path), None)
+    cum = _thresholds(*kernel.rows(x0 - horizon, x0 + horizon))
+    return TrajectorySample(seed, x0, *_walk(cum, x0 - horizon, x0, horizon, rng))
 
 
 def absorption_times(
-    kernel, x0: int, n_paths: int, seed: int, horizon: int = 256, max_steps: int = 10**6
+    kernel, x0: int, n_paths: int, seed: int, max_steps: int = 10**6
 ) -> np.ndarray:
     """Exit times zeta for ``n_paths`` independent paths.
 
@@ -85,50 +115,33 @@ def absorption_times(
     path exceeds ``max_steps`` (chain not absorbing enough).
     """
     rng = np.random.default_rng(seed)
-    xs = np.full(n_paths, x0, dtype=np.int64)
     zeta = np.zeros(n_paths, dtype=np.int64)
-    alive = np.ones(n_paths, dtype=bool)
-    H = horizon
-    up, stay, down = kernel.rows(x0 - H, x0 + H)
-    n = 0
-    while alive.any():
+    live = np.arange(n_paths)  # live paths, in draw order
+    pos = np.full(n_paths, x0, dtype=np.int64)
+    n = H = 0
+    while live.size:
         n += 1
         if n > max_steps:
             raise RuntimeError("paths not absorbed within max_steps")
         if n >= H:
-            H *= 2
-            up, stay, down = kernel.rows(x0 - H, x0 + H)
-        idx = xs[alive] - (x0 - H)
-        u = rng.random(int(alive.sum()))
-        pu = up[idx]
-        ps = pu + stay[idx]
-        pd = ps + down[idx]
-        step = np.where(u < pu, 1, np.where(u < ps, 0, np.where(u < pd, -1, -2)))
-        died = step == -2
-        sub = np.flatnonzero(alive)
-        zeta[sub[died]] = n
-        xs[sub[~died]] += step[~died]
-        alive[sub[died]] = False
+            H = max(2 * H, _HALFWIDTH)
+            cum = _thresholds(*kernel.rows(x0 - H, x0 + H))
+        move = _move(rng.random(live.size), *cum[:, pos - (x0 - H)])
+        died = move == -2
+        zeta[live[died]] = n
+        keep = ~died
+        live, pos = live[keep], (pos + move)[keep]
     return zeta
 
 
-def r_zeta_conditional(
-    kernel,
-    x0: int,
-    n_paths: int,
-    seed: int,
-    R: float,
-    kill_site: int = 0,
-    max_steps: int = 200_000,
-    tail_tol: float = 1e-12,
-) -> np.ndarray:
+def r_zeta_conditional(kernel, x0: int, n_paths: int, seed: int, R: float) -> np.ndarray:
     """Per-path unbiased estimates of E_{x0} R^zeta for single-site killing.
 
     The killing clock is integrated out exactly: run the unkilled chain,
     record its visit times sigma_1 < sigma_2 < ... to the killing site,
     and return E[R^zeta | path] = sum_j kappa (1-kappa)^{j-1}
     R^{sigma_j + 1}, truncated once the remaining clock mass cannot move
-    the estimate by ``tail_tol``.
+    the estimate by 1e-12.
 
     Caveat: R^zeta has unit tail index (P(R^zeta > t) ~ 1/t up to slowly
     varying factors), and conditioning removes only the clock noise, not
@@ -137,82 +150,62 @@ def r_zeta_conditional(
     for sound finite-sample tests compare truncated expectations
     E[R^zeta; zeta <= n] against their deterministic counterparts.
     """
+    kills = kernel.kill_sites()
+    if kills is None or len(kills) != 1:
+        got = "unbounded" if kills is None else len(kills)
+        raise ValueError(f"need exactly one kill site, got {got}")
+    kill_site = kills[0]
     kappa = kernel.kill(kill_site)
     if not 0.0 < kappa < 1.0:
         raise ValueError("need killing with rate in (0,1) at the kill site")
     rng = np.random.default_rng(seed)
-    H = 512
-    up, stay, down = kernel.rows(x0 - H, x0 + H)
-    total = up + stay + down
-    upn, stayn = up / total, stay / total  # unkilled chain
-    xs = np.full(n_paths, x0, dtype=np.int64)
-    weight = np.full(n_paths, kappa * R)  # kappa (1-kappa)^{j-1} R^{n+1}
     out = np.zeros(n_paths)
-    active = np.ones(n_paths, dtype=bool)
-    at_kill = xs == kill_site
-    out[at_kill] += weight[at_kill]
-    weight[at_kill] *= 1.0 - kappa
-    for n in range(1, max_steps + 1):
-        if not active.any():
+    live = np.arange(n_paths)
+    pos = np.full(n_paths, x0, dtype=np.int64)
+    weight = np.full(n_paths, kappa * R)  # kappa (1-kappa)^{j-1} R^{n+1}
+    if x0 == kill_site:
+        out += weight
+        weight *= 1.0 - kappa
+    H = 0
+    for n in range(1, _R_ZETA_MAX_STEPS + 1):
+        if not live.size:
             break
         if n >= H:
-            H *= 2
-            up, stay, down = kernel.rows(x0 - H, x0 + H)
-            total = up + stay + down
-            upn, stayn = up / total, stay / total
-        sub = np.flatnonzero(active)
-        idx = xs[sub] - (x0 - H)
-        u = rng.random(len(sub))
-        step = np.where(u < upn[idx], 1, np.where(u < upn[idx] + stayn[idx], 0, -1))
-        xs[sub] += step
-        weight[sub] *= R
-        hit = sub[xs[sub] == kill_site]
-        out[hit] += weight[hit]
+            H = max(2 * H, _HALFWIDTH)
+            cum = _renormalised(*kernel.rows(x0 - H, x0 + H))  # unkilled chain
+        pos += _move(rng.random(live.size), *cum[:, pos - (x0 - H)])
+        weight *= R
+        hit = pos == kill_site
+        out[live[hit]] += weight[hit]
         weight[hit] *= 1.0 - kappa
         # (1-kappa)^j R^{sigma_j+1} shrinks geometrically in j on average;
         # drop paths whose remaining clock mass is negligible
-        done = sub[(weight[sub] < tail_tol) & (xs[sub] == kill_site)]
-        active[done] = False
+        keep = ~(hit & (weight < _R_ZETA_TAIL_TOL))
+        live, pos, weight = live[keep], pos[keep], weight[keep]
     else:
-        raise RuntimeError("visit-clock estimator did not converge in max_steps")
+        raise RuntimeError(f"visit-clock estimator did not converge in {_R_ZETA_MAX_STEPS} steps")
     return out
 
 
 def simulate_transformed(tk, x0: int, steps: int, seed: int) -> TrajectorySample:
     """Sample one never-absorbed path of a (stochastic) transformed kernel."""
-    lo = x0 - steps
-    up, stay = _stochastic_rows(tk, Window(x0 - 16, x0 + 16), 1e-9, lo, x0 + steps)
+    cum = _stochastic_rows(tk, Window(x0 - 16, x0 + 16), 1e-9, x0 - steps, x0 + steps)
     rng = np.random.default_rng(seed)
-    path = np.empty(steps + 1, dtype=np.int64)
-    path[0] = x0
-    x = x0
-    for n in range(1, steps + 1):
-        i = x - lo
-        u = rng.random()
-        if u < up[i]:
-            x += 1
-        elif u >= up[i] + stay[i]:
-            x -= 1
-        path[n] = x
-    return TrajectorySample(seed, x0, path, None)
+    return TrajectorySample(seed, x0, *_walk(cum, x0 - steps, x0, steps, rng))
 
 
 def transformed_finals(tk, x0: int, steps: int, n_paths: int, seed: int) -> np.ndarray:
     """Final positions of ``n_paths`` conditioned-chain paths."""
     lo = x0 - steps
-    up, stay = _stochastic_rows(tk, Window(x0 - 16, x0 + 16), 1e-9, lo, x0 + steps)
+    cum = _stochastic_rows(tk, Window(x0 - 16, x0 + 16), 1e-9, lo, x0 + steps)
     rng = np.random.default_rng(seed)
     xs = np.full(n_paths, x0, dtype=np.int64)
     for _ in range(steps):
-        idx = xs - lo
-        u = rng.random(n_paths)
-        xs += np.where(u < up[idx], 1, np.where(u >= up[idx] + stay[idx], -1, 0))
+        xs += _move(rng.random(n_paths), *cum[:, xs - lo])
     return xs
 
 
-def empirical_hitting_split(
-    tk, x: int, M: int, n_paths: int, seed: int, max_steps: int = 2_000_000
-) -> float:
+def empirical_hitting_split(tk, x: int, M: int, n_paths: int, seed: int) -> float:
     """Fraction of conditioned-chain paths reaching +M before -M.
 
     Simulation cross-check for the deterministic gambler's-ruin solver at
@@ -220,38 +213,33 @@ def empirical_hitting_split(
     """
     if M <= abs(x):
         raise ValueError("need M > |x|")
-    up, stay = _stochastic_rows(tk, Window(x - 8, x + 8), 1e-9, -M, M)
+    cum = _stochastic_rows(tk, Window(x - 8, x + 8), 1e-9, -M, M)
     rng = np.random.default_rng(seed)
-    xs = np.full(n_paths, x, dtype=np.int64)
-    alive = np.ones(n_paths, dtype=bool)
+    live = np.arange(n_paths)
+    pos = np.full(n_paths, x, dtype=np.int64)
     hit_plus = np.zeros(n_paths, dtype=bool)
     steps = 0
-    while alive.any():
+    while live.size:
         steps += 1
-        if steps > max_steps:
-            raise RuntimeError("hitting simulation exceeded max_steps")
-        sub = np.flatnonzero(alive)
-        idx = xs[sub] + M
-        u = rng.random(len(sub))
-        xs[sub] += np.where(u < up[idx], 1, np.where(u >= up[idx] + stay[idx], -1, 0))
-        done_plus = sub[xs[sub] >= M]
-        done_minus = sub[xs[sub] <= -M]
-        hit_plus[done_plus] = True
-        alive[done_plus] = False
-        alive[done_minus] = False
+        if steps > _HITTING_MAX_STEPS:
+            raise RuntimeError(f"hitting simulation exceeded {_HITTING_MAX_STEPS} steps")
+        pos += _move(rng.random(live.size), *cum[:, pos + M])
+        hit_plus[live[pos >= M]] = True
+        keep = (pos > -M) & (pos < M)
+        live, pos = live[keep], pos[keep]
     return float(hit_plus.mean())
 
 
-def sample_initial_site(measure, rng, truncation: float = 1e-9, halfwidth: int = 4000):
+def sample_initial_site(measure, rng):
     """Inverse-CDF sample from an evaluable probability measure.
 
-    The measure is tabulated on [-halfwidth, halfwidth]; geometric tails
-    make the recorded truncated mass negligible at the default width.
+    The measure is tabulated on [-4000, 4000]; geometric tails make the
+    recorded truncated mass negligible at that width.
     """
-    sites = np.arange(-halfwidth, halfwidth + 1)
+    sites = np.arange(-_INIT_HALFWIDTH, _INIT_HALFWIDTH + 1)
     mass = np.asarray(measure.prob(sites), dtype=float)
     covered = float(mass.sum())
-    if 1.0 - covered > truncation:
+    if 1.0 - covered > _INIT_TRUNCATION:
         raise ValueError(f"truncation captures only {covered}")
     cdf = np.cumsum(mass) / covered
     u = rng.random()
@@ -275,15 +263,7 @@ class OreyTrace:
     probes: tuple[int, ...] = field(default_factory=tuple)
 
 
-def orey_trace(
-    rk,
-    base_kernel,
-    init_measure,
-    m_grid,
-    seed: int,
-    probes=(0,),
-    site_bound: int = 20000,
-) -> OreyTrace:
+def orey_trace(rk, base_kernel, init_measure, m_grid, seed: int, probes=(0,)) -> OreyTrace:
     """Run the time reversal from ``init_measure`` and probe Yaglom ratios.
 
     At each m in ``m_grid`` the conditioned law K^m(z_m, .)/K^m(z_m, S) of
@@ -297,23 +277,13 @@ def orey_trace(
     rng = np.random.default_rng(seed)
     x0, truncated = sample_initial_site(init_measure, rng)
     m_max = m_grid[-1]
-    lo = x0 - m_max
-    up, stay = _stochastic_rows(rk, Window(-16, 16), 1e-6, lo, x0 + m_max)
-    positions: dict[int, int] = {}
-    ratios: dict[int, dict[int, float]] = {}
-    want = set(m_grid)
-    x = x0
-    for m in range(1, m_max + 1):
-        i = x - lo
-        u = rng.random()
-        if u < up[i]:
-            x += 1
-        elif u >= up[i] + stay[i]:
-            x -= 1
-        if abs(x) > site_bound:
-            raise RuntimeError(f"reversal path escaped beyond {site_bound}")
-        if m in want:
-            positions[m] = x
-            trace = evolve_trace(base_kernel, x, m)
-            ratios[m] = {int(y): trace.distribution[int(y)] for y in probes}
+    cum = _stochastic_rows(rk, Window(-16, 16), 1e-6, x0 - m_max, x0 + m_max)
+    path, _ = _walk(cum, x0 - m_max, x0, m_max, rng)
+    if np.abs(path).max() > _OREY_SITE_BOUND:
+        raise RuntimeError(f"reversal path escaped beyond {_OREY_SITE_BOUND}")
+    positions = {m: int(path[m]) for m in m_grid}
+    ratios = {}
+    for m in m_grid:
+        dist = evolve_trace(base_kernel, positions[m], m).distribution
+        ratios[m] = {int(y): dist[int(y)] for y in probes}
     return OreyTrace(seed, x0, truncated, positions, ratios, tuple(int(y) for y in probes))

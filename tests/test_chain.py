@@ -47,6 +47,25 @@ def test_validate_flags_gap_and_overlap():
     assert any("overlap" in m for m in validate(overlap))
 
 
+def test_rows_raise_at_first_uncovered_site():
+    gap = NNKernel((Region(None, -1, 0.3, 0.2, 0.4), Region(1, None, 0.3, 0.2, 0.4)))
+    with pytest.raises(ValueError, match="site 0 not covered"):
+        gap.rows(-3, 3)
+    with pytest.raises(ValueError, match="site 0 not covered"):
+        gap.row(0)
+    # a run over the gap raises instead of stepping uninitialised rates
+    with pytest.raises(ValueError, match="site 0 not covered"):
+        evolve_trace(gap, 3, 10)
+    assert gap.rows(1, 3)[0].tolist() == [0.3, 0.3, 0.3]
+
+
+def test_row_reads_rows_where_regions_overlap():
+    k = NNKernel((Region(None, 5, 0.3, 0.2, 0.4), Region(0, None, 0.1, 0.6, 0.2)))
+    up, stay, down = k.rows(2, 2)
+    assert k.row(2) == (up[0], stay[0], down[0]) == (0.1, 0.6, 0.2)
+    assert k.kill(2) == 1.0 - 0.1 - 0.6 - 0.2
+
+
 def test_validate_flags_non_finite_rates():
     nan_region = NNKernel((Region(None, None, float("nan"), 0.0, 0.5),))
     assert "non-finite rate at [None,None]" in validate(nan_region)

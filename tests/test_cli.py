@@ -215,6 +215,19 @@ def test_kesten_subcommand_small_grid(tmp_path):
     assert rep["results"]["max_pairwise_tv"] > 0.0
 
 
+def test_kesten_default_is_unclipped(tmp_path):
+    # a 1e-20 clip deletes the far-ring mass that later dominates, and
+    # reports a rho 660 bounds off the exact 0.940839 as converged
+    reports = {}
+    for name, extra in (("default", []), ("zero", ["--clip", "0"]), ("tiny", ["--clip", "1e-20"])):
+        assert run(["kesten", "--preset", "kesten", *extra, "--out-dir", tmp_path / name]) == 0
+        reports[name] = read_report(tmp_path / name / "kesten_report.json")["results"]
+    rho_hat = reports["default"]["rho_by_budget"]["16384"]["rho_hat"]
+    assert rho_hat == pytest.approx(0.940839, abs=1e-4)
+    assert reports["zero"] == reports["default"]
+    assert reports["tiny"] != reports["zero"]
+
+
 def test_invariant_and_transform_subcommands(tmp_path):
     assert run(
         ["invariant", "--preset", "two_sided", "--out-dir", tmp_path / "i"]

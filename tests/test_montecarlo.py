@@ -25,6 +25,9 @@ from yaglom import (
 )
 from yaglom.chain import NNKernel, Region
 from yaglom.montecarlo import (
+    _move,
+    _renormalised,
+    _thresholds,
     absorption_times,
     empirical_hitting_split,
     orey_trace,
@@ -114,6 +117,87 @@ def test_r_zeta_conditional_reproducible_and_finite():
     assert a.min() > 0
     # integrating the clock out cannot fall below the one-step death term
     assert a.min() >= PARAMS.kappa * PARAMS.R - 1e-12
+
+
+def test_r_zeta_conditional_reads_its_one_kill_site():
+    # killing only at 3, with drift toward it: at R = 1 every path's
+    # integrated clock sums to 1, up to the dropped tail
+    k = NNKernel(
+        (Region(None, 2, 0.6, 0.1, 0.3), Region(3, None, 0.3, 0.1, 0.6)),
+        overrides=((3, 0.3, 0.2, 0.4),),
+    )
+    assert r_zeta_conditional(k, 0, 50, seed=2, R=1.0) == pytest.approx(np.ones(50), abs=1e-10)
+    two = NNKernel(
+        (Region(None, None, 0.4, 0.2, 0.4),), overrides=((0, 0.3, 0.2, 0.4), (4, 0.3, 0.2, 0.4))
+    )
+    with pytest.raises(ValueError, match="exactly one kill site, got 2"):
+        r_zeta_conditional(two, 0, 10, seed=1, R=1.0)
+    everywhere = NNKernel((Region(None, None, 0.4, 0.1, 0.4),))
+    with pytest.raises(ValueError, match="exactly one kill site, got unbounded"):
+        r_zeta_conditional(everywhere, 0, 10, seed=1, R=1.0)
+
+
+def test_samplers_pinned_to_recorded_draws():
+    # recorded outputs, one small input per sampler: a rewrite of the
+    # samplers must keep every seed's draws
+    lazy = lazify(KERNEL, 0.5)
+    sym = h_transform(build_symmetric(0.25), mirror_hhat(MIRROR), MIRROR.R)
+    mplus = extremal_plus(PARAMS)
+    rk = time_reversal(lazy, mplus, 0.5 + 0.5 * PARAMS.rho)
+
+    class Prob:
+        def prob(self, x):
+            return mplus.value(x) / normalizer_T(mplus)
+
+    assert absorption_times(lazy, 0, 12, seed=5).tolist() == [1, 1, 4, 2, 3, 2, 21, 4, 3, 1, 9, 3]
+    s = simulate_absorbed(lazy, 3, 40, seed=8)
+    assert s.absorbed_at is None
+    assert s.path.tolist() == [
+        3, 3, 2, 2, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, -1,
+        -1, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 1, 0, 1,
+    ]
+    s = simulate_absorbed(KERNEL, 2, 40, seed=10)
+    assert (s.path.tolist(), s.absorbed_at) == ([2, 1, 2, 1, 2, 1, 2, 1, 0], 9)
+    got = r_zeta_conditional(KERNEL, 0, 6, seed=9, R=PARAMS.R)
+    want = [1.4073413242721051, 1.4315170569598041, 1.6280534917393146,
+            1.431517644404419, 1.416413484506826, 1.6086494770149808]
+    assert got.tolist() == pytest.approx(want, rel=1e-14)
+    s = simulate_transformed(sym, 0, 30, seed=17)
+    assert s.absorbed_at is None
+    assert s.path.tolist() == [
+        0, -1, 0, -1, -2, -1, -2, -3, -4, -5, -4, -3, -4, -3, -4, -5,
+        -4, -5, -6, -5, -4, -3, -4, -5, -6, -7, -8, -7, -6, -5, -6,
+    ]
+    assert transformed_finals(sym, 0, 50, 10, seed=13).tolist() == [
+        -10, 6, -10, 20, -6, -12, -12, 12, -14, -12,
+    ]
+    assert empirical_hitting_split(sym, 2, 8, 40, seed=31) == 35 / 40
+    tr = orey_trace(rk, lazy, Prob(), (8, 32), seed=4, probes=(0,))
+    assert (tr.init_site, tr.positions) == (7, {8: 6, 32: 2})
+    assert tr.ratios[8][0] == pytest.approx(0.020524934924819115, rel=1e-12)
+    assert tr.ratios[32][0] == pytest.approx(0.2858501970471609, rel=1e-12)
+
+
+def test_step_rule_edge_cases():
+    up, stay, down = np.array([0.25]), np.array([0.25]), np.array([0.25])
+    cum = _thresholds(up, stay, down)
+    # a u equal to a threshold takes the next outcome
+    u = np.array([0.0, 0.25, 0.5, 0.75, 0.9])
+    assert _move(u, *cum[:, np.zeros(5, dtype=int)]).tolist() == [1, 0, -1, -2, -2]
+    assert [_move(float(v), *cum[:, 0].tolist()) for v in u] == [1, 0, -1, -2, -2]
+    # a stochastic kernel never kills: its last threshold is +inf, whatever
+    # its renormalised row sums to after rounding
+    cum = _renormalised(np.array([0.1]), np.array([0.2]), np.array([0.3]))
+    assert cum[2, 0] == math.inf
+    u = np.array([0.0, np.nextafter(1.0, 0.0), *np.linspace(0.0, 1.0, 1001, endpoint=False)])
+    moves = _move(u, *cum[:, np.zeros(u.size, dtype=int)])
+    assert set(moves.tolist()) == {1, 0, -1}
+    # a zero stay rate never gives a move of 0, at its doubled threshold too
+    cum = _thresholds(np.array([0.4]), np.array([0.0]), np.array([0.5]))
+    u = np.array([0.4, *np.linspace(0.0, 1.0, 1001, endpoint=False)])
+    moves = _move(u, *cum[:, np.zeros(u.size, dtype=int)])
+    assert moves[0] == -1
+    assert set(moves.tolist()) == {1, -1, -2}
 
 
 def test_transformed_single_step_matches_row():
