@@ -21,6 +21,7 @@ from .measures import (
     ClosedFormMeasure,
     MirrorParams,
     Mixture,
+    TwoSidedParams,
     c_max,
     dual_harmonic,
     extremal_minus,
@@ -32,11 +33,11 @@ from .measures import (
     mirror_hhat,
     normalizer_T,
     prob_values,
+    quadratic_roots,
     reversibility_gamma,
 )
 from .spectral import (
     SpectralEstimate,
-    TwoSidedParams,
     chi_entrance,
     closed_form_F00,
     closed_form_V,
@@ -44,7 +45,6 @@ from .spectral import (
     estimate_rho,
     green_partial,
     k2n00_asymptotic,
-    quadratic_roots,
 )
 from .transforms import (
     BoundaryWeights,
@@ -73,7 +73,6 @@ from .scenarios import (
     build_two_sided,
     default_kesten_schedule,
     oscillation_probe,
-    preset_hints,
     preset_kernel,
 )
 

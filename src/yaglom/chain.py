@@ -146,8 +146,10 @@ class MassState:
     """Conditioned distribution on a window plus accumulated log survival.
 
     ``values`` sums to one; ``log_mass`` is log K^n(x0, S).  ``clipped``
-    accumulates conditioned mass discarded by tail clipping (an auditable
-    error bound, zero unless clipping was requested).
+    is the sum over steps of the fraction of each step's mass removed by
+    tail clipping or lost off a capped window (zero unless either was
+    requested).  It is not a bound on the law's error: mass cut early is
+    the mass that later renormalisation amplifies.
     """
 
     window: Window
@@ -478,7 +480,8 @@ class _BlockTables:
 
 
 def _steps(v, up, stay, down, a: int, b: int, count: int, clip: float, watch):
-    """Up to ``count`` single renormalised steps, fewer if all mass dies.
+    """Up to ``count`` single renormalised steps, fewer if all mass dies
+    or the clip deletes it.
 
     Returns ``(surv, edge, clipped, watched, a, b)`` as in ``_Record``.
     """
@@ -500,6 +503,8 @@ def _steps(v, up, stay, down, a: int, b: int, count: int, clip: float, watch):
                 live[small] = 0.0
                 clip_sum += lost / s
                 s = float(live.sum())
+                if s <= 0.0:  # the clip deleted all the mass
+                    break
         live /= s
         surv.append(s)
         if watch.size:
@@ -522,8 +527,8 @@ def _normalised_run(v, up, stay, down, n: int, clip: float = 0.0, watch=(), stop
     ``v K^m``, and one matrix product gives every step's mass
     ``S_j = v K^j 1``.  Everything else is stepped one step at a time: with
     ``clip`` > 0, entries below ``clip`` times the step's sum are set to
-    0.0.  The run stops early once all mass is gone.  ``log_mass`` gains one
-    log per record, through a compensated sum.
+    0.0.  The run stops early once all mass is gone, killed or clipped.
+    ``log_mass`` gains one log per record, through a compensated sum.
     """
     watch = np.asarray(watch, dtype=np.intp).reshape(-1)
     first, last = np.flatnonzero(v)[[0, -1]].tolist()

@@ -20,22 +20,22 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .chain import NNKernel, Region, Window, lazify, square_even, validate
+from .chain import DegenerateKernelError, NNKernel, Region, Window, lazify, square_even, validate
 from .conditions import check_conditions
 from .evolve import evolve_trace
 from .measures import (
+    TwoSidedParams,
     c_max,
-    dual_harmonic,
     extremal_minus,
     extremal_plus,
     family_measure,
     invariance_residual,
     mirror_extremal,
-    mirror_hhat,
     prob_values,
+    quadratic_roots,
 )
 from .montecarlo import absorption_times, orey_trace, simulate_absorbed
-from .scenarios import PRESETS, oscillation_probe, preset_hints, preset_kernel
+from .scenarios import PRESETS, oscillation_probe
 from .spectral import (
     MIN_RHO_FACTORS,
     closed_form_V,
@@ -43,16 +43,8 @@ from .spectral import (
     estimate_rho,
     green_partial,
     k2n00_asymptotic,
-    quadratic_roots,
 )
-from .transforms import (
-    closed_form_hhat,
-    estimate_hhat,
-    h_transform,
-    hitting_split,
-    mixture_limit,
-    time_reversal,
-)
+from .transforms import estimate_hhat, h_transform, hitting_split, mixture_limit, time_reversal
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -147,7 +139,8 @@ FIELDS = (
     Field("tracked_sites", "ints", [0], SITE, "comma list"),
     Field("seed", "int", 20260810, (lambda v: v >= 0, "at least 0")),
     Field("budgets.n_max", "int", 50000, AT_LEAST_1, "budget: max steps"),
-    Field("budgets.mc_paths", "int", 200000, AT_LEAST_1, "budget: paths"),
+    # the Monte-Carlo standard errors need two paths
+    Field("budgets.mc_paths", "int", 200000, (lambda v: v >= 2, "at least 2"), "budget: paths"),
     Field("budgets.horizon_M", "int", 4096, AT_LEAST_1, "budget: hitting horizon"),
     Field("out_dir", "str", "yaglom_out"),
     Field("n_grid", "ints", OPTIONAL, AT_LEAST_1, "comma list (kesten)"),
@@ -218,60 +211,45 @@ def resolve_config(file_cfg: dict, overrides: dict) -> dict:
 
 
 def kernel_from_config(cfg: dict):
-    """Build (base kernel, transformed kernel, hints) from the chain config.
+    """Build (base kernel, transformed kernel, family) from the chain config.
 
-    The closed forms in the hints describe the base chain.  They survive
-    lazification (same eigenvectors) but not parity squaring, so under
-    ``square_even`` only the kill site is kept."""
+    ``family`` holds the base chain's closed forms: a TwoSidedParams, a
+    MirrorParams or None.  They survive lazification (same eigenvectors)
+    but not parity squaring, so under ``square_even`` the family is None."""
     chain = cfg["chain"]
     if "preset" in chain:
-        params = chain.get("params", {})
-        base = preset_kernel(chain["preset"], params)
-        hints = preset_hints(chain["preset"], params)
+        base, family = PRESETS[chain["preset"]](**chain.get("params", {}))
     else:
         regions = tuple(Region(e["from"], e["to"], e["p"], e["r"], e["q"])
                         for e in chain["regions"])
         overrides = tuple((o["site"], o["p"], o["r"], o["q"]) for o in chain.get("overrides", ()))
-        base = NNKernel(regions, overrides)
-        hints = {}
+        base, family = NNKernel(regions, overrides), None
     kernel = base
     if cfg["square_even"]:
-        kernel = square_even(base)
-        hints = {k: v for k, v in hints.items() if k == "kill_site"}
+        kernel, family = square_even(base), None
     if cfg["lazify"] is not None:
         kernel = lazify(kernel, cfg["lazify"])
-    return base, kernel, hints
+    return base, kernel, family
 
 
-def _hhat_transform(base, hints):
-    """The base chain h-transformed by its closed-form hhat, when known."""
-    if "two_sided" in hints:
-        params = hints["two_sided"]
-        return h_transform(base, dual_harmonic(extremal_plus(params)), params.R)
-    if "mirror" in hints:
-        mp = hints["mirror"]
-        return h_transform(base, mirror_hhat(mp), mp.R)
-    return None
-
-
-def _hitting_split(tk, x0: int, horizon_M: int):
+def _hitting_split(base, family, x0: int, horizon_M: int):
+    """Boundary weights from x0 of the base chain h-transformed by ``family.hhat``."""
     try:
-        return hitting_split(tk, x0, M_cap=horizon_M)
+        return hitting_split(h_transform(base, family.hhat, family.R), x0, M_cap=horizon_M)
     except ValueError as exc:  # e.g. a start beyond the hitting horizon
         raise BudgetError(f"hitting split from x0={x0}: {exc}") from None
 
 
-def _reference_measure(base, hints, x0: int, horizon_M: int):
-    """Closed-form limit of the conditioned law from x0, when known."""
-    if "two_sided" in hints:
-        return extremal_plus(hints["two_sided"])
-    if "mirror" in hints:
-        mp = hints["mirror"]
-        weights = _hitting_split(_hhat_transform(base, hints), x0, horizon_M)
-        return mixture_limit(
-            weights, mirror_extremal(mp, -1), mirror_extremal(mp, +1)
-        )
-    return None
+def _reference_measure(base, family, x0: int, horizon_M: int):
+    """Closed-form limit of the conditioned law from x0, when known: the
+    +inf extremal of the two-sided walk, or the mirror chain's mixture of
+    its two extremals, weighted by the hitting split of its h-transform."""
+    if isinstance(family, TwoSidedParams):
+        return extremal_plus(family)
+    if family is None:
+        return None
+    weights = _hitting_split(base, family, x0, horizon_M)
+    return mixture_limit(weights, mirror_extremal(family, -1), mirror_extremal(family, +1))
 
 
 def _write_csv(path: Path, cfg: dict, header: list[str], rows) -> None:
@@ -311,13 +289,13 @@ def _jsonable(obj):
 # ----------------------------------------------------------------------
 
 
-def cmd_yaglom(cfg, base, kernel, hints, out: Path) -> dict:
+def cmd_yaglom(cfg, base, kernel, family, out: Path) -> dict:
     x0, n = cfg["x0"], cfg["n"]
     tracked = tuple(cfg["tracked_sites"])
     for y in tracked:
         if abs(y - x0) > n:
             raise ConfigError(f"tracked site {y} outside the window [{x0 - n}, {x0 + n}]")
-    ref = _reference_measure(base, hints, x0, cfg["budgets"]["horizon_M"])
+    ref = _reference_measure(base, family, x0, cfg["budgets"]["horizon_M"])
     trace = evolve_trace(kernel, x0, n, tracked=tracked, clip=cfg.get("clip", 0.0))
     header = ["n", "survival_factor", "log_mass"] + [f"ratio_{y}" for y in tracked]
     ratios = [trace.tracked_ratios[y].tolist() for y in tracked]
@@ -343,7 +321,7 @@ def cmd_yaglom(cfg, base, kernel, hints, out: Path) -> dict:
     return results
 
 
-def cmd_spectral(cfg, base, kernel, hints, out: Path) -> dict:
+def cmd_spectral(cfg, base, kernel, family, out: Path) -> dict:
     x0, n = cfg["x0"], cfg["n"]
     if n < MIN_RHO_FACTORS:
         raise BudgetError(f"spectral needs n >= {MIN_RHO_FACTORS} to estimate rho, got n={n}")
@@ -356,43 +334,41 @@ def cmd_spectral(cfg, base, kernel, hints, out: Path) -> dict:
     }
     rows = enumerate(trace.survival_factors.tolist(), start=1)
     _write_csv(out / "survival.csv", cfg, ["n", "survival_factor"], rows)
-    if "two_sided" in hints:
-        params = hints["two_sided"]
-        t0, t1 = quadratic_roots(params)
+    if isinstance(family, TwoSidedParams):
+        t0, t1 = quadratic_roots(family)
         try:
-            g = green_partial(base, 0, "S", params.R, min(n, 4000))
+            g = green_partial(base, 0, "S", family.R, min(n, 4000))
         except ValueError as exc:  # the tail fit can read a short period-2 series as growing
             raise BudgetError(f"spectral's Green probe at n={min(n, 4000)}: {exc}") from None
         results.update(
             {
-                "base_rho_closed_form": params.rho,
+                "base_rho_closed_form": family.rho,
                 "t0": t0,
                 "t1": t1,
-                "V": closed_form_V(params),
-                "E0_R_zeta_closed_form": e0_r_zeta(params),
-                "E0_R_zeta_green": 1.0 + (params.R - 1.0) * g.total,
-                "k2n00_asymptotic_n200": k2n00_asymptotic(params, 200),
+                "V": closed_form_V(family),
+                "E0_R_zeta_closed_form": e0_r_zeta(family),
+                "E0_R_zeta_green": 1.0 + (family.R - 1.0) * g.total,
+                "k2n00_asymptotic_n200": k2n00_asymptotic(family, 200),
             }
         )
     _write_json(out / "spectral_report.json", cfg, results)
     return results
 
 
-def cmd_invariant(cfg, base, kernel, hints, out: Path) -> dict:
+def cmd_invariant(cfg, base, kernel, family, out: Path) -> dict:
     window = Window(-100, 100)
     results: dict = {}
-    if "two_sided" in hints:
-        params = hints["two_sided"]
-        c1 = c_max(params)
+    if isinstance(family, TwoSidedParams):
+        c1 = c_max(family)
         grid = np.linspace(0.0, c1, 11)
         rows = []
         residuals = {}
         for c in grid:
-            m = family_measure(params, float(c))
-            residuals[f"{c:.6f}"] = invariance_residual(base, m, params.rho, Window(-60, 60))
+            m = family_measure(family, float(c))
+            residuals[f"{c:.6f}"] = invariance_residual(base, m, family.rho, Window(-60, 60))
             rows.append([c, m.d0, m.T])
         _write_csv(out / "family.csv", cfg, ["c", "d0", "T"], rows)
-        mp, mm = extremal_plus(params), extremal_minus(params)
+        mp, mm = extremal_plus(family), extremal_minus(family)
         _write_measures(out, cfg, window, mp, mm)
         upper_plus = np.cumsum(prob_values(mp, window)[::-1])[::-1]
         upper_minus = np.cumsum(prob_values(mm, window)[::-1])[::-1]
@@ -403,14 +379,13 @@ def cmd_invariant(cfg, base, kernel, hints, out: Path) -> dict:
             "one_over_T": 1.0 / mp.T,
             "stochastic_order_min_gap": float(np.min(upper_plus - upper_minus)),
         }
-    elif "mirror" in hints:
-        mp = hints["mirror"]
-        plus, minus = mirror_extremal(mp, +1), mirror_extremal(mp, -1)
+    elif family is not None:  # the mirror chain
+        plus, minus = mirror_extremal(family, +1), mirror_extremal(family, -1)
         _write_measures(out, cfg, window, plus, minus)
         results = {
             "T": plus.T,
             "pi_plus_at_0": 1.0 / plus.T,
-            "residual_plus": invariance_residual(base, plus, mp.rho, Window(-60, 60)),
+            "residual_plus": invariance_residual(base, plus, family.rho, Window(-60, 60)),
         }
     else:
         raise ConfigError("invariant subcommand needs a preset with closed forms")
@@ -418,28 +393,22 @@ def cmd_invariant(cfg, base, kernel, hints, out: Path) -> dict:
     return results
 
 
-def cmd_transform(cfg, base, kernel, hints, out: Path) -> dict:
-    kill_site, n = hints.get("kill_site", 0), cfg["n"]
+def cmd_transform(cfg, base, kernel, family, out: Path) -> dict:
+    n = cfg["n"]  # hhat is measured from the reference site 0
     sites = tuple(cfg.get("sites") or (-3, -2, -1, 0, 1, 2, 3))
     for x in sites:
-        if abs(x - kill_site) > n:
-            raise ConfigError(f"site {x} outside the window [{kill_site - n}, {kill_site + n}]")
-    est = estimate_hhat(kernel, kill_site, sites, n)
-    closed = {}
-    if "two_sided" in hints:
-        closed = {x: float(closed_form_hhat(hints["two_sided"], x)) for x in sites}
-    elif "mirror" in hints:
-        hh = mirror_hhat(hints["mirror"])
-        closed = {x: float(hh.value(x)) for x in sites}
+        if abs(x) > n:
+            raise ConfigError(f"site {x} outside the window [{-n}, {n}]")
+    est = estimate_hhat(kernel, 0, sites, n)
+    closed = {} if family is None else {x: float(family.hhat.value(x)) for x in sites}
     rows = [[x, est.table[x], est.converged[x], est.spreads[x], closed.get(x, "")] for x in sites]
     _write_csv(out / "hhat.csv", cfg, ["site", "estimate", "converged", "spread", "closed_form"], rows)
     results: dict = {
         "hhat": {str(x): est.table[x] for x in sites},
         "all_converged": est.verdict(),
     }
-    tk = _hhat_transform(base, hints)
-    if tk is not None:
-        w = _hitting_split(tk, cfg["x0"], cfg["budgets"]["horizon_M"])
+    if family is not None:
+        w = _hitting_split(base, family, cfg["x0"], cfg["budgets"]["horizon_M"])
         results["boundary_weights"] = {
             "w_minus": w.w_minus,
             "w_plus": w.w_plus,
@@ -450,7 +419,7 @@ def cmd_transform(cfg, base, kernel, hints, out: Path) -> dict:
     return results
 
 
-def cmd_simulate(cfg, base, kernel, hints, out: Path) -> dict:
+def cmd_simulate(cfg, base, kernel, family, out: Path) -> dict:
     x0, seed, n_max = cfg["x0"], cfg["seed"], cfg["budgets"]["n_max"]
     requested = cfg["budgets"]["mc_paths"]
     n_paths = min(requested, MC_PATH_CAP)
@@ -472,18 +441,17 @@ def cmd_simulate(cfg, base, kernel, hints, out: Path) -> dict:
         "mean_zeta": float(zeta.mean()),
         "survival_tail": {str(m): float((zeta > m).mean()) for m in (5, 10, 20)},
     }
-    if "two_sided" in hints:
-        params = hints["two_sided"]
+    if isinstance(family, TwoSidedParams):
         # under lazify r the exit-time transform shifts radius to
         # 1/(r + (1-r) rho) while E_0 R^zeta keeps its base value
         r_lazy = cfg["lazify"] or 0.0
-        R = 1.0 / (r_lazy + (1.0 - r_lazy) * params.rho)
+        R = 1.0 / (r_lazy + (1.0 - r_lazy) * family.rho)
         vals = R ** zeta.astype(float)
         results["E0_R_zeta_mc_naive"] = float(vals.mean())
         results["E0_R_zeta_mc_naive_stderr"] = float(
             vals.std(ddof=1) / math.sqrt(len(vals))
         )
-        results["E0_R_zeta_closed_form"] = e0_r_zeta(params)
+        results["E0_R_zeta_closed_form"] = e0_r_zeta(family)
         results["naive_estimator_note"] = (
             "R^zeta has unit tail index; compare the truncated pair below"
         )
@@ -500,9 +468,9 @@ def cmd_simulate(cfg, base, kernel, hints, out: Path) -> dict:
             (R ** np.arange(1.0, n_star + 1) * death).sum()
         )
         # Orey probe along the +inf reversal of the lazified walk.
-        mplus = extremal_plus(params)
+        mplus = extremal_plus(family)
         lazy = lazify(base, 0.5)
-        rho_lazy = 0.5 + 0.5 * params.rho
+        rho_lazy = 0.5 + 0.5 * family.rho
         rk = time_reversal(lazy, mplus, rho_lazy)
         m_grid = tuple(cfg.get("orey_m_grid") or (64, 256, 1024))
         tr = orey_trace(rk, lazy, mplus, m_grid, seed + 1, probes=(0,))
@@ -515,19 +483,19 @@ def cmd_simulate(cfg, base, kernel, hints, out: Path) -> dict:
     return results
 
 
-def cmd_conditions(cfg, base, kernel, hints, out: Path) -> dict:
+def cmd_conditions(cfg, base, kernel, family, out: Path) -> dict:
     budgets = {"n_max": min(cfg["budgets"]["n_max"], max(cfg["n"], 2500))}
     if budgets["n_max"] < MIN_RHO_FACTORS:
         raise BudgetError(
             f"conditions needs budgets.n_max >= {MIN_RHO_FACTORS} to estimate rho, "
             f"got {budgets['n_max']}"
         )
-    report = check_conditions(kernel, hints, budgets)
+    report = check_conditions(kernel, family, budgets)
     _write_json(out / "conditions.json", cfg, report.as_dict())
     return {f"condition_{key}": v.status for key, v in sorted(report.verdicts.items())}
 
 
-def cmd_kesten(cfg, base, kernel, hints, out: Path) -> dict:
+def cmd_kesten(cfg, base, kernel, family, out: Path) -> dict:
     n_grid = tuple(cfg.get("n_grid") or (512, 4096, 16384))
     probe = oscillation_probe(
         kernel, cfg["x0"], n_grid,
@@ -590,7 +558,7 @@ def main(argv=None) -> int:
     try:
         overrides = {f.key: getattr(args, f.key) for f in FIELDS}
         cfg = resolve_config(load_config(args.config), overrides)
-        base, kernel, hints = kernel_from_config(cfg)
+        base, kernel, family = kernel_from_config(cfg)
     # the preset builders reject bad params with the built-in errors
     except (ConfigError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -608,8 +576,9 @@ def main(argv=None) -> int:
             raise BudgetError(f"n={cfg['n']} exceeds budgets.n_max={cfg['budgets']['n_max']}")
         out = Path(cfg["out_dir"])
         out.mkdir(parents=True, exist_ok=True)
-        results = COMMANDS[args.command](cfg, base, kernel, hints, out)
-    except ConfigError as exc:
+        results = COMMANDS[args.command](cfg, base, kernel, family, out)
+    # a clip that deletes all the mass ends the run with DegenerateKernelError
+    except (ConfigError, DegenerateKernelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BudgetError as exc:

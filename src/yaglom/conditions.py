@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 from .chain import NNKernel
 from .evolve import evolve_trace
-from .measures import MirrorHarmonic
+from .measures import TwoSidedParams
 from .spectral import e0_r_zeta, estimate_rho, green_partial
-from .transforms import closed_form_hhat, estimate_hhat
+from .transforms import estimate_hhat
 
 __all__ = ["ConditionVerdict", "ConditionReport", "check_conditions", "DEFAULT_BUDGETS"]
 
@@ -24,9 +24,11 @@ DEFAULT_BUDGETS = {
     "n_max": 2500,
     "green_N": 2000,
     "probe_sites": (-20, 0, 20),
-    "hhat_sites": (-3, -2, -1, 1, 2, 3),
-    "hhat_tol": 1e-2,
 }
+# [8] compares hhat at these offsets from the kill site with the +inf
+# extremal harmonic, and holds when every relative mismatch is below _HHAT_TOL
+_HHAT_SITES = (-3, -2, -1, 1, 2, 3)
+_HHAT_TOL = 1e-2
 
 
 @dataclass
@@ -65,15 +67,14 @@ def _min_stay(kernel: NNKernel) -> float:
 
 
 def check_conditions(
-    kernel: NNKernel, hints: dict | None = None, budgets: dict | None = None
+    kernel: NNKernel, family=None, budgets: dict | None = None
 ) -> ConditionReport:
     """Run all checkers and assemble the structured report.
 
-    ``hints`` may carry closed-form scenario data ("two_sided" or
-    "mirror" parameter objects, "kill_site"); without them the
-    comparison-based checks degrade to evidence-only rather than fail.
+    ``family`` holds the closed forms of the base chain (a TwoSidedParams
+    or a MirrorParams); without it the comparison-based checks degrade to
+    evidence-only rather than fail.
     """
-    hints = hints or {}
     b = {**DEFAULT_BUDGETS, **(budgets or {})}
     out: dict[str, ConditionVerdict] = {}
 
@@ -132,12 +133,11 @@ def check_conditions(
     trace = evolve_trace(kernel, 0, n_max)
     est = estimate_rho(trace)
     ev2: dict = {"rho_hat": est.rho_hat, "rho_error_bound": est.error_bound}
-    if "two_sided" in hints:
+    if family is not None:
         # closed forms for the base (unlazified) walk, as side evidence
-        ev2["base_R_closed_form"] = hints["two_sided"].R
-        ev2["base_E0_R_zeta_closed_form"] = e0_r_zeta(hints["two_sided"])
-    elif "mirror" in hints:
-        ev2["base_R_closed_form"] = hints["mirror"].R
+        ev2["base_R_closed_form"] = family.R
+    if isinstance(family, TwoSidedParams):
+        ev2["base_E0_R_zeta_closed_form"] = e0_r_zeta(family)
     R = 1.0 / est.rho_hat if est.converged else math.nan
     ev2["R"] = R
     if not est.converged:
@@ -173,7 +173,7 @@ def check_conditions(
     est8 = None
     if out["6"].status == "holds" and uniformly_aperiodic:
         x0 = int(out["6"].evidence["kill_site"])
-        sites = tuple(x0 + s for s in b["hhat_sites"])
+        sites = tuple(x0 + s for s in _HHAT_SITES)
         probe = tuple(dict.fromkeys(sites + (x0 - 1, x0 + 1)))
         est8 = estimate_hhat(kernel, x0, probe, n_max)
         ev5 = {f"ratio_at_{x}": est8.table[x] for x in (x0 - 1, x0 + 1)}
@@ -194,16 +194,13 @@ def check_conditions(
     )
 
     # --- dominant boundary point: hhat against the +inf extremal ---------
-    if out["5"].status == "holds" and ("two_sided" in hints or "mirror" in hints):
+    if out["5"].status == "holds" and family is not None:
         x0 = int(out["6"].evidence["kill_site"])
-        sites = tuple(x0 + s for s in b["hhat_sites"])
-        if "two_sided" in hints:
-            target = {x: float(closed_form_hhat(hints["two_sided"], x)) for x in sites}
-        else:
-            # the +inf extremal of the mirror chain, which hhat only
-            # matches when one boundary point dominates
-            h_plus = MirrorHarmonic(hints["mirror"], +1)
-            target = {x: float(h_plus.value(x)) for x in sites}
+        sites = tuple(x0 + s for s in _HHAT_SITES)
+        # hhat matches the +inf extremal only when one boundary point
+        # dominates: on the two-sided walk, not on the mirror chain
+        h_plus = family.h_plus
+        target = {x: float(h_plus.value(x)) for x in sites}
         rel = {
             x: abs(est8.table[x] - target[x]) / target[x] for x in sites
         }
@@ -211,7 +208,7 @@ def check_conditions(
         ev8 = {"max_rel_mismatch": worst}
         ev8.update({f"hhat_at_{x}": est8.table[x] for x in sites})
         out["8"] = ConditionVerdict(
-            "holds" if worst <= float(b["hhat_tol"]) else "fails", ev8
+            "holds" if worst <= _HHAT_TOL else "fails", ev8
         )
     elif out["5"].status == "holds":
         out["8"] = ConditionVerdict(

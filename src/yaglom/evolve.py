@@ -93,7 +93,8 @@ def evolve_trace(
     Raises
     ------
     DegenerateKernelError
-        If the chain goes extinct (total mass reaches zero).
+        If the chain goes extinct (total mass reaches zero), or the clip
+        deletes all the mass.
     """
     if n < 1:
         raise ValueError("need at least one step")
@@ -125,7 +126,8 @@ def evolve_trace(
         if k in want:
             snaps[k] = MassState(Window(lo, hi), v.copy(), rec.log_mass[-1], edge_lost + clip_lost)
     if k < n:
-        raise DegenerateKernelError(f"total extinction at step {k + 1}")
+        cause = f"clip={clip:g} left no mass" if clip else "total extinction"
+        raise DegenerateKernelError(f"{cause} at step {k + 1}")
     dist = MassState(Window(lo, hi), v, rec.log_mass[-1], edge_lost + clip_lost)
     a, b = _hull(v, rec.a, rec.b)
     tracked_vals = {y: vals[:, i].copy() for i, y in enumerate(tracked)}

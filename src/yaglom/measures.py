@@ -1,11 +1,14 @@
 """Closed-form invariant-measure families and their duals.
 
-For the two-sided walk, the one-parameter family of rho-invariant
-measures mu_c, its extremals (the entrance-boundary measures), the
-normalizer T(c), the reversibility measure gamma and the duality
-h = mu/gamma.  The mirror-symmetric chain gets the analogous closed
-forms, derived from the same double-root structure.  A generic residual
-checker certifies rho-invariance of any evaluable measure on a window.
+The parameters of the two worked examples, ``TwoSidedParams`` and
+``MirrorParams``, carry the same closed-form members: ``R``, ``rho``,
+``hhat`` and the +inf extremal harmonic ``h_plus``.  For the two-sided
+walk, the one-parameter family of rho-invariant measures mu_c, its
+extremals (the entrance-boundary measures), the normalizer T(c), the
+reversibility measure gamma and the duality h = mu/gamma.  The
+mirror-symmetric chain gets the analogous closed forms, derived from the
+same double-root structure.  A generic residual checker certifies
+rho-invariance of any evaluable measure on a window.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import Window
-from .spectral import TwoSidedParams, quadratic_roots
 
 __all__ = [
+    "TwoSidedParams",
+    "quadratic_roots",
     "ClosedFormMeasure",
     "DualHarmonic",
     "MirrorParams",
@@ -40,6 +44,66 @@ __all__ = [
     "mirror_hhat",
     "prob_values",
 ]
+
+
+@dataclass(frozen=True)
+class TwoSidedParams:
+    """Rates of the two-sided walk: up/down (p,q) on the positive half-line,
+    (a,b) on the negative one, exits (p, b) at the killing site 0.
+
+    ``hhat`` is the walk's rho-harmonic function, the dual of the +inf
+    extremal.  ``h_plus``, the +inf extremal harmonic, is the same
+    function: the +inf boundary point dominates, so the conditioned limit
+    does not depend on the start.
+    """
+
+    p: float
+    q: float
+    a: float
+    b: float
+
+    def __post_init__(self):
+        if abs(self.p + self.q - 1.0) > 1e-12 or abs(self.a + self.b - 1.0) > 1e-12:
+            raise ValueError("need p+q=1 and a+b=1")
+        if not (0.0 < self.p < self.q):
+            raise ValueError("need 0 < p < q")
+        if not (0.0 < self.b < self.a):
+            raise ValueError("need 0 < b < a")
+        if self.p * self.q <= self.a * self.b:
+            raise ValueError("need pq > ab (equivalently b < p)")
+
+    @property
+    def kappa(self) -> float:
+        return 1.0 - self.p - self.b
+
+    @property
+    def rho(self) -> float:
+        return 2.0 * math.sqrt(self.p * self.q)
+
+    @property
+    def R(self) -> float:
+        return 1.0 / self.rho
+
+    @property
+    def hhat(self) -> DualHarmonic:
+        return DualHarmonic(extremal_plus(self))
+
+    h_plus = hhat
+
+
+def quadratic_roots(params: TwoSidedParams) -> tuple[float, float]:
+    """Roots 1 < t0 <= t1 of b s^2 - 2 sqrt(pq) s + a = 0.
+
+    Both satisfy a/t + b t = 2 sqrt(pq), and t0 t1 = a/b.
+    """
+    spq = math.sqrt(params.p * params.q)
+    disc = 1.0 - params.a * params.b / (params.p * params.q)
+    if disc <= 0.0:
+        raise ValueError("no real roots: need pq > ab")
+    root = math.sqrt(disc)
+    t0 = spq * (1.0 - root) / params.b
+    t1 = spq * (1.0 + root) / params.b
+    return t0, t1
 
 
 def c_max(params: TwoSidedParams) -> float:
@@ -257,6 +321,8 @@ class MirrorParams:
     The chain is R-transient precisely when e < p (the return transform at
     the radius equals e/p); at e = p it degenerates to the null
     R-recurrent boundary case with a unique invariant probability.
+    ``hhat`` is the symmetric rho-harmonic function and ``h_plus`` the
+    extremal one with linear growth toward +inf.
     """
 
     p: float
@@ -293,6 +359,14 @@ class MirrorParams:
     def slope_h(self) -> float:
         """Linear-growth coefficient of hhat: p/e - 1."""
         return self.p / self.exit_prob - 1.0
+
+    @property
+    def hhat(self) -> MirrorHarmonic:
+        return MirrorHarmonic(self, 0)
+
+    @property
+    def h_plus(self) -> MirrorHarmonic:
+        return MirrorHarmonic(self, +1)
 
 
 @dataclass(frozen=True)
@@ -344,7 +418,7 @@ class MirrorHarmonic(_ClosedForm):
 
 
 def mirror_hhat(params: MirrorParams) -> MirrorHarmonic:
-    return MirrorHarmonic(params, 0)
+    return params.hhat
 
 
 @dataclass(frozen=True)

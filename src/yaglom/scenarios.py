@@ -15,8 +15,7 @@ import numpy as np
 
 from .chain import NNKernel, Region
 from .evolve import evolve_trace
-from .measures import MirrorParams
-from .spectral import TwoSidedParams
+from .measures import MirrorParams, TwoSidedParams
 
 __all__ = [
     "KestenSchedule",
@@ -29,7 +28,6 @@ __all__ = [
     "oscillation_probe",
     "PRESETS",
     "preset_kernel",
-    "preset_hints",
 ]
 
 
@@ -180,42 +178,40 @@ def oscillation_probe(
     return OscillationProbe(n_grid, tv, max_tv, trace.survival_factors)
 
 
-def _kesten_schedule(schedule) -> KestenSchedule:
+def _two_sided(p=0.25, q=0.75, a=0.9, b=0.1):
+    family = TwoSidedParams(p, q, a, b)
+    return build_two_sided(family.p, family.q, family.a, family.b), family
+
+
+def _symmetric(p=0.25, **given):
+    # exit_prob defaults to p/2; an explicit null is rejected, not defaulted
+    family = MirrorParams(p, **{"exit_prob": p / 2.0, **given})
+    return build_symmetric(family.p, family.exit_prob), family
+
+
+def _kesten(schedule=None):
     if schedule is None:
-        return default_kesten_schedule()
+        schedule = default_kesten_schedule()
     if not isinstance(schedule, KestenSchedule):
         raise TypeError(f"kesten schedule must be a KestenSchedule, got {type(schedule).__name__}")
-    return schedule
+    return build_kesten(schedule), None
 
 
-_TWO_SIDED_DEFAULT = dict(p=0.25, q=0.75, a=0.9, b=0.1)
-_SYMMETRIC_DEFAULT = dict(p=0.25)
-_ALPHA_DEFAULT = dict(alpha=0.9, a=0.6, b=0.4)
+def _alpha_walk(alpha=0.9, a=0.6, b=0.4):
+    return build_alpha_walk(alpha, a, b), None
 
+
+# name -> builder of (kernel, family) from the preset's params, where the
+# family is the chain's closed forms: a TwoSidedParams, a MirrorParams or None
 PRESETS = {
-    "two_sided": lambda **kw: build_two_sided(**{**_TWO_SIDED_DEFAULT, **kw}),
-    "symmetric": lambda **kw: build_symmetric(**{**_SYMMETRIC_DEFAULT, **kw}),
-    "kesten": lambda schedule=None: build_kesten(_kesten_schedule(schedule)),
-    "alpha_walk": lambda **kw: build_alpha_walk(**{**_ALPHA_DEFAULT, **kw}),
+    "two_sided": _two_sided,
+    "symmetric": _symmetric,
+    "kesten": _kesten,
+    "alpha_walk": _alpha_walk,
 }
 
 
 def preset_kernel(name: str, params: dict | None = None) -> NNKernel:
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    return PRESETS[name](**(params or {}))
-
-
-def preset_hints(name: str, params: dict | None = None) -> dict:
-    """Closed-form scenario hints used by the condition checker and CLI."""
-    params = params or {}
-    if name == "two_sided":
-        kw = {**_TWO_SIDED_DEFAULT, **params}
-        return {"two_sided": TwoSidedParams(**kw), "kill_site": 0}
-    if name == "symmetric":
-        p = params.get("p", _SYMMETRIC_DEFAULT["p"])
-        e = params.get("exit_prob", p / 2.0)
-        return {"mirror": MirrorParams(p, e), "kill_site": 0}
-    if name == "kesten":
-        return {"kill_site": 0}
-    return {}
+    return PRESETS[name](**(params or {}))[0]

@@ -3,8 +3,9 @@
 Numerical side: Richardson extrapolation of survival-factor series and
 partial sums of the potential G_{x,y}(w) = sum_n w^n K^n(x,y) with a
 heuristic n^(-3/2) tail fit.  Closed-form side: the two-sided walk's
-spectral radius, the roots of b s^2 - 2 sqrt(pq) s + a, the return-time
-transform F_00, and the local asymptotics of K^{2n}(0,0).
+return-time transform F_00, E_0 R^zeta and the local asymptotics of
+K^{2n}(0,0); its parameters and the roots of b s^2 - 2 sqrt(pq) s + a
+live in ``measures``.
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ from scipy.special import zeta
 
 from .chain import MassState, Window, _normalised_run
 from .evolve import YaglomTrace
+from .measures import TwoSidedParams, quadratic_roots  # noqa: F401  (re-exported)
 
 __all__ = [
-    "TwoSidedParams",
     "SpectralEstimate",
     "GreenPartial",
     "estimate_rho",
-    "quadratic_roots",
     "closed_form_F00",
     "closed_form_V",
     "e0_r_zeta",
@@ -31,39 +31,6 @@ __all__ = [
     "chi_entrance",
     "k2n00_asymptotic",
 ]
-
-
-@dataclass(frozen=True)
-class TwoSidedParams:
-    """Rates of the two-sided walk: up/down (p,q) on the positive half-line,
-    (a,b) on the negative one, exits (p, b) at the killing site 0."""
-
-    p: float
-    q: float
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if abs(self.p + self.q - 1.0) > 1e-12 or abs(self.a + self.b - 1.0) > 1e-12:
-            raise ValueError("need p+q=1 and a+b=1")
-        if not (0.0 < self.p < self.q):
-            raise ValueError("need 0 < p < q")
-        if not (0.0 < self.b < self.a):
-            raise ValueError("need 0 < b < a")
-        if self.p * self.q <= self.a * self.b:
-            raise ValueError("need pq > ab (equivalently b < p)")
-
-    @property
-    def kappa(self) -> float:
-        return 1.0 - self.p - self.b
-
-    @property
-    def rho(self) -> float:
-        return 2.0 * math.sqrt(self.p * self.q)
-
-    @property
-    def R(self) -> float:
-        return 1.0 / self.rho
 
 
 @dataclass(frozen=True)
@@ -91,16 +58,16 @@ def _richardson(series: np.ndarray) -> np.ndarray:
 
 
 MIN_RHO_FACTORS = 200
+# extrapolant spread above which a survival-factor series has not converged
+_CAUCHY_TOL = 1e-3
 
 
-def estimate_rho(
-    trace: YaglomTrace | np.ndarray, cauchy_tol: float = 1e-3
-) -> SpectralEstimate:
+def estimate_rho(trace: YaglomTrace | np.ndarray) -> SpectralEstimate:
     """Extrapolated limit of the survival-factor series.
 
     The estimate is the median of the trailing Richardson extrapolants.
     The error bound is their spread over the last half of the series; if
-    that spread exceeds ``cauchy_tol`` the series is declared
+    that spread exceeds ``_CAUCHY_TOL`` the series is declared
     non-convergent and the bound reported is infinite.
     """
     series = trace.survival_factors if isinstance(trace, YaglomTrace) else np.asarray(trace)
@@ -111,24 +78,9 @@ def estimate_rho(
     last = extrap[-min(50, len(extrap) // 4) :]
     rho_hat = float(np.median(last))
     spread = float(tail.max() - tail.min())
-    if spread > cauchy_tol:
+    if spread > _CAUCHY_TOL:
         return SpectralEstimate(rho_hat, math.inf)
     return SpectralEstimate(rho_hat, spread)
-
-
-def quadratic_roots(params: TwoSidedParams) -> tuple[float, float]:
-    """Roots 1 < t0 <= t1 of b s^2 - 2 sqrt(pq) s + a = 0.
-
-    Both satisfy a/t + b t = 2 sqrt(pq), and t0 t1 = a/b.
-    """
-    spq = math.sqrt(params.p * params.q)
-    disc = 1.0 - params.a * params.b / (params.p * params.q)
-    if disc <= 0.0:
-        raise ValueError("no real roots: need pq > ab")
-    root = math.sqrt(disc)
-    t0 = spq * (1.0 - root) / params.b
-    t1 = spq * (1.0 + root) / params.b
-    return t0, t1
 
 
 def closed_form_F00(params: TwoSidedParams, z: float) -> float:

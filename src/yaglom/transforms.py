@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import Window, _normalised_run
-from .measures import Mixture, dual_harmonic, extremal_plus
-from .spectral import TwoSidedParams
+from .measures import Mixture, TwoSidedParams
 
 __all__ = [
     "TransformedKernel",
@@ -135,27 +134,30 @@ def _ruin_w_plus(tk, x: int, M: int) -> float:
     return float(phi[: x + M].sum() / phi.sum())
 
 
+# hitting_split: the change in w_plus that ends the doubling, and the
+# largest row-sum defect accepted as a stochastic transformed kernel
+_SPLIT_TOL = 1e-9
+_RESIDUAL_TOL = 1e-9
+
+
 def hitting_split(
-    tk: TransformedKernel,
-    x: int,
-    M_start: int = 64,
-    M_cap: int = 4096,
-    tol: float = 1e-9,
-    residual_tol: float = 1e-9,
+    tk: TransformedKernel, x: int, M_start: int = 64, M_cap: int = 4096
 ) -> BoundaryWeights:
     """Boundary weights by the gambler's-ruin system with doubling horizon.
 
     Solves the two-point hitting problem on [-M, M], starting from
     M = max(M_start, 2|x| + 2), and doubles M until the answer moves by
-    less than ``tol`` (or the cap is reached, in which case ``converged``
-    is False and ``delta`` reports the last change).  Raises if
-    2|x| + 2 exceeds ``M_cap``: the first window alone would pass the cap.
+    less than ``_SPLIT_TOL`` (or the cap is reached, in which case
+    ``converged`` is False and ``delta`` reports the last change).  Raises
+    if 2|x| + 2 exceeds ``M_cap`` (the first window alone would pass the
+    cap), or if the rows of ``tk`` near 0 miss 1 by more than
+    ``_RESIDUAL_TOL``.
     """
     if 2 * abs(x) + 2 > M_cap:
         raise ValueError(f"start {x} needs a horizon of {2 * abs(x) + 2}, above M_cap={M_cap}")
     check = Window(-min(M_start, 64), min(M_start, 64))
     resid = tk.stochastic_residual(check)
-    if resid > residual_tol:
+    if resid > _RESIDUAL_TOL:
         raise ValueError(f"transformed kernel not stochastic: residual {resid:g}")
     M = max(M_start, 2 * abs(x) + 2)
     w = _ruin_w_plus(tk, x, M)
@@ -165,9 +167,9 @@ def hitting_split(
         w_next = _ruin_w_plus(tk, x, M)
         delta = abs(w_next - w)
         w = w_next
-        if delta < tol:
+        if delta < _SPLIT_TOL:
             return BoundaryWeights(1.0 - w, w, True, delta, M)
-    return BoundaryWeights(1.0 - w, w, delta < tol, delta, M)
+    return BoundaryWeights(1.0 - w, w, delta < _SPLIT_TOL, delta, M)
 
 
 @dataclass
@@ -184,7 +186,13 @@ class HhatEstimate:
         return all(self.converged.values())
 
 
-def _window_cauchy(series: np.ndarray, width: int = 50, rel_tol: float = 1e-3):
+# estimate_hhat: a ratio series has converged when every run of _HHAT_WIDTH
+# consecutive terms in its last half spans at most _HHAT_REL_TOL of its level
+_HHAT_WIDTH = 50
+_HHAT_REL_TOL = 1e-3
+
+
+def _window_cauchy(series: np.ndarray):
     """Max sliding-window spread over the last half, relative to the level.
 
     A tail with no positive finite entry (a site out of reach, or a
@@ -193,21 +201,15 @@ def _window_cauchy(series: np.ndarray, width: int = 50, rel_tol: float = 1e-3):
     """
     half = series[len(series) // 2 :]
     half = half[np.isfinite(half)]
-    if len(half) < width + 1 or not (half > 0.0).any():
+    if len(half) < _HHAT_WIDTH + 1 or not (half > 0.0).any():
         return math.inf, False
     level = abs(float(np.median(half))) or 1.0
-    windows = np.lib.stride_tricks.sliding_window_view(half, width)
+    windows = np.lib.stride_tricks.sliding_window_view(half, _HHAT_WIDTH)
     spread = float((windows.max(axis=1) - windows.min(axis=1)).max()) / level
-    return spread, spread <= rel_tol
+    return spread, spread <= _HHAT_REL_TOL
 
 
-def estimate_hhat(
-    kernel,
-    x0: int,
-    sites,
-    n_max: int,
-    rel_tol: float = 1e-3,
-) -> HhatEstimate:
+def estimate_hhat(kernel, x0: int, sites, n_max: int) -> HhatEstimate:
     """Estimate hhat(x)/hhat(x0) from the ratio series K^n(x,x0)/K^n(x0,x0).
 
     The ratios at step n are entries of one backward vector K^n e_{x0}.
@@ -237,14 +239,14 @@ def estimate_hhat(
     out, conv, spreads = {}, {}, {}
     for x, ratio in series.items():
         out[x] = float(ratio[np.isfinite(ratio)][-1])  # step 0 is always finite
-        spreads[x], conv[x] = _window_cauchy(ratio, rel_tol=rel_tol)
+        spreads[x], conv[x] = _window_cauchy(ratio)
     return HhatEstimate(x0, out, conv, spreads, series)
 
 
 def closed_form_hhat(params: TwoSidedParams, x) -> float | np.ndarray:
     """hhat of the two-sided walk: t0^{-x} for x < 0, (1+c1 x)(q/p)^{x/2}
     for x >= 0, with c1 = sqrt(1 - ab/pq).  Equals mu_plus/gamma pointwise."""
-    return dual_harmonic(extremal_plus(params)).value(x)
+    return params.hhat.value(x)
 
 
 def mixture_limit(weights: BoundaryWeights, pi_minus, pi_plus) -> Mixture:

@@ -15,11 +15,10 @@ PUBLIC = {
     "estimate_rho", "evolve_trace", "extremal_minus", "extremal_plus", "family_measure",
     "green_partial", "h_transform", "harmonic_residual", "hitting_split",
     "invariance_residual", "k2n00_asymptotic", "lazify", "mirror_extremal", "mirror_hhat",
-    "mixture_limit", "normalizer_T", "orey_trace", "oscillation_probe", "preset_hints",
-    "preset_kernel", "prob_values", "quadratic_roots", "r_zeta_conditional",
-    "reversibility_gamma", "simulate_absorbed", "simulate_transformed", "square_even",
-    "taboo_first_return", "time_reversal", "total_variation", "transformed_finals",
-    "validate",
+    "mixture_limit", "normalizer_T", "orey_trace", "oscillation_probe", "preset_kernel",
+    "prob_values", "quadratic_roots", "r_zeta_conditional", "reversibility_gamma",
+    "simulate_absorbed", "simulate_transformed", "square_even", "taboo_first_return",
+    "time_reversal", "total_variation", "transformed_finals", "validate",
 }
 
 

@@ -108,6 +108,11 @@ def test_missing_chain_keys_is_schema_error(tmp_path):
         ("transform", {"x0": 1e30}),
         ("simulate", {"x0": 10**30}),
         ("transform", {"budgets": {"horizon_M": 0}}),
+        ("yaglom", {"chain": {"preset": "symmetric", "params": {"exit_prob": None}}}),
+        ("simulate", {"budgets": {"mc_paths": 1}}),
+        # a clip that deletes all the mass
+        ("yaglom", {"chain": {"preset": "alpha_walk"}, "clip": 0.5}),
+        ("kesten", {"chain": {"preset": "alpha_walk"}, "clip": 0.5, "n_grid": [200, 400]}),
     ],
 )
 def test_malformed_config_is_one_line_config_error(tmp_path, capsys, command, cfg):
@@ -377,6 +382,8 @@ def configs(draw):
     return cfg
 
 
+# NaN-producing arithmetic warns; the warning fails the test
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(sorted(COMMANDS)), cfg=configs())
 def test_any_config_exits_with_a_documented_code(tmp_path, command, cfg):

@@ -1,23 +1,25 @@
 import pytest
 
 from yaglom import (
+    MirrorParams,
+    TwoSidedParams,
     build_alpha_walk,
     build_kesten,
     build_symmetric,
     build_two_sided,
     check_conditions,
     lazify,
-    preset_hints,
 )
 from yaglom.scenarios import default_kesten_schedule
 
 BUDGETS = {"n_max": 2500, "green_N": 1500}
+TWO_SIDED = TwoSidedParams(0.25, 0.75, 0.9, 0.1)
 
 
 @pytest.fixture(scope="module")
 def lazy_two_sided_report():
     k = lazify(build_two_sided(0.25, 0.75, 0.9, 0.1), 0.5)
-    return check_conditions(k, preset_hints("two_sided"), BUDGETS)
+    return check_conditions(k, TWO_SIDED, BUDGETS)
 
 
 def test_two_sided_lazified_all_hold(lazy_two_sided_report):
@@ -36,7 +38,7 @@ def test_every_verdict_carries_evidence(lazy_two_sided_report):
 
 def test_periodic_walk_fails_aperiodicity_and_stay_floor():
     k = build_two_sided(0.25, 0.75, 0.9, 0.1)
-    rep = check_conditions(k, preset_hints("two_sided"), BUDGETS)
+    rep = check_conditions(k, TWO_SIDED, BUDGETS)
     assert rep.status("1") == "fails"
     assert rep.status("7") == "fails"
     assert rep.verdicts["7"].evidence["min_stay"] == 0.0
@@ -44,7 +46,7 @@ def test_periodic_walk_fails_aperiodicity_and_stay_floor():
 
 def test_symmetric_chain_mixture_signature():
     k = lazify(build_symmetric(0.25), 0.5)
-    rep = check_conditions(k, preset_hints("symmetric"), BUDGETS)
+    rep = check_conditions(k, MirrorParams(0.25, 0.125), BUDGETS)
     for key in ("1", "2", "3", "5", "6", "7"):
         assert rep.holds(key), (key, rep.verdicts[key])
     # hhat is the symmetric average of the extremals, not h_plus alone
@@ -52,7 +54,7 @@ def test_symmetric_chain_mixture_signature():
 
 
 def test_alpha_walk_kill_support_unbounded():
-    rep = check_conditions(build_alpha_walk(0.9, 0.6, 0.4), {}, BUDGETS)
+    rep = check_conditions(build_alpha_walk(0.9, 0.6, 0.4), None, BUDGETS)
     assert rep.status("6") == "fails"
     assert rep.status("3") == "fails"
     assert rep.holds("1")  # stay rate 2 alpha^2 a b > 0 everywhere
@@ -63,7 +65,7 @@ def test_alpha_walk_kill_support_unbounded():
 
 def test_kesten_schedule_jacka_roberts_breaks():
     k = build_kesten(default_kesten_schedule())
-    rep = check_conditions(k, preset_hints("kesten"), {"n_max": 4096, "green_N": 1000})
+    rep = check_conditions(k, None, {"n_max": 4096, "green_N": 1000})
     assert rep.status("7") == "fails"  # stay rates dip to 1/4
     assert rep.status("5") in ("fails", "evidence-only")
     assert rep.status("2") in ("holds", "evidence-only")
@@ -71,6 +73,6 @@ def test_kesten_schedule_jacka_roberts_breaks():
 
 def test_report_is_deterministic():
     k = lazify(build_two_sided(0.25, 0.75, 0.9, 0.1), 0.5)
-    a = check_conditions(k, preset_hints("two_sided"), BUDGETS).as_dict()
-    b = check_conditions(k, preset_hints("two_sided"), BUDGETS).as_dict()
+    a = check_conditions(k, TWO_SIDED, BUDGETS).as_dict()
+    b = check_conditions(k, TWO_SIDED, BUDGETS).as_dict()
     assert a == b

@@ -142,6 +142,10 @@ def test_dual_harmonic_values_and_residual():
     assert harmonic_residual(KERNEL, h, PARAMS.rho, Window(-60, 60)) < 1e-12
     h_minus = dual_harmonic(extremal_minus(PARAMS))
     assert harmonic_residual(KERNEL, h_minus, PARAMS.rho, Window(-60, 60)) < 1e-12
+    # the family members: hhat and the +inf extremal harmonic are this h
+    xs = np.arange(-30, 31)
+    assert np.array_equal(PARAMS.hhat.value(xs), h.value(xs))
+    assert np.array_equal(PARAMS.h_plus.value(xs), h.value(xs))
 
 
 def test_dual_harmonic_is_mu_over_gamma():
@@ -270,6 +274,11 @@ def test_mirror_hhat_harmonic_and_symmetric():
     for side in (+1, -1):
         h = MirrorHarmonic(MIRROR, side)
         assert harmonic_residual(MKERNEL, h, MIRROR.rho, Window(-50, 50)) < 1e-12
+    # the family members: hhat and the +inf extremal harmonic
+    assert np.array_equal(MIRROR.hhat.value(xs), hh.value(xs))
+    assert np.array_equal(MIRROR.h_plus.value(xs), h_p.value(xs))
+    for member in (MIRROR.hhat, MIRROR.h_plus):
+        assert harmonic_residual(MKERNEL, member, MIRROR.rho, Window(-50, 50)) < 1e-12
 
 
 def test_mirror_extremals_match_entrance_kernel():
