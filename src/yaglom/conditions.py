@@ -138,9 +138,10 @@ def check_conditions(
         ev2["base_R_closed_form"] = family.R
     if isinstance(family, TwoSidedParams):
         ev2["base_E0_R_zeta_closed_form"] = e0_r_zeta(family)
-    R = 1.0 / est.rho_hat if est.converged else math.nan
+    # no R from a series that did not converge: null in the JSON report
+    R = 1.0 / est.rho_hat if est.converged else None
     ev2["R"] = R
-    if not est.converged:
+    if R is None:
         out["2"] = ConditionVerdict("evidence-only", ev2)
     elif not R > 1.0:
         out["2"] = ConditionVerdict("fails", ev2)

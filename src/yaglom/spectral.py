@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta
 
 from .chain import MassState, Window, _normalised_run
 from .evolve import YaglomTrace
@@ -159,6 +158,63 @@ def green_partial(kernel, x: int, y, w: float, N: int) -> GreenPartial:
     return GreenPartial(float(terms.sum()), _fit_tail(terms, N), N + 1)
 
 
+# Euler-Maclaurin coefficients (2k)!/B_2k of the Cephes Hurwitz zeta
+_ZETA_A = (
+    12.0,
+    -720.0,
+    30240.0,
+    -1209600.0,
+    47900160.0,
+    -1.8924375803183791606e9,
+    7.47242496e10,
+    -2.950130727918164224e12,
+    1.1646782814350067249e14,
+    -4.5979787224074726105e15,
+    1.8152105401943546773e17,
+    -7.1661652561756670113e18,
+)
+_MACHEP = 1.11022302462515654042e-16
+
+
+def _hurwitz_zeta(x: float, q: float) -> float:
+    """Hurwitz zeta sum_{k>=0} (k + q)^(-x) for x > 1, q > 0.
+
+    The Cephes algorithm, step for step and in the same float operations,
+    so it returns the same bits as ``scipy.special.zeta(x, q)``: the terms
+    k = 0..9, and on until k + q > 9, summed directly, then an
+    Euler-Maclaurin tail of at most 12 terms; each loop stops once its
+    last term is below MACHEP relative to the sum.  Beyond q = 1e8 the
+    two-term asymptotic expansion (DLMF 25.11.43) is used.
+    """
+    if q > 1e8:
+        return (1.0 / (x - 1.0) + 1.0 / (2.0 * q)) * q ** (1.0 - x)
+    s = q**-x
+    a, i, b = q, 0, 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a**-x
+        s += b
+        if abs(b / s) < _MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a, k = 1.0, 0.0
+    for coef in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / coef
+        s += t
+        if abs(t / s) < _MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
+
+
 _TAIL_TERMS = 99999
 _TAIL_CHUNK = 8192
 
@@ -184,7 +240,7 @@ def _fit_tail(terms: np.ndarray, N: int) -> float:
     c = math.exp(logc)
     if logg > -1e-12:
         # effectively g = 1: tail = c * Hurwitz zeta(3/2, N+1)
-        return c * float(zeta(1.5, N + 1))
+        return c * _hurwitz_zeta(1.5, N + 1)
     # Sum c g^k k^(-3/2) for k > N up to the first term below 1e-16 of the
     # running total, at most _TAIL_TERMS terms.  Each chunk's products and
     # sums run in order from the last chunk's, as a term-by-term loop would.

@@ -56,6 +56,20 @@ def test_conditions_subcommand_all_holds(tmp_path):
     assert all(s == "holds" for s in statuses.values()), statuses
 
 
+def test_conditions_report_is_standard_json(tmp_path):
+    # kesten's rho series does not converge: [2] has no R, written as null
+    def reject_nan(name):
+        if name == "NaN":
+            raise ValueError("NaN in conditions.json")
+        return float(name)
+
+    assert run(["conditions", "--preset", "kesten", "--out-dir", tmp_path]) == 0
+    with open(tmp_path / "conditions.json") as fh:
+        rep = json.loads(fh.read(), parse_constant=reject_nan)
+    assert rep["results"]["2"]["status"] == "evidence-only"
+    assert rep["results"]["2"]["evidence"]["R"] is None
+
+
 def test_unknown_preset_is_schema_error(tmp_path):
     assert run(["yaglom", "--preset", "nope", "--out-dir", tmp_path]) == 2
 

@@ -24,7 +24,7 @@ from yaglom import (
     taboo_first_return,
 )
 from yaglom.chain import Window
-from yaglom.spectral import _fit_tail
+from yaglom.spectral import _fit_tail, _hurwitz_zeta
 
 PARAMS = TwoSidedParams(0.25, 0.75, 0.9, 0.1)
 
@@ -134,8 +134,6 @@ def test_F00_matches_taboo_series_with_tail():
     # terms decay like k^(-3/2); fit the constant on the last decade
     sel = ks >= int(0.9 * N)
     c = float(np.mean(terms[sel] * ks[sel] ** 1.5))
-    from scipy.special import zeta
-
     tail = c * float(zeta(1.5, N + 1))
     assert partial + tail == pytest.approx(closed_form_V(PARAMS), abs=5e-3)
 
@@ -219,6 +217,19 @@ def loop_fit_tail(terms, N):
             return tail, "stop"
         gk *= g
     return tail, "cap"
+
+
+def test_hurwitz_zeta_matches_scipy_bit_for_bit():
+    """The library's port of the Cephes Hurwitz zeta returns the bits of
+    scipy.special.zeta (a test-only dependency) at every q = N + 1 a tail
+    fit can ask for: all of 2..20000 and a sparse grid up to 1e7."""
+    qs = np.concatenate(
+        [np.arange(2, 20001), np.unique(np.round(np.geomspace(2e4, 1e7, 10000)))]
+    ).astype(int)
+    want = zeta(1.5, qs.astype(float))
+    got = np.array([_hurwitz_zeta(1.5, int(q)) for q in qs])
+    diff = np.flatnonzero(got != want)
+    assert diff.size == 0, [(int(qs[i]), got[i], want[i]) for i in diff[:5]]
 
 
 def test_fit_tail_matches_term_by_term_loop():
