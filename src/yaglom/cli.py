@@ -10,10 +10,10 @@ failure, 4 budget exhaustion.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -52,6 +52,7 @@ EXIT_VALIDATION = 3
 EXIT_BUDGET = 4
 
 MC_PATH_CAP = 200000
+_CSV_CHUNK = 4096  # rows formatted per write
 MAX_SITE = 10**9  # keeps every site index the subcommands form inside int64
 
 
@@ -253,18 +254,24 @@ def _reference_measure(base, family, x0: int, horizon_M: int):
 
 
 def _write_csv(path: Path, cfg: dict, header: list[str], rows) -> None:
+    """The config echo as a comment line, then the header and the rows,
+    written as ``csv.writer`` writes them.  Cells are numbers, bools or ""
+    only: none needs quoting, and each is written as its ``str``.  Rows
+    are formatted in chunks of _CSV_CHUNK, so the whole file is never held
+    as one string."""
+    line = ",".join(["%s"] * len(header)) + "\r\n"
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
-        fh.write("# " + json.dumps(cfg, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("# " + _json(cfg) + "\n")
+        fh.write(",".join(header) + "\r\n")
+        while chunk := "".join([line % tuple(row) for row in islice(rows, _CSV_CHUNK)]):
+            fh.write(chunk)
 
 
 def _write_json(path: Path, cfg: dict, results: dict) -> None:
     doc = {"tool": f"yaglom {__version__}", "config": cfg, "results": results}
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_jsonable)
-        fh.write("\n")
+        fh.write(_json(doc, indent=2) + "\n")
 
 
 def _write_measures(out: Path, cfg: dict, window: Window, plus, minus) -> None:
@@ -282,6 +289,26 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     return str(obj)
+
+
+def _finite(obj):
+    """``obj`` with every non-finite float replaced by None: JSON has no
+    Infinity or NaN, so an unbounded error bound or count is written null."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _json(obj, indent=None) -> str:
+    """Strict JSON text of a report, config echo or summary; a non-finite
+    number that reaches the encoder raises instead of writing Infinity."""
+    return json.dumps(
+        _finite(obj), indent=indent, sort_keys=True, default=_jsonable, allow_nan=False
+    )
 
 
 # ----------------------------------------------------------------------
@@ -585,7 +612,7 @@ def main(argv=None) -> int:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     summary = {k: v for k, v in results.items() if not isinstance(v, (dict, list))}
-    print(json.dumps(summary, default=_jsonable, sort_keys=True))
+    print(_json(summary))
     return EXIT_OK
 
 

@@ -54,18 +54,21 @@ _INIT_HALFWIDTH = 4000
 
 
 def _thresholds(up, stay, down=None):
-    """Cumulative thresholds (up, up+stay, up+stay+down) of each row, as a
-    (3, sites) array.  Without ``down`` the kernel is stochastic and the
-    last threshold is +inf."""
+    """Cumulative thresholds of each row, as 1-D arrays: up, up + stay and,
+    unless the kernel is stochastic (no ``down``), the row total up + stay
+    + down.  A stochastic table has no total, so it never kills."""
     upstay = up + stay
-    return np.stack((up, upstay, np.full_like(up, np.inf) if down is None else upstay + down))
+    return (up, upstay) if down is None else (up, upstay, upstay + down)
 
 
-def _move(u, up, upstay, total):
-    """Where a uniform ``u`` sends a path: 1 - #{thresholds <= u}, that is
-    +1, 0 or -1, or -2 (killed) once u reaches the row total.  Scalars and
-    arrays alike."""
-    return 1 - (u >= up) - (u >= upstay) - (u >= total)
+def _move(u, i, up, upstay, total=None):
+    """Where a uniform ``u`` sends a path on row ``i`` of the thresholds:
+    1 - #{thresholds <= u}, that is +1, 0 or -1, or -2 (killed) once u
+    reaches the row total.  Scalars on lists and arrays alike."""
+    move = 1 - (u >= up[i]) - (u >= upstay[i])
+    if total is not None:
+        move -= u >= total[i]
+    return move
 
 
 def _renormalised(up, stay, down):
@@ -83,13 +86,14 @@ def _stochastic_rows(tk, check: Window, tol: float, lo: int, hi: int):
     return _renormalised(*tk.rows(lo, hi))
 
 
-def _walk(cum, lo: int, x0: int, steps: int, rng):
-    """One path of at most ``steps`` moves from x0 on the thresholds ``cum``
-    of sites lo, lo+1, ...; returns the visited sites and the kill time,
-    or None if the path survived."""
+def _walk(table, lo: int, x0: int, steps: int, rng):
+    """One path of at most ``steps`` moves from x0 on the thresholds
+    ``table`` of sites lo, lo+1, ...; returns the visited sites and the
+    kill time, or None if the path survived."""
+    table = [t.tolist() for t in table]  # the walk reads Python floats
     path = [x0]
     for n in range(1, steps + 1):
-        move = _move(rng.random(), *cum[:, path[-1] - lo].tolist())
+        move = _move(rng.random(), path[-1] - lo, *table)
         if move == -2:
             return np.array(path), n
         path.append(path[-1] + move)
@@ -101,8 +105,8 @@ def simulate_absorbed(kernel, x0: int, horizon: int, seed: int) -> TrajectorySam
     if horizon < 1:
         raise ValueError("need horizon >= 1")
     rng = np.random.default_rng(seed)
-    cum = _thresholds(*kernel.rows(x0 - horizon, x0 + horizon))
-    return TrajectorySample(seed, x0, *_walk(cum, x0 - horizon, x0, horizon, rng))
+    table = _thresholds(*kernel.rows(x0 - horizon, x0 + horizon))
+    return TrajectorySample(seed, x0, *_walk(table, x0 - horizon, x0, horizon, rng))
 
 
 def absorption_times(
@@ -117,20 +121,24 @@ def absorption_times(
     rng = np.random.default_rng(seed)
     zeta = np.zeros(n_paths, dtype=np.int64)
     live = np.arange(n_paths)  # live paths, in draw order
-    pos = np.full(n_paths, x0, dtype=np.int64)
+    row = np.zeros(n_paths, dtype=np.int64)  # their rows; x0 is row H
     n = H = 0
     while live.size:
         n += 1
         if n > max_steps:
             raise RuntimeError("paths not absorbed within max_steps")
         if n >= H:
-            H = max(2 * H, _HALFWIDTH)
-            cum = _thresholds(*kernel.rows(x0 - H, x0 + H))
-        move = _move(rng.random(live.size), *cum[:, pos - (x0 - H)])
+            grow = max(H, _HALFWIDTH)
+            H += grow
+            row += grow
+            table = _thresholds(*kernel.rows(x0 - H, x0 + H))
+        move = _move(rng.random(live.size), row, *table)
+        row += move
         died = move == -2
-        zeta[live[died]] = n
-        keep = ~died
-        live, pos = live[keep], (pos + move)[keep]
+        if died.any():
+            zeta[live[died]] = n
+            keep = ~died
+            live, row = live[keep], row[keep]
     return zeta
 
 
@@ -172,8 +180,8 @@ def r_zeta_conditional(kernel, x0: int, n_paths: int, seed: int, R: float) -> np
             break
         if n >= H:
             H = max(2 * H, _HALFWIDTH)
-            cum = _renormalised(*kernel.rows(x0 - H, x0 + H))  # unkilled chain
-        pos += _move(rng.random(live.size), *cum[:, pos - (x0 - H)])
+            table = _renormalised(*kernel.rows(x0 - H, x0 + H))  # unkilled chain
+        pos += _move(rng.random(live.size), pos - (x0 - H), *table)
         weight *= R
         hit = pos == kill_site
         out[live[hit]] += weight[hit]
@@ -189,20 +197,20 @@ def r_zeta_conditional(kernel, x0: int, n_paths: int, seed: int, R: float) -> np
 
 def simulate_transformed(tk, x0: int, steps: int, seed: int) -> TrajectorySample:
     """Sample one never-absorbed path of a (stochastic) transformed kernel."""
-    cum = _stochastic_rows(tk, Window(x0 - 16, x0 + 16), 1e-9, x0 - steps, x0 + steps)
+    table = _stochastic_rows(tk, Window(x0 - 16, x0 + 16), 1e-9, x0 - steps, x0 + steps)
     rng = np.random.default_rng(seed)
-    return TrajectorySample(seed, x0, *_walk(cum, x0 - steps, x0, steps, rng))
+    return TrajectorySample(seed, x0, *_walk(table, x0 - steps, x0, steps, rng))
 
 
 def transformed_finals(tk, x0: int, steps: int, n_paths: int, seed: int) -> np.ndarray:
     """Final positions of ``n_paths`` conditioned-chain paths."""
     lo = x0 - steps
-    cum = _stochastic_rows(tk, Window(x0 - 16, x0 + 16), 1e-9, lo, x0 + steps)
+    table = _stochastic_rows(tk, Window(x0 - 16, x0 + 16), 1e-9, lo, x0 + steps)
     rng = np.random.default_rng(seed)
-    xs = np.full(n_paths, x0, dtype=np.int64)
+    row = np.full(n_paths, steps, dtype=np.int64)  # x0 is row ``steps``
     for _ in range(steps):
-        xs += _move(rng.random(n_paths), *cum[:, xs - lo])
-    return xs
+        row += _move(rng.random(n_paths), row, *table)
+    return row + lo
 
 
 def empirical_hitting_split(tk, x: int, M: int, n_paths: int, seed: int) -> float:
@@ -213,21 +221,23 @@ def empirical_hitting_split(tk, x: int, M: int, n_paths: int, seed: int) -> floa
     """
     if M <= abs(x):
         raise ValueError("need M > |x|")
-    cum = _stochastic_rows(tk, Window(x - 8, x + 8), 1e-9, -M, M)
+    if n_paths < 1:
+        raise ValueError("need n_paths >= 1")
+    table = _stochastic_rows(tk, Window(x - 8, x + 8), 1e-9, -M, M)
     rng = np.random.default_rng(seed)
-    live = np.arange(n_paths)
-    pos = np.full(n_paths, x, dtype=np.int64)
-    hit_plus = np.zeros(n_paths, dtype=bool)
+    top = 2 * M  # the row of +M; -M is row 0
+    row = np.full(n_paths, x + M, dtype=np.int64)  # live paths, in draw order
+    plus = 0
     steps = 0
-    while live.size:
+    while row.size:
         steps += 1
         if steps > _HITTING_MAX_STEPS:
             raise RuntimeError(f"hitting simulation exceeded {_HITTING_MAX_STEPS} steps")
-        pos += _move(rng.random(live.size), *cum[:, pos + M])
-        hit_plus[live[pos >= M]] = True
-        keep = (pos > -M) & (pos < M)
-        live, pos = live[keep], pos[keep]
-    return float(hit_plus.mean())
+        row += _move(rng.random(row.size), row, *table)
+        if row.min() == 0 or row.max() == top:
+            plus += int(np.count_nonzero(row == top))
+            row = row[(row > 0) & (row < top)]
+    return plus / n_paths
 
 
 def sample_initial_site(measure, rng):
@@ -277,8 +287,8 @@ def orey_trace(rk, base_kernel, init_measure, m_grid, seed: int, probes=(0,)) ->
     rng = np.random.default_rng(seed)
     x0, truncated = sample_initial_site(init_measure, rng)
     m_max = m_grid[-1]
-    cum = _stochastic_rows(rk, Window(-16, 16), 1e-6, x0 - m_max, x0 + m_max)
-    path, _ = _walk(cum, x0 - m_max, x0, m_max, rng)
+    table = _stochastic_rows(rk, Window(-16, 16), 1e-6, x0 - m_max, x0 + m_max)
+    path, _ = _walk(table, x0 - m_max, x0, m_max, rng)
     if np.abs(path).max() > _OREY_SITE_BOUND:
         raise RuntimeError(f"reversal path escaped beyond {_OREY_SITE_BOUND}")
     positions = {m: int(path[m]) for m in m_grid}

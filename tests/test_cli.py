@@ -1,11 +1,12 @@
 import csv
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from yaglom.cli import COMMANDS, MAX_SITE, main
+from yaglom.cli import _CSV_CHUNK, COMMANDS, MAX_SITE, _write_csv, main
 from yaglom.scenarios import PRESETS
 
 CUSTOM_CHAIN = {
@@ -68,6 +69,51 @@ def test_conditions_report_is_standard_json(tmp_path):
         rep = json.loads(fh.read(), parse_constant=reject_nan)
     assert rep["results"]["2"]["status"] == "evidence-only"
     assert rep["results"]["2"]["evidence"]["R"] is None
+
+
+def test_reports_write_unbounded_values_as_null(tmp_path, capsys):
+    # an unconverged rho estimate has an infinite error bound, and a killing
+    # tail infinitely many kill sites: JSON has no Infinity, so both are null
+    def reject(name):
+        raise ValueError(f"{name} in a report")
+
+    def load(path):
+        with open(path) as fh:
+            return json.loads(fh.read(), parse_constant=reject)
+
+    assert run(["spectral", "--preset", "kesten", "--out-dir", tmp_path / "s"]) == 0
+    summary = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert summary["converged"] is False and summary["error_bound"] is None
+    assert load(tmp_path / "s" / "spectral_report.json")["results"]["error_bound"] is None
+    assert run(["kesten", "--preset", "kesten", "--n-grid", "512,1024",
+                "--out-dir", tmp_path / "k"]) == 0
+    rho = load(tmp_path / "k" / "kesten_report.json")["results"]["rho_by_budget"]
+    assert any(v["error_bound"] is None for v in rho.values())
+    assert run(["conditions", "--preset", "kesten", "--out-dir", tmp_path / "c"]) == 0
+    assert load(tmp_path / "c" / "conditions.json")["results"]["2"]["evidence"][
+        "rho_error_bound"] is None
+    assert run(["conditions", "--preset", "alpha_walk", "--out-dir", tmp_path / "a"]) == 0
+    ev6 = load(tmp_path / "a" / "conditions.json")["results"]["6"]["evidence"]
+    assert ev6["kill_support"] == "unbounded" and ev6["n_kill_sites"] is None
+
+
+def test_write_csv_matches_csv_writer(tmp_path):
+    # every kind of cell the subcommands write, in a file longer than one
+    # chunk, with a row given as a list
+    cells = [0, -7, 2**70, 0.1, -2.5e-8, math.nan, math.inf, -math.inf, -0.0,
+             5e-324, 1e300, True, False, ""]
+    rows = [(i, cells[i % len(cells)], cells[(3 * i + 1) % len(cells)]) for i in range(10_001)]
+    rows[17] = list(rows[17])
+    assert len(rows) > _CSV_CHUNK
+    cfg = {"seed": 3, "chain": {"preset": "two_sided"}}
+    header = ["n", "a", "b"]
+    _write_csv(tmp_path / "new.csv", cfg, header, iter(rows))
+    with open(tmp_path / "old.csv", "w", newline="") as fh:
+        fh.write("# " + json.dumps(cfg, sort_keys=True) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_unknown_preset_is_schema_error(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -180,24 +181,51 @@ def test_samplers_pinned_to_recorded_draws():
 
 def test_step_rule_edge_cases():
     up, stay, down = np.array([0.25]), np.array([0.25]), np.array([0.25])
-    cum = _thresholds(up, stay, down)
+    table = _thresholds(up, stay, down)
     # a u equal to a threshold takes the next outcome
     u = np.array([0.0, 0.25, 0.5, 0.75, 0.9])
-    assert _move(u, *cum[:, np.zeros(5, dtype=int)]).tolist() == [1, 0, -1, -2, -2]
-    assert [_move(float(v), *cum[:, 0].tolist()) for v in u] == [1, 0, -1, -2, -2]
-    # a stochastic kernel never kills: its last threshold is +inf, whatever
-    # its renormalised row sums to after rounding
-    cum = _renormalised(np.array([0.1]), np.array([0.2]), np.array([0.3]))
-    assert cum[2, 0] == math.inf
+    assert _move(u, np.zeros(5, dtype=int), *table).tolist() == [1, 0, -1, -2, -2]
+    assert [_move(float(v), 0, *(t.tolist() for t in table)) for v in u] == [1, 0, -1, -2, -2]
+    # a stochastic kernel never kills: its table has no row total,
+    # whatever its renormalised row sums to after rounding
+    table = _renormalised(np.array([0.1]), np.array([0.2]), np.array([0.3]))
+    assert len(table) == 2
     u = np.array([0.0, np.nextafter(1.0, 0.0), *np.linspace(0.0, 1.0, 1001, endpoint=False)])
-    moves = _move(u, *cum[:, np.zeros(u.size, dtype=int)])
+    moves = _move(u, np.zeros(u.size, dtype=int), *table)
     assert set(moves.tolist()) == {1, 0, -1}
     # a zero stay rate never gives a move of 0, at its doubled threshold too
-    cum = _thresholds(np.array([0.4]), np.array([0.0]), np.array([0.5]))
+    table = _thresholds(np.array([0.4]), np.array([0.0]), np.array([0.5]))
     u = np.array([0.4, *np.linspace(0.0, 1.0, 1001, endpoint=False)])
-    moves = _move(u, *cum[:, np.zeros(u.size, dtype=int)])
+    moves = _move(u, np.zeros(u.size, dtype=int), *table)
     assert moves[0] == -1
     assert set(moves.tolist()) == {1, -1, -2}
+
+
+def test_samplers_pinned_at_benchmark_scale():
+    # recorded before the samplers moved to 1-D threshold gathers: the
+    # hitting split at the monte_carlo workload's size, a hash of 200 000
+    # exit times, and 4000 conditioned-chain finals
+    sym = h_transform(build_symmetric(0.25), mirror_hhat(MIRROR), MIRROR.R)
+    for x, seed, plus in ((-5, 1201, 1444), (0, 1202, 9955), (3, 1203, 17856)):
+        assert empirical_hitting_split(sym, x, 32, 20_000, seed) == plus / 20_000
+    zeta = absorption_times(KERNEL, 0, 200_000, seed=1204)
+    assert zeta.dtype == np.int64
+    assert (int(zeta.sum()), int(zeta.max())) == (500062, 57)
+    assert hashlib.sha256(zeta.tobytes()).hexdigest() == (
+        "aaa90e50059ebdda5f482fffd33833b957f22215e23b302972eadb4abb9ed926"
+    )
+    finals = transformed_finals(sym, 0, 400, 4000, seed=1205)
+    assert finals.dtype == np.int64
+    assert (int(finals.sum()), int(np.abs(finals).sum())) == (-2162, 122782)
+    assert hashlib.sha256(finals.tobytes()).hexdigest() == (
+        "f48db71ba6cdfd0c270fb266033980d851cb1e9a635a30220d63fa858b3e2aa4"
+    )
+
+
+def test_hitting_split_needs_a_path():
+    sym = h_transform(build_symmetric(0.25), mirror_hhat(MIRROR), MIRROR.R)
+    with pytest.raises(ValueError, match="n_paths >= 1"):
+        empirical_hitting_split(sym, 0, 8, 0, seed=1)
 
 
 def test_transformed_single_step_matches_row():
