@@ -327,6 +327,26 @@ def _forward_step(v, up, stay, down, a: int, b: int) -> tuple[int, int]:
     return _hull(v, a, b)
 
 
+# The smallest normal float64; a normalised run keeps no entry below it.
+_TINY = np.finfo(np.float64).tiny
+
+
+def _flush(v, a: int, b: int) -> tuple[int, int]:
+    """Set the entries of ``v`` below the smallest normal float to 0.0 and
+    return the live hull of what is left.
+
+    ``v`` is a normalised law with its support in [a, b].  A subnormal
+    entry holds under 1e-307 of the mass and fewer than 53 significant
+    bits, and arithmetic on it runs many times slower than on normal
+    floats.
+    """
+    live = v[a : b + 1]
+    small = live < _TINY
+    np.copyto(live, 0.0, where=small)
+    first, last = int(small.argmin()), small.size - 1 - int(small[::-1].argmin())
+    return max(a + first - 1, 0), min(a + last + 1, len(v) - 1)
+
+
 # Steps per block of an unclipped run: one band product applies K^m.
 _BLOCK = 32
 # A block whose mass K^m(v, S) falls below this is stepped one step at a
@@ -368,14 +388,17 @@ class _BlockTables:
     """Powers of a window's kernel for advancing a run ``_BLOCK`` = m steps at once.
 
     The kernel is the one a run steps with: rates as given on the window
-    and 0 outside it, so mass leaving the window is lost.  For sites in
-    ``[lo, hi]`` the tables hold the band columns ``G[y, t] = K^m(y-m+t, y)``
-    and ``C[x, j-1] = (K^j 1)(x)`` for j = 1..m.  Both rows at a site depend
-    only on the rates within m sites of it, so sites share a row id: each
-    site within m of a rate change has its own, and each run of constant
-    rates between such sites has one.  A row is computed the first time a
-    table range needs its id.  ``cols[i, t, j-1] = K^j(w-m+t, w)`` for the
-    i-th watch site w.
+    and 0 outside it, so mass leaving the window is lost.  The band column
+    ``K^m(y-m+t, y)``, t = 0..2m, and the row ``(K^j 1)(y)``, j = 1..m, at
+    a site y depend only on the rates within m sites of it, so sites share
+    a row id: each site within m of a rate change has its own, and each
+    run of constant rates between such sites has one.  ``G_rows[i]`` and
+    ``C_rows[i]`` hold the two rows of id i, computed the first time a
+    block reaches a site with that id.  An id whose run has at least 4m
+    sites is ``long``: a block serves its sites by one correlation.  The
+    other sites keep their own band rows, in site order, in
+    ``G_sites[pos[y]]``, so a block reads a stretch of them as one slice.
+    ``cols[i, t, j-1] = K^j(w-m+t, w)`` for the i-th watch site w.
     """
 
     def __init__(self, up, stay, down, watch):
@@ -392,12 +415,16 @@ class _BlockTables:
         fresh[0] = True
         fresh[1:] |= special[:-1]
         self.ids = np.cumsum(fresh, dtype=np.int32) - 1
-        self.reps = ys[fresh]  # the first site with each id
-        self.G_rows = np.empty((self.reps.size, 2 * m + 1))
-        self.C_rows = np.empty((self.reps.size, m))
-        self.done = np.zeros(self.reps.size, dtype=bool)
-        self.lo, self.hi = 0, -1
-        self.G = self.C = self.cols = None
+        self.firsts = ys[fresh]  # the first site with each id
+        self.lasts = np.append(self.firsts[1:], width) - 1
+        self.long = self.lasts - self.firsts >= 4 * m - 1
+        short = ~self.long[self.ids]
+        self.pos = np.cumsum(short) - 1
+        self.G_sites = np.empty((int(short.sum()), 2 * m + 1))
+        self.G_rows = np.empty((self.firsts.size, 2 * m + 1))
+        self.C_rows = np.empty((self.firsts.size, m))
+        self.done = np.zeros(self.firsts.size, dtype=bool)
+        self.cols = None
         if watch.size:
             near = watch[:, None] + np.arange(-m, m + 1)
             self.watch_idx = np.clip(near, 0, width - 1)
@@ -417,34 +444,38 @@ class _BlockTables:
         x = np.clip(x, 0, self.width - 1)
         return [r[x] * inside for r in self.rates]
 
-    def _compute(self, need) -> None:
-        """Fill the rows of the ids ``need``."""
-        m = _BLOCK
-        reps = self.reps[need]
-        x = reps[:, None] + np.arange(-m, m + 1)
-        h = np.zeros((2, reps.size, 2 * m + 1))
-        h[0, :, m] = 1.0  # e_y, stepped to the column K^j(., y)
-        h[1] = (x >= 0) & (x < self.width)  # 1 on the window, stepped to K^j 1
-        rates = self._near(reps)
-        for j in range(m):
-            h = _backward(h, *rates)
-            self.C_rows[need, j] = h[1, :, m]
-        self.G_rows[need] = h[0]
-        self.done[need] = True
+    def _rows(self, lo: int, hi: int) -> tuple[int, int]:
+        """Fill the rows of the sites lo..hi; return their first and last id.
 
-    def _cover(self, lo: int, hi: int) -> None:
-        """Make the tables span at least the sites lo..hi."""
-        if self.lo <= lo and hi <= self.hi:
-            return
-        grow = max(4 * _BLOCK, (hi - lo) // 8)
-        lo, hi = max(lo - grow, 0), min(hi + grow, self.width - 1)
-        ids = self.ids[lo : hi + 1]
-        need = np.unique(ids[~self.done[ids]])
-        if need.size:
-            self._compute(need)
-        self.G = self.C = None  # free the old tables first
-        self.G, self.C = self.G_rows[ids], self.C_rows[ids]
-        self.lo, self.hi = lo, hi
+        A missing row fills every missing row within an eighth of the range
+        (at least 4m sites) beyond it too, so a growing hull computes its
+        rows in a few large batches instead of a few rows per block.
+        """
+        m = _BLOCK
+        i0, i1 = int(self.ids[lo]), int(self.ids[hi])
+        if not self.done[i0 : i1 + 1].all():
+            grow = max(4 * m, (hi - lo) // 8)
+            j0 = int(self.ids[max(lo - grow, 0)])
+            j1 = int(self.ids[min(hi + grow, self.width - 1)])
+            need = j0 + np.flatnonzero(~self.done[j0 : j1 + 1])
+            reps = self.firsts[need]
+            x = reps[:, None] + np.arange(-m, m + 1)
+            h = np.zeros((2, reps.size, 2 * m + 1))
+            h[0, :, m] = 1.0  # e_y, stepped to the column K^j(., y)
+            h[1] = (x >= 0) & (x < self.width)  # 1 on the window, stepped to K^j 1
+            rates = self._near(reps)
+            for j in range(m):
+                h = _backward(h, *rates)
+                self.C_rows[need, j] = h[1, :, m]
+            self.G_rows[need] = h[0]
+            self.done[need] = True
+            short = need[~self.long[need]]
+            if short.size:  # copy each short id's row to its sites
+                counts = self.lasts[short] - self.firsts[short] + 1
+                starts = self.pos[self.firsts[short]] - (np.cumsum(counts) - counts)
+                rows = np.repeat(starts, counts) + np.arange(int(counts.sum()))
+                self.G_sites[rows] = np.repeat(self.G_rows[short], counts, axis=0)
+        return i0, i1
 
     def block(self, v, a: int, b: int):
         """Replace ``v`` by ``v K^m / S_m`` in place, with S_j = v K^j 1.
@@ -453,30 +484,57 @@ class _BlockTables:
         at least 2m sites inside both window ends: the product reads ``v``
         on the support widened by 2m sites per side, and no mass leaves
         the window.  Returns ``(S, watched, a, b)``, with ``watched[j-1]``
-        the values ``(v K^j)(w) / S_j`` at the watch sites and [a, b] the
-        new hull, or None, leaving ``v`` untouched, when S_m is below
-        ``_MIN_BLOCK_MASS``.
+        the values ``(v K^j)(w) / S_j`` at the watch sites and [a, b] =
+        [f - m - 1, l + m + 1] for the old support [f, l], or None, leaving
+        ``v`` untouched, when S_m is below ``_MIN_BLOCK_MASS``.  That [a, b]
+        bounds the new support but is not its live hull: its ends may hold
+        zeros and subnormals, so the caller passes it through ``_flush``
+        before stepping on from it.
+
+        Sites of one id share their rows, so S is the sum over ids of
+        ``v`` summed on the id's sites times its ``C_rows`` row.  On the
+        sites of a long id, ``v K^m`` is one correlation of ``v`` with the
+        id's ``G_rows`` row; each stretch of sites between long ids reads
+        its rows as one slice of ``G_sites``.
         """
         m = _BLOCK
         f, l = a + 1, b - 1  # the support
-        self._cover(f - m, l + m)
-        seg = v[f : l + 1]
-        S = seg @ self.C[f - self.lo : l + 1 - self.lo]
+        lo, hi = f - m, l + m  # the sites v K^m reaches
+        i0, i1 = self._rows(lo, hi)
+        k0, k1 = int(self.ids[f]), int(self.ids[l])
+        starts = np.maximum(self.firsts[k0 : k1 + 1], f) - f
+        S = np.add.reduceat(v[f : l + 1], starts) @ self.C_rows[k0 : k1 + 1]
         if not S[-1] >= _MIN_BLOCK_MASS:
             return None
         watched = None
         if self.cols is not None:
             near = v[self.watch_idx] * self.watch_mask
             watched = np.einsum("ix,ixj->ji", near, self.cols) / S[:, None]
-        # row i is v[f - 2m + i : f + i + 1], the inputs to site f - m + i
+        # row i is v[lo - m + i : lo + m + i + 1], the inputs to site lo + i
         windows = np.ndarray(
-            (seg.size + 2 * m, 2 * m + 1), buffer=v, offset=8 * (f - 2 * m), strides=(8, 8)
+            (hi - lo + 1, 2 * m + 1), buffer=v, offset=8 * (lo - m), strides=(8, 8)
         )
-        out = np.einsum("ij,ij->i", windows, self.G[f - m - self.lo : l + m + 1 - self.lo])
+        out = np.empty(hi - lo + 1)
+        y = lo  # the first site not yet computed
+        for i in (i0 + np.flatnonzero(self.long[i0 : i1 + 1])).tolist():
+            y0, y1 = max(int(self.firsts[i]), lo), min(int(self.lasts[i]), hi)
+            if y < y0:
+                p = self.pos[y]
+                out[y - lo : y0 - lo] = np.einsum(
+                    "ij,ij->i", windows[y - lo : y0 - lo], self.G_sites[p : p + y0 - y]
+                )
+            out[y0 - lo : y1 - lo + 1] = np.correlate(
+                v[y0 - m : y1 + m + 1], self.G_rows[i], "valid"
+            )
+            y = y1 + 1
+        if y <= hi:
+            p = self.pos[y]
+            out[y - lo :] = np.einsum(
+                "ij,ij->i", windows[y - lo :], self.G_sites[p : p + hi + 1 - y]
+            )
         out /= S[-1]
-        v[f - m : l + m + 1] = out
-        nz = np.flatnonzero(out)
-        return S, watched, max(f - m + nz[0] - 1, 0), min(f - m + nz[-1] + 1, len(v) - 1)
+        v[lo : hi + 1] = out
+        return S, watched, lo - 1, hi + 1
 
 
 def _steps(v, up, stay, down, a: int, b: int, count: int, clip: float, watch):
@@ -528,7 +586,13 @@ def _normalised_run(v, up, stay, down, n: int, clip: float = 0.0, watch=(), stop
     ``S_j = v K^j 1``.  Everything else is stepped one step at a time: with
     ``clip`` > 0, entries below ``clip`` times the step's sum are set to
     0.0.  The run stops early once all mass is gone, killed or clipped.
-    ``log_mass`` gains one log per record, through a compensated sum.
+    At the end of every record of m steps and of the run's last record,
+    entries of ``v`` below the smallest normal float are set to 0.0 and
+    the live hull shrinks to what is left; that mass, under 1e-300 of the
+    total, is counted in neither ``edge`` nor ``clipped``.  Records cut
+    short by ``stops`` skip that pass, so a run with a stop at every step
+    pays it once, not once per step.  ``log_mass`` gains one log per
+    record, through a compensated sum.
     """
     watch = np.asarray(watch, dtype=np.intp).reshape(-1)
     first, last = np.flatnonzero(v)[[0, -1]].tolist()
@@ -568,6 +632,9 @@ def _normalised_run(v, up, stay, down, n: int, clip: float = 0.0, watch=(), stop
                 carry += (x - total) + log_mass
             log_mass = total
             k += surv.size
+            alive = surv.size == count  # else all the mass is gone, and v with it
+            if alive and (count == _BLOCK or k == n):
+                a, b = _flush(v, a, b)
             yield _Record(surv, log_masses, edge, clipped, watched, a, b)
-            if surv.size < count:
+            if not alive:
                 return

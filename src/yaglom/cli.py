@@ -494,15 +494,18 @@ def cmd_simulate(cfg, base, kernel, family, out: Path) -> dict:
         results["E0_R_zeta_trunc60_deterministic"] = float(
             (R ** np.arange(1.0, n_star + 1) * death).sum()
         )
-        # Orey probe along the +inf reversal of the lazified walk.
+        # Orey probe along the +inf reversal of the walk lazified by its
+        # own weight, whatever cfg["lazify"] is; the report records it.
+        r_orey = 0.5
         mplus = extremal_plus(family)
-        lazy = lazify(base, 0.5)
-        rho_lazy = 0.5 + 0.5 * family.rho
+        lazy = lazify(base, r_orey)
+        rho_lazy = r_orey + (1.0 - r_orey) * family.rho
         rk = time_reversal(lazy, mplus, rho_lazy)
         m_grid = tuple(cfg.get("orey_m_grid") or (64, 256, 1024))
         tr = orey_trace(rk, lazy, mplus, m_grid, seed + 1, probes=(0,))
         rows = [[m, tr.positions[m], tr.ratios[m][0]] for m in m_grid]
         _write_csv(out / "orey.csv", cfg, ["m", "position", "ratio_at_0"], rows)
+        results["orey_lazify"] = r_orey
         results["orey_final_position"] = tr.positions[m_grid[-1]]
         results["orey_ratio_at_0"] = tr.ratios[m_grid[-1]][0]
         results["pi_plus_at_0"] = 1.0 / mplus.T

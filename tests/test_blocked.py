@@ -25,13 +25,19 @@ PRESETS = ("two_sided", "symmetric", "kesten", "alpha_walk")
 
 @pytest.fixture
 def modes(monkeypatch):
-    """Count blocks taken, blocks refused for their mass, and single steps."""
-    counts = {"blocks": 0, "refused": 0, "steps": 0}
-    block, steps = chain._BlockTables.block, chain._steps
+    """Count blocks taken, blocks refused for their mass, and single steps;
+    the sites the taken blocks' band products computed, and the length of
+    each stretch of them served by one correlation."""
+    counts = {"blocks": 0, "refused": 0, "steps": 0, "band_sites": 0, "runs": []}
+    block, steps, correlate = chain._BlockTables.block, chain._steps, np.correlate
 
-    def counting_block(self, *args):
-        out = block(self, *args)
-        counts["blocks" if out is not None else "refused"] += 1
+    def counting_block(self, v, a, b):
+        out = block(self, v, a, b)
+        if out is None:
+            counts["refused"] += 1
+        else:
+            counts["blocks"] += 1
+            counts["band_sites"] += b - a - 1 + 2 * M  # the support widened by m per side
         return out
 
     def counting_steps(*args):
@@ -39,8 +45,14 @@ def modes(monkeypatch):
         counts["steps"] += out[0].size
         return out
 
+    def counting_correlate(*args, **kwargs):
+        out = correlate(*args, **kwargs)
+        counts["runs"].append(out.size)
+        return out
+
     monkeypatch.setattr(chain._BlockTables, "block", counting_block)
     monkeypatch.setattr(chain, "_steps", counting_steps)
+    monkeypatch.setattr(np, "correlate", counting_correlate)
     return counts
 
 
@@ -193,9 +205,9 @@ def test_blocks_match_dense_loop_on_random_region_kernels(left, right, overrides
 
 
 def test_tables_hold_powers_of_the_window_kernel():
-    """Every row the tables can gather, near rate changes and near the
-    window ends too, against powers of the dense window matrix (rates 0
-    outside the window, so flow off it is lost)."""
+    """Every site's rows, read through its row id, near rate changes and
+    near the window ends too, against powers of the dense window matrix
+    (rates 0 outside the window, so flow off it is lost)."""
     kernel = NNKernel(
         (Region(None, -1, 0.3, 0.2, 0.4), Region(0, None, 0.25, 0.35, 0.3)),
         ((-3, 0.1, 0.5, 0.2), (-2, 0.4, 0.1, 0.4), (30, 0.2, 0.2, 0.2)),
@@ -205,13 +217,14 @@ def test_tables_hold_powers_of_the_window_kernel():
     K = np.diag(stay) + np.diag(up[:-1], 1) + np.diag(down[1:], -1)
     watch = np.array([0, 57, width - 1])
     tables = chain._BlockTables(up, stay, down, watch)
-    tables._cover(0, width - 1)
-    assert (tables.lo, tables.hi) == (0, width - 1)
+    assert tables._rows(0, width - 1) == (0, tables.firsts.size - 1)
+    assert tables.done.all()
+    G, C = tables.G_rows[tables.ids], tables.C_rows[tables.ids]
     t = np.arange(-M, M + 1)
     power = np.eye(width)
     for j in range(1, M + 1):
         power = power @ K
-        np.testing.assert_allclose(tables.C[:, j - 1], power.sum(axis=1), rtol=1e-13)
+        np.testing.assert_allclose(C[:, j - 1], power.sum(axis=1), rtol=1e-13)
         for i, w in enumerate(watch):
             x = w + t
             want = np.where((x >= 0) & (x < width), power[np.clip(x, 0, width - 1), w], 0.0)
@@ -219,4 +232,135 @@ def test_tables_hold_powers_of_the_window_kernel():
     for y in range(width):
         x = y + t
         want = np.where((x >= 0) & (x < width), power[np.clip(x, 0, width - 1), y], 0.0)
-        np.testing.assert_allclose(tables.G[y], want, rtol=1e-13)
+        np.testing.assert_allclose(G[y], want, rtol=1e-13)
+    # the sites off the long runs hold their own rows, in site order
+    short = np.flatnonzero(~tables.long[tables.ids])
+    assert short.size and np.array_equal(tables.pos[short], np.arange(short.size))
+    np.testing.assert_array_equal(tables.G_sites, G[short])
+
+
+def _assert_no_subnormals(tr):
+    """No entry of the law lies in (0, tiny), and the live hull is the
+    nonzero support widened by one site per side, clamped to the window."""
+    values, window = tr.distribution.values, tr.distribution.window
+    assert not np.any((values > 0.0) & (values < np.finfo(float).tiny))
+    nz = np.flatnonzero(values)
+    hull = tr.live_hull.lo - window.lo, tr.live_hull.hi - window.lo
+    assert hull == (max(nz[0] - 1, 0), min(nz[-1] + 1, values.size - 1))
+
+
+@pytest.mark.parametrize(
+    "kernel", [lazify(preset_kernel("two_sided"), 0.5), preset_kernel("alpha_walk")],
+    ids=["lazy-two_sided", "raw-alpha_walk"],
+)
+def test_blocked_run_keeps_no_subnormal_entries(kernel, modes):
+    tr = evolve_trace(kernel, 0, 3000)
+    assert modes["blocks"] > 0
+    _assert_no_subnormals(tr)
+    # the flushed tails leave the hull well short of the 6001-site window
+    assert len(tr.live_hull) < 6001 - 4 * M
+
+
+@pytest.mark.parametrize("clip", [0.0, 1e-310], ids=["unclipped", "clipped"])
+def test_capped_per_step_run_keeps_no_subnormal_entries(clip, modes):
+    """A drift to the right piles the law against a capped window's right
+    end, so once it gets there every step is single, and its left tail
+    falls by about 1e-2 per site: far below the smallest normal float
+    across the window.  A clip below that float keeps the entries between
+    the two, so clipped records must be flushed as well."""
+    kernel = NNKernel((Region(None, None, 0.88, 0.02, 0.05),))
+    tr = evolve_trace(kernel, 0, 3000, max_halfwidth=400, clip=clip)
+    assert modes["steps"] == 3000 - M * modes["blocks"] > 2500
+    assert tr.edge_lost > 0.0 and (tr.clip_lost > 0.0) == (clip > 0.0)
+    _assert_no_subnormals(tr)
+    assert tr.live_hull.hi == 400 and tr.live_hull.lo > -400
+
+
+@pytest.mark.parametrize(
+    "stops", [(10, 11, 650), range(1, 700)], ids=["off-grid-stops", "every-step"]
+)
+def test_flush_runs_once_per_full_record_and_at_the_end(stops, monkeypatch):
+    """Records of m steps, blocked or not, and the run's last record are
+    flushed; records a stop cut short are not, so a stop at every step
+    costs one flush per run.  Blocks after an off-grid stop still end on a
+    flushed record, so every record's hull is the tight live hull."""
+    flushes = []
+    flush = chain._flush
+
+    def counting_flush(v, a, b):
+        flushes.append((a, b))
+        return flush(v, a, b)
+
+    monkeypatch.setattr(chain, "_flush", counting_flush)
+    n = 700
+    up, stay, down = lazify(preset_kernel("two_sided"), 0.5).rows(-n, n)
+    v = np.zeros(2 * n + 1)
+    v[n] = 1.0
+    steps, flushed = 0, 0
+    for rec in chain._normalised_run(v, up, stay, down, n, stops=stops):
+        steps += rec.surv.size
+        flushed += rec.surv.size == M or steps == n
+        assert (rec.a, rec.b) == chain._hull(v, rec.a, rec.b)
+    assert steps == n and len(flushes) == flushed
+    if isinstance(stops, range):
+        assert flushed == 1
+
+
+def test_correlation_serves_most_band_product_sites(modes):
+    """On lazified two_sided only the sites within m of a rate change
+    gather their own band rows; the rest are served by correlations."""
+    evolve_trace(lazify(preset_kernel("two_sided"), 0.5), 0, 3000)
+    assert modes["blocks"] == 3000 // M
+    assert sum(modes["runs"]) > 0.8 * modes["band_sites"]
+
+
+def test_rows_fill_in_few_batches_without_long_runs(modes, monkeypatch):
+    """A new rate at every site leaves no long run, so every site needs
+    its own rows as the hull grows; they come in a few batches, not a
+    batch per block."""
+    batches = []
+    near = chain._BlockTables._near
+
+    def counting_near(self, sites):
+        batches.append(sites.size)
+        return near(self, sites)
+
+    monkeypatch.setattr(chain._BlockTables, "_near", counting_near)
+    kernel = NNKernel(
+        (Region(None, None, 0.25, 0.4, 0.25),),
+        tuple((t, 0.2 + 0.1 * (7 * t % 11) / 11, 0.4, 0.25) for t in range(-3100, 3101)),
+    )
+    evolve_trace(kernel, 0, 3000)
+    assert modes["blocks"] == 3000 // M and modes["runs"] == []
+    assert len(batches) <= 12 and sum(batches) > 2900
+
+
+def test_correlation_threshold_against_dense_loop(modes):
+    """Constant runs of one row id just below (4m - 1 sites), at (4m) and
+    just above (4m + 1) the length a correlation needs, next to two
+    overrides 5 sites apart.  An override at t gives every site in
+    [t - m, t + m] its own id, so a gap of 6m + k between overrides leaves
+    a constant run of 4m + k - 1 sites.  The hull covers the three runs
+    whole; the run of 4m - 1 sites is read from ``G_sites``."""
+    base = (0.3, 0.3, 0.3)
+    sites = (0, 5, 5 + 6 * M, 5 + 12 * M + 1, 5 + 18 * M + 3)
+    kernel = NNKernel(
+        (Region(None, None, *base),),
+        tuple((t, 0.2 + 0.01 * i, 0.35, 0.4) for i, t in enumerate(sites)),
+    )
+    x0, n, tracked = 300, 30 * M + 5, (300, 5, 200)
+    up, stay, down = kernel.rows(x0 - n, x0 + n)
+    tables = chain._BlockTables(up, stay, down, np.array([], dtype=np.intp))
+    lengths = tables.lasts - tables.firsts + 1
+    assert {4 * M - 1, 4 * M, 4 * M + 1} <= set(lengths.tolist())
+    assert np.array_equal(tables.long, lengths >= 4 * M)
+    tr = evolve_trace(kernel, x0, n, tracked=tracked)
+    surv, log_mass, v, _, vals = dense_trace(kernel, x0, n, tracked)
+    # the whole runs at and above the threshold were correlated
+    assert {4 * M, 4 * M + 1} <= set(modes["runs"]) and 4 * M - 1 not in modes["runs"]
+    assert modes["blocks"] == n // M
+    assert_rel(tr.survival_factors, surv)
+    assert tr.distribution.log_mass == pytest.approx(log_mass, rel=REL)
+    assert_norm_rel(tr.distribution.values, v)
+    for y in tracked:
+        assert_rel(tr.tracked_values[y], vals[y])

@@ -270,6 +270,16 @@ def test_simulate_reproducible_outputs(tmp_path):
     assert rep["results"]["paths_capped"] is False
 
 
+@pytest.mark.parametrize("lazy", [None, 0.25])
+def test_simulate_records_the_orey_probe_lazification(tmp_path, lazy):
+    """The Orey probe lazifies the base walk by 0.5 whatever ``lazify`` is."""
+    args = ["simulate", "--preset", "two_sided", "--mc-paths", "200", "--n", "200",
+            "--orey-m-grid", "16", "--out-dir", tmp_path / "o"]
+    assert run(args + ([] if lazy is None else ["--lazify", lazy])) == 0
+    res = read_report(tmp_path / "o" / "simulate_report.json")["results"]
+    assert res["orey_lazify"] == 0.5
+
+
 def test_kesten_subcommand_small_grid(tmp_path):
     code = run(
         ["kesten", "--preset", "kesten", "--n-grid", "128,512,2048",
