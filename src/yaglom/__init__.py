@@ -14,7 +14,6 @@ from .evolve import (
     YaglomTrace,
     brute_force_distribution,
     evolve_trace,
-    taboo_first_return,
     total_variation,
 )
 from .measures import (
@@ -27,7 +26,6 @@ from .measures import (
     extremal_minus,
     extremal_plus,
     family_measure,
-    harmonic_residual,
     invariance_residual,
     mirror_extremal,
     mirror_hhat,
@@ -38,8 +36,6 @@ from .measures import (
 )
 from .spectral import (
     SpectralEstimate,
-    chi_entrance,
-    closed_form_F00,
     closed_form_V,
     e0_r_zeta,
     estimate_rho,
@@ -59,10 +55,7 @@ from .montecarlo import (
     absorption_times,
     empirical_hitting_split,
     orey_trace,
-    r_zeta_conditional,
     simulate_absorbed,
-    simulate_transformed,
-    transformed_finals,
 )
 from .conditions import ConditionReport, check_conditions
 from .scenarios import (

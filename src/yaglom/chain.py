@@ -586,13 +586,11 @@ def _normalised_run(v, up, stay, down, n: int, clip: float = 0.0, watch=(), stop
     ``S_j = v K^j 1``.  Everything else is stepped one step at a time: with
     ``clip`` > 0, entries below ``clip`` times the step's sum are set to
     0.0.  The run stops early once all mass is gone, killed or clipped.
-    At the end of every record of m steps and of the run's last record,
-    entries of ``v`` below the smallest normal float are set to 0.0 and
-    the live hull shrinks to what is left; that mass, under 1e-300 of the
-    total, is counted in neither ``edge`` nor ``clipped``.  Records cut
-    short by ``stops`` skip that pass, so a run with a stop at every step
-    pays it once, not once per step.  ``log_mass`` gains one log per
-    record, through a compensated sum.
+    At the end of every record, entries of ``v`` below the smallest normal
+    float are set to 0.0 and the live hull shrinks to what is left; that
+    mass, under 1e-300 of the total, is counted in neither ``edge`` nor
+    ``clipped``.  ``log_mass`` gains one log per record, through a
+    compensated sum.
     """
     watch = np.asarray(watch, dtype=np.intp).reshape(-1)
     first, last = np.flatnonzero(v)[[0, -1]].tolist()
@@ -633,7 +631,7 @@ def _normalised_run(v, up, stay, down, n: int, clip: float = 0.0, watch=(), stop
             log_mass = total
             k += surv.size
             alive = surv.size == count  # else all the mass is gone, and v with it
-            if alive and (count == _BLOCK or k == n):
+            if alive:
                 a, b = _flush(v, a, b)
             yield _Record(surv, log_masses, edge, clipped, watched, a, b)
             if not alive:

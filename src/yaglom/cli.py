@@ -450,6 +450,10 @@ def cmd_simulate(cfg, base, kernel, family, out: Path) -> dict:
     x0, seed, n_max = cfg["x0"], cfg["seed"], cfg["budgets"]["n_max"]
     requested = cfg["budgets"]["mc_paths"]
     n_paths = min(requested, MC_PATH_CAP)
+    m_grid = tuple(cfg.get("orey_m_grid") or (64, 256, 1024))
+    # the Orey probe below runs on the two-sided family only
+    if isinstance(family, TwoSidedParams) and max(m_grid) > n_max:
+        raise BudgetError(f"orey_m_grid entry {max(m_grid)} exceeds budgets.n_max={n_max}")
     try:
         zeta = absorption_times(kernel, x0, n_paths, seed, max_steps=n_max)
     except RuntimeError:  # a path outlived the sampler's step cap
@@ -501,7 +505,6 @@ def cmd_simulate(cfg, base, kernel, family, out: Path) -> dict:
         lazy = lazify(base, r_orey)
         rho_lazy = r_orey + (1.0 - r_orey) * family.rho
         rk = time_reversal(lazy, mplus, rho_lazy)
-        m_grid = tuple(cfg.get("orey_m_grid") or (64, 256, 1024))
         tr = orey_trace(rk, lazy, mplus, m_grid, seed + 1, probes=(0,))
         rows = [[m, tr.positions[m], tr.ratios[m][0]] for m in m_grid]
         _write_csv(out / "orey.csv", cfg, ["m", "position", "ratio_at_0"], rows)
@@ -527,6 +530,9 @@ def cmd_conditions(cfg, base, kernel, family, out: Path) -> dict:
 
 def cmd_kesten(cfg, base, kernel, family, out: Path) -> dict:
     n_grid = tuple(cfg.get("n_grid") or (512, 4096, 16384))
+    n_max = cfg["budgets"]["n_max"]
+    if max(n_grid) > n_max:
+        raise BudgetError(f"n_grid entry {max(n_grid)} exceeds budgets.n_max={n_max}")
     probe = oscillation_probe(
         kernel, cfg["x0"], n_grid,
         clip=cfg.get("clip", 0.0), max_halfwidth=6000,

@@ -14,12 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .chain import DegenerateKernelError, MassState, Window, _forward_step, _hull, _normalised_run
+from .chain import DegenerateKernelError, MassState, Window, _normalised_run
 
 __all__ = [
     "YaglomTrace",
     "evolve_trace",
-    "taboo_first_return",
     "brute_force_distribution",
     "total_variation",
 ]
@@ -129,7 +128,6 @@ def evolve_trace(
         cause = f"clip={clip:g} left no mass" if clip else "total extinction"
         raise DegenerateKernelError(f"{cause} at step {k + 1}")
     dist = MassState(Window(lo, hi), v, rec.log_mass[-1], edge_lost + clip_lost)
-    a, b = _hull(v, rec.a, rec.b)
     tracked_vals = {y: vals[:, i].copy() for i, y in enumerate(tracked)}
     ratios: dict[int, np.ndarray] = {}
     for y in tracked:
@@ -143,31 +141,8 @@ def evolve_trace(
         ratios[y] = r
     return YaglomTrace(
         x0, n, surv, logm, dist, ratios, tracked_vals, snaps,
-        edge_lost, clip_lost, Window(lo + a, lo + b),
+        edge_lost, clip_lost, Window(lo + rec.a, lo + rec.b),
     )
-
-
-def taboo_first_return(kernel, x0: int, n_max: int) -> np.ndarray:
-    """First-return probabilities f_k = P_{x0}(return to x0 first at step k).
-
-    Taboo convention: a path counts for f_k when it sits at x0 at step k
-    having avoided x0 at steps 1..k-1 (so f_1 is the stay rate at x0 and
-    G = 1/(1-F) holds for the associated transforms).
-    """
-    if n_max < 1:
-        raise ValueError("need n_max >= 1")
-    lo, hi = x0 - n_max, x0 + n_max
-    up, stay, down = kernel.rows(lo, hi)
-    i0 = x0 - lo
-    v = np.zeros(hi - lo + 1)
-    v[i0] = 1.0
-    a, b = i0 - 1, i0 + 1
-    f = np.empty(n_max)
-    for k in range(n_max):
-        a, b = _forward_step(v, up, stay, down, a, b)
-        f[k] = v[i0]
-        v[i0] = 0.0
-    return f
 
 
 def brute_force_distribution(

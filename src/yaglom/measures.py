@@ -36,7 +36,6 @@ __all__ = [
     "c_max",
     "normalizer_T",
     "invariance_residual",
-    "harmonic_residual",
     "reversibility_gamma",
     "gamma_log_values",
     "dual_harmonic",
@@ -240,17 +239,6 @@ def invariance_residual(kernel, measure, rho: float, window: Window) -> float:
     flow = mu[:-2] * up[:-2] + mu[1:-1] * stay[1:-1] + mu[2:] * down[2:]
     target = mu[1:-1]
     return float(np.max(np.abs(flow - rho * target) / target))
-
-
-def harmonic_residual(kernel, h, rho: float, window: Window) -> float:
-    """max_x |(K h)(x) - rho h(x)| / h(x): right-eigenvector counterpart."""
-    val = h.value if hasattr(h, "value") else h
-    lo, hi = window.lo, window.hi
-    sites = np.arange(lo - 1, hi + 2)
-    hv = np.asarray(val(sites), dtype=float)
-    up, stay, down = kernel.rows(lo, hi)
-    flow = up * hv[2:] + stay * hv[1:-1] + down * hv[:-2]
-    return float(np.max(np.abs(flow - rho * hv[1:-1]) / hv[1:-1]))
 
 
 @dataclass(frozen=True)

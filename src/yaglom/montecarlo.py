@@ -20,9 +20,6 @@ __all__ = [
     "OreyTrace",
     "simulate_absorbed",
     "absorption_times",
-    "r_zeta_conditional",
-    "simulate_transformed",
-    "transformed_finals",
     "empirical_hitting_split",
     "sample_initial_site",
     "orey_trace",
@@ -45,8 +42,6 @@ class TrajectorySample:
 # (doubled as paths walk out), step caps, the reversal's site bound, and
 # the tabulation of initial laws.
 _HALFWIDTH = 256
-_R_ZETA_MAX_STEPS = 200_000
-_R_ZETA_TAIL_TOL = 1e-12
 _HITTING_MAX_STEPS = 2_000_000
 _OREY_SITE_BOUND = 20000
 _INIT_TRUNCATION = 1e-9
@@ -140,77 +135,6 @@ def absorption_times(
             keep = ~died
             live, row = live[keep], row[keep]
     return zeta
-
-
-def r_zeta_conditional(kernel, x0: int, n_paths: int, seed: int, R: float) -> np.ndarray:
-    """Per-path unbiased estimates of E_{x0} R^zeta for single-site killing.
-
-    The killing clock is integrated out exactly: run the unkilled chain,
-    record its visit times sigma_1 < sigma_2 < ... to the killing site,
-    and return E[R^zeta | path] = sum_j kappa (1-kappa)^{j-1}
-    R^{sigma_j + 1}, truncated once the remaining clock mass cannot move
-    the estimate by 1e-12.
-
-    Caveat: R^zeta has unit tail index (P(R^zeta > t) ~ 1/t up to slowly
-    varying factors), and conditioning removes only the clock noise, not
-    the excursion-length tail.  Sample means of either estimator approach
-    the closed-form expectation only logarithmically in the path count;
-    for sound finite-sample tests compare truncated expectations
-    E[R^zeta; zeta <= n] against their deterministic counterparts.
-    """
-    kills = kernel.kill_sites()
-    if kills is None or len(kills) != 1:
-        got = "unbounded" if kills is None else len(kills)
-        raise ValueError(f"need exactly one kill site, got {got}")
-    kill_site = kills[0]
-    kappa = kernel.kill(kill_site)
-    if not 0.0 < kappa < 1.0:
-        raise ValueError("need killing with rate in (0,1) at the kill site")
-    rng = np.random.default_rng(seed)
-    out = np.zeros(n_paths)
-    live = np.arange(n_paths)
-    pos = np.full(n_paths, x0, dtype=np.int64)
-    weight = np.full(n_paths, kappa * R)  # kappa (1-kappa)^{j-1} R^{n+1}
-    if x0 == kill_site:
-        out += weight
-        weight *= 1.0 - kappa
-    H = 0
-    for n in range(1, _R_ZETA_MAX_STEPS + 1):
-        if not live.size:
-            break
-        if n >= H:
-            H = max(2 * H, _HALFWIDTH)
-            table = _renormalised(*kernel.rows(x0 - H, x0 + H))  # unkilled chain
-        pos += _move(rng.random(live.size), pos - (x0 - H), *table)
-        weight *= R
-        hit = pos == kill_site
-        out[live[hit]] += weight[hit]
-        weight[hit] *= 1.0 - kappa
-        # (1-kappa)^j R^{sigma_j+1} shrinks geometrically in j on average;
-        # drop paths whose remaining clock mass is negligible
-        keep = ~(hit & (weight < _R_ZETA_TAIL_TOL))
-        live, pos, weight = live[keep], pos[keep], weight[keep]
-    else:
-        raise RuntimeError(f"visit-clock estimator did not converge in {_R_ZETA_MAX_STEPS} steps")
-    return out
-
-
-def simulate_transformed(tk, x0: int, steps: int, seed: int) -> TrajectorySample:
-    """Sample one never-absorbed path of a (stochastic) transformed kernel."""
-    table = _stochastic_rows(tk, Window(x0 - 16, x0 + 16), 1e-9, x0 - steps, x0 + steps)
-    rng = np.random.default_rng(seed)
-    return TrajectorySample(seed, x0, *_walk(table, x0 - steps, x0, steps, rng))
-
-
-def transformed_finals(tk, x0: int, steps: int, n_paths: int, seed: int) -> np.ndarray:
-    """Final positions of ``n_paths`` conditioned-chain paths."""
-    lo = x0 - steps
-    table = _stochastic_rows(tk, Window(x0 - 16, x0 + 16), 1e-9, lo, x0 + steps)
-    rng = np.random.default_rng(seed)
-    row = np.full(n_paths, steps, dtype=np.int64)  # x0 is row ``steps``
-    for _ in range(steps):
-        row += _move(rng.random(n_paths), row, *table)
-    return row + lo
 
 
 def empirical_hitting_split(tk, x: int, M: int, n_paths: int, seed: int) -> float:

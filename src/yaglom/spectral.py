@@ -2,10 +2,9 @@
 
 Numerical side: Richardson extrapolation of survival-factor series and
 partial sums of the potential G_{x,y}(w) = sum_n w^n K^n(x,y) with a
-heuristic n^(-3/2) tail fit.  Closed-form side: the two-sided walk's
-return-time transform F_00, E_0 R^zeta and the local asymptotics of
-K^{2n}(0,0); its parameters and the roots of b s^2 - 2 sqrt(pq) s + a
-live in ``measures``.
+heuristic n^(-3/2) tail fit.  Closed-form side, for the two-sided walk:
+its return-time transform at the radius V = F_00(R), E_0 R^zeta and the
+local asymptotics of K^{2n}(0,0); its parameters live in ``measures``.
 """
 
 from __future__ import annotations
@@ -15,19 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import MassState, Window, _normalised_run
+from .chain import _normalised_run
 from .evolve import YaglomTrace
-from .measures import TwoSidedParams, quadratic_roots  # noqa: F401  (re-exported)
+from .measures import TwoSidedParams
 
 __all__ = [
     "SpectralEstimate",
     "GreenPartial",
     "estimate_rho",
-    "closed_form_F00",
     "closed_form_V",
     "e0_r_zeta",
     "green_partial",
-    "chi_entrance",
     "k2n00_asymptotic",
 ]
 
@@ -82,22 +79,13 @@ def estimate_rho(trace: YaglomTrace | np.ndarray) -> SpectralEstimate:
     return SpectralEstimate(rho_hat, spread)
 
 
-def closed_form_F00(params: TwoSidedParams, z: float) -> float:
-    """Return-time transform F_00(z) of the two-sided walk, 0 <= z <= R."""
-    if z < 0.0 or z > params.R * (1.0 + 1e-12):
-        raise ValueError("z outside [0, R]")
-    z = min(z, params.R)
-    under_p = max(0.0, 1.0 - 4.0 * params.p * params.q * z * z)
-    under_a = max(0.0, 1.0 - 4.0 * params.a * params.b * z * z)
-    return (1.0 - math.sqrt(under_p)) / 2.0 + (1.0 - math.sqrt(under_a)) / 2.0
-
-
 def closed_form_V(params: TwoSidedParams) -> float:
-    """F_00 at the radius: V = 1/2 + (1 - sqrt(1 - ab/pq))/2 < 1.
+    """V = F_00(R) = 1/2 + (1 - sqrt(1 - ab/pq))/2 < 1.
 
-    Written out rather than read off ``closed_form_F00(params, R)``: there
-    1 - 4pqR^2 rounds to a few ulps off 0, and its square root costs half
-    the digits.
+    The return-time transform is F_00(z) = (1 - sqrt(1 - 4pq z^2))/2 +
+    (1 - sqrt(1 - 4ab z^2))/2, and R^2 = 1/(4pq) is substituted exactly:
+    evaluated at a rounded R, 1 - 4pqR^2 lands a few ulps off 0, and its
+    square root costs half the digits.
     """
     return 0.5 + 0.5 * (1 - math.sqrt(1 - params.a * params.b / (params.p * params.q)))
 
@@ -259,28 +247,6 @@ def _fit_tail(terms: np.ndarray, N: int) -> float:
             return float(run[stop[0]])
         tail, gk = float(run[-1]), float(gks[-1]) * g
     return tail
-
-
-def chi_entrance(kernel, z: int, w: float, N: int):
-    """Normalized partial Green measure chi(z,.) = G_{z,.}(w)/s(z).
-
-    Accumulates the vector sum_{n<=N} w^n K^n(z,.) and normalizes it to a
-    probability on the window [z-N, z+N].
-    """
-    if N < 0:
-        raise ValueError("need N >= 0")
-    lo, hi = z - N, z + N
-    up, stay, down = kernel.rows(lo, hi)
-    v = np.zeros(hi - lo + 1)
-    v[z - lo] = 1.0
-    acc = v.copy()
-    # one record per step: every step's law enters the sum
-    run = _normalised_run(v, up, stay, down, N, stops=range(1, N))
-    for n, rec in enumerate(run, start=1):
-        weight = math.exp(rec.log_mass[-1] + n * math.log(w))
-        acc[rec.a : rec.b + 1] += weight * v[rec.a : rec.b + 1]
-    total = float(acc.sum())
-    return MassState(Window(lo, hi), acc / total, math.log(total))
 
 
 def k2n00_asymptotic(params: TwoSidedParams, n: int) -> float:

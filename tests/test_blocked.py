@@ -279,11 +279,10 @@ def test_capped_per_step_run_keeps_no_subnormal_entries(clip, modes):
 @pytest.mark.parametrize(
     "stops", [(10, 11, 650), range(1, 700)], ids=["off-grid-stops", "every-step"]
 )
-def test_flush_runs_once_per_full_record_and_at_the_end(stops, monkeypatch):
-    """Records of m steps, blocked or not, and the run's last record are
-    flushed; records a stop cut short are not, so a stop at every step
-    costs one flush per run.  Blocks after an off-grid stop still end on a
-    flushed record, so every record's hull is the tight live hull."""
+def test_flush_runs_once_per_record(stops, monkeypatch):
+    """Every record ends with one flush: records of m steps, blocked or
+    not, records a stop cut short and the run's last record alike, so
+    every record's hull is the tight live hull."""
     flushes = []
     flush = chain._flush
 
@@ -296,14 +295,14 @@ def test_flush_runs_once_per_full_record_and_at_the_end(stops, monkeypatch):
     up, stay, down = lazify(preset_kernel("two_sided"), 0.5).rows(-n, n)
     v = np.zeros(2 * n + 1)
     v[n] = 1.0
-    steps, flushed = 0, 0
+    steps, records = 0, 0
     for rec in chain._normalised_run(v, up, stay, down, n, stops=stops):
         steps += rec.surv.size
-        flushed += rec.surv.size == M or steps == n
+        records += 1
         assert (rec.a, rec.b) == chain._hull(v, rec.a, rec.b)
-    assert steps == n and len(flushes) == flushed
+    assert steps == n and len(flushes) == records
     if isinstance(stops, range):
-        assert flushed == 1
+        assert records == n
 
 
 def test_correlation_serves_most_band_product_sites(modes):

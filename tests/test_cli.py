@@ -230,8 +230,14 @@ def test_budget_exhaustion_exit_code(tmp_path, capsys):
                 "--out-dir", tmp_path / "s"]) == 4
     # the Green probe's tail fit reads these 222 terms as growing
     assert run(["spectral", "--n", "222", "--out-dir", tmp_path / "g"]) == 4
+    # probe grids past the step budget: kesten's n_grid, simulate's Orey grid
+    assert run(["kesten", "--n", "500", "--n-max", "600", "--n-grid", "512,2000",
+                "--out-dir", tmp_path / "k"]) == 4
+    assert run(["simulate", "--n", "100", "--n-max", "200", "--mc-paths", "100",
+                "--orey-m-grid", "64,3000", "--out-dir", tmp_path / "o"]) == 4
+    assert not [*(tmp_path / "k").iterdir(), *(tmp_path / "o").iterdir()]  # checked before any work
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 4 and all(line.startswith("budget exhausted:") for line in err)
+    assert len(err) == 6 and all(line.startswith("budget exhausted:") for line in err)
 
 
 def test_custom_regions_chain_runs(tmp_path):

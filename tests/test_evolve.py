@@ -10,8 +10,8 @@ from yaglom import (
     build_alpha_walk,
     build_two_sided,
     evolve_trace,
+    green_partial,
     lazify,
-    taboo_first_return,
     total_variation,
 )
 from yaglom.chain import MassState, Window
@@ -114,25 +114,12 @@ def test_two_steps_match_path_enumeration():
         assert tr.distribution[site] * float(survival) == pytest.approx(float(frac), rel=1e-13)
 
 
-def test_taboo_first_return_small_orders():
-    k = lazy_walk()
-    f = taboo_first_return(k, 0, 12)
-    p0, r0, q0 = k.row(0)
-    assert f[0] == pytest.approx(r0, abs=1e-15)
-    p1, _, q1 = k.row(1)
-    pm1, _, _ = k.row(-1)
-    assert f[1] == pytest.approx(p0 * q1 + q0 * pm1, abs=1e-15)
-    assert f.min() >= 0.0
-    assert f.sum() <= 1.0
-
-
 def test_taboo_transform_approaches_V():
-    # sum_k R^k f_k creeps up to F_00(R) = V from below
+    # F_00(R) = 1 - 1/G_00(R); read off the Green partial sums it creeps up
+    # to V from below
     k = build_two_sided(0.25, 0.75, 0.9, 0.1)
     R = 1.0 / (2.0 * math.sqrt(0.25 * 0.75))
-    f = taboo_first_return(k, 0, 1500)
-    ks = np.arange(1, len(f) + 1)
-    partial = float((R**ks * f).sum())
+    partial = 1.0 - 1.0 / green_partial(k, 0, 0, R, 1500).value
     V = 0.5 + 0.5 * (1.0 - math.sqrt(1.0 - 0.09 / 0.1875))
     assert partial < V
     assert V - partial < 2e-2

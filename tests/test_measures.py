@@ -16,7 +16,8 @@ from yaglom import (
     extremal_minus,
     extremal_plus,
     family_measure,
-    harmonic_residual,
+    green_partial,
+    h_transform,
     invariance_residual,
     lazify,
     mirror_extremal,
@@ -139,9 +140,9 @@ def test_dual_harmonic_values_and_residual():
     h = dual_harmonic(extremal_plus(PARAMS))
     assert h.value(-1) == pytest.approx(t0, rel=1e-12)
     assert h.value(2) == pytest.approx(7.3267, abs=1e-4)
-    assert harmonic_residual(KERNEL, h, PARAMS.rho, Window(-60, 60)) < 1e-12
+    assert h_transform(KERNEL, h, PARAMS.R).stochastic_residual(Window(-60, 60)) < 1e-12
     h_minus = dual_harmonic(extremal_minus(PARAMS))
-    assert harmonic_residual(KERNEL, h_minus, PARAMS.rho, Window(-60, 60)) < 1e-12
+    assert h_transform(KERNEL, h_minus, PARAMS.R).stochastic_residual(Window(-60, 60)) < 1e-12
     # the family members: hhat and the +inf extremal harmonic are this h
     xs = np.arange(-30, 31)
     assert np.array_equal(PARAMS.hhat.value(xs), h.value(xs))
@@ -264,7 +265,7 @@ def test_mirror_extremals_are_mirror_images():
 
 def test_mirror_hhat_harmonic_and_symmetric():
     hh = mirror_hhat(MIRROR)
-    assert harmonic_residual(MKERNEL, hh, MIRROR.rho, Window(-50, 50)) < 1e-12
+    assert h_transform(MKERNEL, hh, MIRROR.R).stochastic_residual(Window(-50, 50)) < 1e-12
     xs = np.arange(-20, 21)
     assert np.allclose(hh.value(xs), hh.value(-xs), rtol=1e-15)
     # hhat is the average of the two extremal harmonics
@@ -273,24 +274,23 @@ def test_mirror_hhat_harmonic_and_symmetric():
     assert np.allclose(hh.value(xs), 0.5 * (h_p.value(xs) + h_m.value(xs)), rtol=1e-14)
     for side in (+1, -1):
         h = MirrorHarmonic(MIRROR, side)
-        assert harmonic_residual(MKERNEL, h, MIRROR.rho, Window(-50, 50)) < 1e-12
+        assert h_transform(MKERNEL, h, MIRROR.R).stochastic_residual(Window(-50, 50)) < 1e-12
     # the family members: hhat and the +inf extremal harmonic
     assert np.array_equal(MIRROR.hhat.value(xs), hh.value(xs))
     assert np.array_equal(MIRROR.h_plus.value(xs), h_p.value(xs))
     for member in (MIRROR.hhat, MIRROR.h_plus):
-        assert harmonic_residual(MKERNEL, member, MIRROR.rho, Window(-50, 50)) < 1e-12
+        assert h_transform(MKERNEL, member, MIRROR.R).stochastic_residual(Window(-50, 50)) < 1e-12
 
 
 def test_mirror_extremals_match_entrance_kernel():
-    # independent numerical route: the normalized potential from far out
-    # on either side converges to the corresponding extremal
-    from yaglom.spectral import chi_entrance
-
+    # independent numerical route: the entrance kernel G(z,y)/G(z,0) at
+    # w = R from far out on either side converges to that side's extremal
     for z, side in ((40, +1), (-40, -1)):
-        chi = chi_entrance(MKERNEL, z, MIRROR.R, 3000)
-        ref = prob_values(mirror_extremal(MIRROR, side), chi.window)
-        tv = 0.5 * float(np.abs(chi.values - ref).sum())
-        assert tv < 5e-2
+        extremal = mirror_extremal(MIRROR, side)
+        g0 = green_partial(MKERNEL, z, 0, MIRROR.R, 4000).total
+        for y in range(-3, 4):
+            ratio = green_partial(MKERNEL, z, y, MIRROR.R, 4000).total / g0
+            assert ratio == pytest.approx(extremal.value(y) / extremal.value(0), rel=5e-2)
 
 
 def test_mirror_duality_h_times_gamma():

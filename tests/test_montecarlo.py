@@ -20,19 +20,17 @@ from yaglom import (
     mirror_hhat,
     normalizer_T,
     simulate_absorbed,
-    simulate_transformed,
     time_reversal,
-    transformed_finals,
 )
-from yaglom.chain import NNKernel, Region
+from yaglom.chain import NNKernel, Region, Window
 from yaglom.montecarlo import (
     _move,
     _renormalised,
+    _stochastic_rows,
     _thresholds,
     absorption_times,
     empirical_hitting_split,
     orey_trace,
-    r_zeta_conditional,
 )
 
 PARAMS = TwoSidedParams(0.25, 0.75, 0.9, 0.1)
@@ -64,19 +62,31 @@ def test_path_steps_are_nearest_neighbour():
     assert np.max(np.abs(np.diff(s.path))) <= 1
 
 
-def test_one_step_frequencies_chi_square():
-    # conditioned-chain sampler against its kernel row, 1e5 draws
-    rho_lazy = 0.5 + 0.5 * MIRROR.rho
-    tk = h_transform(
-        lazify(build_symmetric(0.25), 0.5), mirror_hhat(MIRROR), 1.0 / rho_lazy
-    )
+@pytest.mark.parametrize(
+    "transform, x, seed",
+    [("mirror_hhat", 3, 42), ("two_sided_h_plus", 2, 21)],
+    ids=["mirror_hhat", "two_sided_h_plus"],
+)
+def test_conditioned_step_frequencies_match_row(transform, x, seed):
+    # one step of 1e5 paths by the step rule on a conditioned kernel's
+    # renormalised rows, the tables empirical_hitting_split and orey_trace
+    # walk on, against the kernel row: a chi-square test over the moves
+    # the row allows, and none of the others
+    if transform == "mirror_hhat":
+        rho_lazy = 0.5 + 0.5 * MIRROR.rho
+        tk = h_transform(lazify(build_symmetric(0.25), 0.5), mirror_hhat(MIRROR), 1.0 / rho_lazy)
+    else:
+        tk = h_transform(KERNEL, dual_harmonic(extremal_plus(PARAMS)), PARAMS.R)
     n = 100_000
-    finals = transformed_finals(tk, 3, 1, n, seed=42)
-    up, stay, down = tk.row(3)
-    counts = [int((finals == 4).sum()), int((finals == 3).sum()), int((finals == 2).sum())]
-    expected = [n * up, n * stay, n * down]
-    chi2, pvalue = stats.chisquare(counts, f_exp=np.array(expected) * (n / sum(expected)))
-    assert pvalue > 1e-3
+    table = _stochastic_rows(tk, Window(x - 16, x + 16), 1e-9, x - 1, x + 1)
+    rows = np.ones(n, dtype=np.int64)  # x is row 1
+    moves = _move(np.random.default_rng(seed).random(n), rows, *table)
+    counts = np.array([np.count_nonzero(moves == move) for move in (1, 0, -1)])
+    expected = np.array(tk.row(x))
+    allowed = expected > 0.0
+    assert not counts[~allowed].any()
+    expected = expected[allowed] * (n / expected.sum())
+    assert stats.chisquare(counts[allowed], f_exp=expected).pvalue > 1e-3
 
 
 def test_absorption_matches_survival_probabilities():
@@ -110,34 +120,6 @@ def test_e0_r_zeta_truncated_consistency():
     assert want < e0_r_zeta(PARAMS)
 
 
-def test_r_zeta_conditional_reproducible_and_finite():
-    a = r_zeta_conditional(KERNEL, 0, 2000, seed=9, R=PARAMS.R)
-    b = r_zeta_conditional(KERNEL, 0, 2000, seed=9, R=PARAMS.R)
-    assert np.array_equal(a, b)
-    assert np.isfinite(a).all()
-    assert a.min() > 0
-    # integrating the clock out cannot fall below the one-step death term
-    assert a.min() >= PARAMS.kappa * PARAMS.R - 1e-12
-
-
-def test_r_zeta_conditional_reads_its_one_kill_site():
-    # killing only at 3, with drift toward it: at R = 1 every path's
-    # integrated clock sums to 1, up to the dropped tail
-    k = NNKernel(
-        (Region(None, 2, 0.6, 0.1, 0.3), Region(3, None, 0.3, 0.1, 0.6)),
-        overrides=((3, 0.3, 0.2, 0.4),),
-    )
-    assert r_zeta_conditional(k, 0, 50, seed=2, R=1.0) == pytest.approx(np.ones(50), abs=1e-10)
-    two = NNKernel(
-        (Region(None, None, 0.4, 0.2, 0.4),), overrides=((0, 0.3, 0.2, 0.4), (4, 0.3, 0.2, 0.4))
-    )
-    with pytest.raises(ValueError, match="exactly one kill site, got 2"):
-        r_zeta_conditional(two, 0, 10, seed=1, R=1.0)
-    everywhere = NNKernel((Region(None, None, 0.4, 0.1, 0.4),))
-    with pytest.raises(ValueError, match="exactly one kill site, got unbounded"):
-        r_zeta_conditional(everywhere, 0, 10, seed=1, R=1.0)
-
-
 def test_samplers_pinned_to_recorded_draws():
     # recorded outputs, one small input per sampler: a rewrite of the
     # samplers must keep every seed's draws
@@ -159,19 +141,6 @@ def test_samplers_pinned_to_recorded_draws():
     ]
     s = simulate_absorbed(KERNEL, 2, 40, seed=10)
     assert (s.path.tolist(), s.absorbed_at) == ([2, 1, 2, 1, 2, 1, 2, 1, 0], 9)
-    got = r_zeta_conditional(KERNEL, 0, 6, seed=9, R=PARAMS.R)
-    want = [1.4073413242721051, 1.4315170569598041, 1.6280534917393146,
-            1.431517644404419, 1.416413484506826, 1.6086494770149808]
-    assert got.tolist() == pytest.approx(want, rel=1e-14)
-    s = simulate_transformed(sym, 0, 30, seed=17)
-    assert s.absorbed_at is None
-    assert s.path.tolist() == [
-        0, -1, 0, -1, -2, -1, -2, -3, -4, -5, -4, -3, -4, -3, -4, -5,
-        -4, -5, -6, -5, -4, -3, -4, -5, -6, -7, -8, -7, -6, -5, -6,
-    ]
-    assert transformed_finals(sym, 0, 50, 10, seed=13).tolist() == [
-        -10, 6, -10, 20, -6, -12, -12, 12, -14, -12,
-    ]
     assert empirical_hitting_split(sym, 2, 8, 40, seed=31) == 35 / 40
     tr = orey_trace(rk, lazy, Prob(), (8, 32), seed=4, probes=(0,))
     assert (tr.init_site, tr.positions) == (7, {8: 6, 32: 2})
@@ -203,8 +172,8 @@ def test_step_rule_edge_cases():
 
 def test_samplers_pinned_at_benchmark_scale():
     # recorded before the samplers moved to 1-D threshold gathers: the
-    # hitting split at the monte_carlo workload's size, a hash of 200 000
-    # exit times, and 4000 conditioned-chain finals
+    # hitting split at the monte_carlo workload's size and a hash of
+    # 200 000 exit times
     sym = h_transform(build_symmetric(0.25), mirror_hhat(MIRROR), MIRROR.R)
     for x, seed, plus in ((-5, 1201, 1444), (0, 1202, 9955), (3, 1203, 17856)):
         assert empirical_hitting_split(sym, x, 32, 20_000, seed) == plus / 20_000
@@ -214,12 +183,6 @@ def test_samplers_pinned_at_benchmark_scale():
     assert hashlib.sha256(zeta.tobytes()).hexdigest() == (
         "aaa90e50059ebdda5f482fffd33833b957f22215e23b302972eadb4abb9ed926"
     )
-    finals = transformed_finals(sym, 0, 400, 4000, seed=1205)
-    assert finals.dtype == np.int64
-    assert (int(finals.sum()), int(np.abs(finals).sum())) == (-2162, 122782)
-    assert hashlib.sha256(finals.tobytes()).hexdigest() == (
-        "f48db71ba6cdfd0c270fb266033980d851cb1e9a635a30220d63fa858b3e2aa4"
-    )
 
 
 def test_hitting_split_needs_a_path():
@@ -228,49 +191,9 @@ def test_hitting_split_needs_a_path():
         empirical_hitting_split(sym, 0, 8, 0, seed=1)
 
 
-def test_transformed_single_step_matches_row():
-    tk = h_transform(KERNEL, dual_harmonic(extremal_plus(PARAMS)), PARAMS.R)
-    n = 100_000
-    finals = transformed_finals(tk, 2, 1, n, seed=21)
-    up, stay, down = tk.row(2)
-    for target, prob in ((3, up), (2, stay), (1, down)):
-        got = float((finals == target).mean())
-        se = math.sqrt(prob * (1 - prob) / n)
-        assert abs(got - prob) <= 3 * se + 1e-12
-
-
-def test_transformed_two_sided_escapes_upward():
-    tk = h_transform(KERNEL, dual_harmonic(extremal_plus(PARAMS)), PARAMS.R)
-    finals = transformed_finals(tk, 0, 2000, 2000, seed=8)
-    # conditioned chain is transient to +inf; by n=2000 essentially all
-    # paths sit at positive sites (Bessel-like repulsion from the origin)
-    assert float((finals > 0).mean()) > 0.99
-    assert float(np.median(finals)) > 25
-
-
-def test_transformed_symmetric_splits_evenly():
-    tk = h_transform(build_symmetric(0.25), mirror_hhat(MIRROR), MIRROR.R)
-    n = 4000
-    finals = transformed_finals(tk, 0, 400, n, seed=13)
-    frac = float((finals > 0).mean())
-    se = math.sqrt(0.25 / n)
-    assert abs(frac - 0.5) < 3 * se
-
-
-def test_simulate_transformed_never_absorbed():
-    tk = h_transform(KERNEL, dual_harmonic(extremal_plus(PARAMS)), PARAMS.R)
-    s = simulate_transformed(tk, 0, 500, seed=17)
-    assert s.absorbed_at is None
-    assert len(s.path) == 501
-
-
 def test_samplers_reject_non_stochastic_kernels():
     # h = 1 is not harmonic, and theta = 1 is not the measure's eigenvalue
     tk = h_transform(KERNEL, lambda x: np.ones_like(np.asarray(x, dtype=float)), PARAMS.R)
-    with pytest.raises(ValueError, match="not stochastic"):
-        simulate_transformed(tk, 0, 50, seed=1)
-    with pytest.raises(ValueError, match="not stochastic"):
-        transformed_finals(tk, 0, 50, 10, seed=1)
     with pytest.raises(ValueError, match="not stochastic"):
         empirical_hitting_split(tk, 0, 20, 10, seed=1)
     mplus = extremal_plus(PARAMS)

@@ -18,13 +18,11 @@ from yaglom import (
     Region,
     brute_force_distribution,
     check_conditions,
-    chi_entrance,
     estimate_hhat,
     evolve_trace,
     green_partial,
     lazify,
     preset_kernel,
-    taboo_first_return,
 )
 from yaglom.chain import _forward_step, _hull
 from yaglom.spectral import _fit_tail
@@ -156,22 +154,6 @@ def test_live_hull_brackets_the_final_support():
     assert len(tr.live_hull) < len(dist.window) // 2
 
 
-def test_taboo_first_return_matches_dense_loop():
-    kernel = lazify(preset_kernel("two_sided"), 0.5)
-    x0, n = 2, 600
-    lo = x0 - n
-    up, stay, down = kernel.rows(lo, x0 + n)
-    v = np.zeros(2 * n + 1)
-    v[x0 - lo] = 1.0
-    f = np.empty(n)
-    for k in range(n):
-        v = dense_step(v, up, stay, down)
-        f[k] = v[x0 - lo]
-        v[x0 - lo] = 0.0
-    # no sums involved: site-for-site the same arithmetic
-    np.testing.assert_array_equal(taboo_first_return(kernel, x0, n), f)
-
-
 @pytest.mark.parametrize("y", [0, "S"])
 def test_green_partial_matches_dense_loop(y):
     kernel = preset_kernel("two_sided")
@@ -223,19 +205,6 @@ def test_check_conditions_probes_are_green_partial_runs():
         green_partial(kernel, 11, "S", w, N)
     assert ev["E_R_zeta_at_11"] == math.inf and "green_tail_at_11" not in ev
     assert rep.status("2") == "fails"
-
-
-def test_chi_entrance_matches_dense_loop():
-    kernel = preset_kernel("two_sided")
-    z, w, N = -2, 1.1, 800
-    acc = np.zeros(2 * N + 1)
-    acc[N] = 1.0
-    for n, (_, log_mass, v) in enumerate(dense_forward_runs(kernel, z, N), start=1):
-        acc += math.exp(log_mass + n * math.log(w)) * v
-    total = float(acc.sum())
-    chi = chi_entrance(kernel, z, w, N)
-    assert_norm_rel(chi.values, acc / total)
-    assert chi.log_mass == pytest.approx(math.log(total), rel=REL)
 
 
 def test_estimate_hhat_matches_dense_loop():
@@ -359,7 +328,7 @@ def test_transposed_forward_step_is_backward_step(rates, half, offset, steps):
 def test_hull_stays_in_window_and_covers_support(rates, half, offset, steps, zap):
     """After every step the hull lies in the window, every site outside it
     is 0.0, and the step equals the dense one site for site, also when
-    sites are zeroed between steps (as clipping and taboo runs do)."""
+    sites are zeroed between steps (as clipping and the flush do)."""
     kernel = random_kernel(rates)
     lo, hi = -half, half
     up, stay, down = kernel.rows(lo, hi)

@@ -6,27 +6,26 @@ import pytest
 from scipy.special import zeta
 
 from yaglom import (
+    MirrorParams,
     TwoSidedParams,
     build_alpha_walk,
+    build_symmetric,
     build_two_sided,
-    chi_entrance,
-    closed_form_F00,
     closed_form_V,
     e0_r_zeta,
     estimate_rho,
     evolve_trace,
+    extremal_minus,
     extremal_plus,
     green_partial,
     k2n00_asymptotic,
     lazify,
-    prob_values,
     quadratic_roots,
-    taboo_first_return,
 )
-from yaglom.chain import Window
 from yaglom.spectral import _fit_tail, _hurwitz_zeta
 
 PARAMS = TwoSidedParams(0.25, 0.75, 0.9, 0.1)
+MIRROR = MirrorParams(0.25, 0.125)
 
 
 def random_params(rng):
@@ -116,12 +115,25 @@ def test_estimate_rho_needs_history():
         estimate_rho(np.full(100, 0.9))
 
 
-def test_closed_form_F00():
-    assert closed_form_F00(PARAMS, 0.0) == 0.0
-    V = closed_form_V(PARAMS)
-    assert V == pytest.approx(0.639445, abs=1e-6)
-    with pytest.raises(ValueError):
-        closed_form_F00(PARAMS, PARAMS.R * 1.01)
+def test_closed_form_V_pin():
+    assert closed_form_V(PARAMS) == pytest.approx(0.639445, abs=1e-6)
+
+
+def taboo_first_return(kernel, x0, n):
+    """P_x0(first return to x0 at step k, alive), k = 1..n, by a dense loop."""
+    lo = x0 - n
+    up, stay, down = kernel.rows(lo, x0 + n)
+    v = np.zeros(2 * n + 1)
+    v[x0 - lo] = 1.0
+    f = np.empty(n)
+    for k in range(n):
+        w = v * stay
+        w[1:] += v[:-1] * up[:-1]
+        w[:-1] += v[1:] * down[1:]
+        v = w
+        f[k] = v[x0 - lo]
+        v[x0 - lo] = 0.0
+    return f
 
 
 def test_F00_matches_taboo_series_with_tail():
@@ -136,6 +148,21 @@ def test_F00_matches_taboo_series_with_tail():
     c = float(np.mean(terms[sel] * ks[sel] ** 1.5))
     tail = c * float(zeta(1.5, N + 1))
     assert partial + tail == pytest.approx(closed_form_V(PARAMS), abs=5e-3)
+
+
+@pytest.mark.parametrize("family", ["two_sided", "mirror"])
+def test_renewal_identity_on_green_partial(family):
+    """G_00(R) = 1/(1 - F_00(R)), with F_00(R) = V on two_sided and e/p on
+    mirror.  The chain lazified by 1/4 has the base chain's potential at R
+    as its potential at s = 1/(1/4 + 3/4 rho) times 1 - s/4, and its terms
+    have no period for the tail fit to trip on."""
+    if family == "two_sided":
+        kernel, rho, F = build_two_sided(0.25, 0.75, 0.9, 0.1), PARAMS.rho, closed_form_V(PARAMS)
+    else:
+        kernel, rho, F = build_symmetric(0.25), MIRROR.rho, MIRROR.exit_prob / MIRROR.p
+    s = 1.0 / (0.25 + 0.75 * rho)
+    G00 = green_partial(lazify(kernel, 0.25), 0, 0, s, 2000).total * (1.0 - 0.25 * s)
+    assert G00 == pytest.approx(1.0 / (1.0 - F), rel=1e-3)
 
 
 def test_e0_r_zeta_closed_form():
@@ -290,37 +317,17 @@ def test_green_onekill_identity_finite_N():
     assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
-def test_chi_entrance_point_mass():
+@pytest.mark.parametrize("z", [40, -40])
+def test_green_ratios_recover_entrance_extremals(z):
+    """The rho-Martin entrance kernel G(z,y)/G(z,0) at w = R tends to the
+    extremal of the end z runs off to: mu_+inf as z -> +inf, mu_-inf as
+    z -> -inf."""
     k = build_two_sided(0.25, 0.75, 0.9, 0.1)
-    chi = chi_entrance(k, 7, PARAMS.R, 0)
-    assert chi[7] == 1.0
-
-
-def test_chi_entrance_converges_to_plus_extremal():
-    k = build_two_sided(0.25, 0.75, 0.9, 0.1)
-    chi = chi_entrance(k, 40, PARAMS.R, 4000)
-    ref = prob_values(extremal_plus(PARAMS), chi.window)
-    tv = 0.5 * float(np.abs(chi.values - ref).sum())
-    assert tv < 5e-2
-
-
-def test_chi_entrance_left_limit_recovers_minus_extremal():
-    k = build_two_sided(0.25, 0.75, 0.9, 0.1)
-    chi = chi_entrance(k, -40, PARAMS.R, 4000)
-    from yaglom import extremal_minus
-
-    ref = prob_values(extremal_minus(PARAMS), chi.window)
-    tv = 0.5 * float(np.abs(chi.values - ref).sum())
-    assert tv < 5e-2
-
-
-def test_chi_entrance_tight_over_starts():
-    k = build_two_sided(0.25, 0.75, 0.9, 0.1)
-    for z in (10, 35, 60):
-        chi = chi_entrance(k, z, PARAMS.R, 1500)
-        sites = chi.window.sites()
-        assert chi.values.min() >= 0.0
-        assert float(chi.values[np.abs(sites) > 100].sum()) < 0.05
+    extremal = extremal_plus(PARAMS) if z > 0 else extremal_minus(PARAMS)
+    g0 = green_partial(k, z, 0, PARAMS.R, 4000).total
+    for y in range(-3, 4):
+        ratio = green_partial(k, z, y, PARAMS.R, 4000).total / g0
+        assert ratio == pytest.approx(extremal.value(y) / extremal.value(0), rel=5e-2)
 
 
 def test_k2n00_asymptotic_pin():
