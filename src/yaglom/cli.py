@@ -44,7 +44,7 @@ from .spectral import (
     green_partial,
     k2n00_asymptotic,
 )
-from .transforms import estimate_hhat, h_transform, hitting_split, mixture_limit, time_reversal
+from .transforms import estimate_hhat, time_reversal
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -142,7 +142,6 @@ FIELDS = (
     Field("budgets.n_max", "int", 50000, AT_LEAST_1, "budget: max steps"),
     # the Monte-Carlo standard errors need two paths
     Field("budgets.mc_paths", "int", 200000, (lambda v: v >= 2, "at least 2"), "budget: paths"),
-    Field("budgets.horizon_M", "int", 4096, AT_LEAST_1, "budget: hitting horizon"),
     Field("out_dir", "str", "yaglom_out"),
     Field("n_grid", "ints", OPTIONAL, AT_LEAST_1, "comma list (kesten)"),
     Field("orey_m_grid", "ints", OPTIONAL, AT_LEAST_1, "comma list (simulate)"),
@@ -233,26 +232,6 @@ def kernel_from_config(cfg: dict):
     return base, kernel, family
 
 
-def _hitting_split(base, family, x0: int, horizon_M: int):
-    """Boundary weights from x0 of the base chain h-transformed by ``family.hhat``."""
-    try:
-        return hitting_split(h_transform(base, family.hhat, family.R), x0, M_cap=horizon_M)
-    except ValueError as exc:  # e.g. a start beyond the hitting horizon
-        raise BudgetError(f"hitting split from x0={x0}: {exc}") from None
-
-
-def _reference_measure(base, family, x0: int, horizon_M: int):
-    """Closed-form limit of the conditioned law from x0, when known: the
-    +inf extremal of the two-sided walk, or the mirror chain's mixture of
-    its two extremals, weighted by the hitting split of its h-transform."""
-    if isinstance(family, TwoSidedParams):
-        return extremal_plus(family)
-    if family is None:
-        return None
-    weights = _hitting_split(base, family, x0, horizon_M)
-    return mixture_limit(weights, mirror_extremal(family, -1), mirror_extremal(family, +1))
-
-
 def _write_csv(path: Path, cfg: dict, header: list[str], rows) -> None:
     """The config echo as a comment line, then the header and the rows,
     written as ``csv.writer`` writes them.  Cells are numbers, bools or ""
@@ -322,7 +301,6 @@ def cmd_yaglom(cfg, base, kernel, family, out: Path) -> dict:
     for y in tracked:
         if abs(y - x0) > n:
             raise ConfigError(f"tracked site {y} outside the window [{x0 - n}, {x0 + n}]")
-    ref = _reference_measure(base, family, x0, cfg["budgets"]["horizon_M"])
     trace = evolve_trace(kernel, x0, n, tracked=tracked, clip=cfg.get("clip", 0.0))
     header = ["n", "survival_factor", "log_mass"] + [f"ratio_{y}" for y in tracked]
     ratios = [trace.tracked_ratios[y].tolist() for y in tracked]
@@ -341,8 +319,8 @@ def cmd_yaglom(cfg, base, kernel, family, out: Path) -> dict:
         "live_hull_width": len(trace.live_hull),
         "zero_sites": int(dist.values.size - np.count_nonzero(dist.values)),
     }
-    if ref is not None:
-        ref_vals = prob_values(ref, dist.window)
+    if family is not None:
+        ref_vals = prob_values(family.limit(x0), dist.window)
         results["tv_to_reference"] = 0.5 * float(np.abs(dist.values - ref_vals).sum())
     _write_json(out / "yaglom_report.json", cfg, results)
     return results
@@ -435,13 +413,8 @@ def cmd_transform(cfg, base, kernel, family, out: Path) -> dict:
         "all_converged": est.verdict(),
     }
     if family is not None:
-        w = _hitting_split(base, family, cfg["x0"], cfg["budgets"]["horizon_M"])
-        results["boundary_weights"] = {
-            "w_minus": w.w_minus,
-            "w_plus": w.w_plus,
-            "converged": w.converged,
-            "horizon": w.horizon,
-        }
+        w_minus, w_plus = family.split(cfg["x0"])
+        results["boundary_weights"] = {"w_minus": w_minus, "w_plus": w_plus}
     _write_json(out / "transform_report.json", cfg, results)
     return results
 

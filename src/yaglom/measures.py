@@ -2,7 +2,8 @@
 
 The parameters of the two worked examples, ``TwoSidedParams`` and
 ``MirrorParams``, carry the same closed-form members: ``R``, ``rho``,
-``hhat`` and the +inf extremal harmonic ``h_plus``.  For the two-sided
+``hhat``, the +inf extremal harmonic ``h_plus``, and from a start x the
+boundary ``split(x)`` and the Yaglom ``limit(x)``.  For the two-sided
 walk, the one-parameter family of rho-invariant measures mu_c, its
 extremals (the entrance-boundary measures), the normalizer T(c), the
 reversibility measure gamma and the duality h = mu/gamma.  The
@@ -37,7 +38,6 @@ __all__ = [
     "normalizer_T",
     "invariance_residual",
     "reversibility_gamma",
-    "gamma_log_values",
     "dual_harmonic",
     "mirror_extremal",
     "mirror_hhat",
@@ -89,6 +89,14 @@ class TwoSidedParams:
 
     h_plus = hhat
 
+    def split(self, x: int) -> tuple[float, float]:
+        """Boundary weights (w_minus, w_plus) from x: all on +inf."""
+        return 0.0, 1.0
+
+    def limit(self, x: int) -> ClosedFormMeasure:
+        """The Yaglom limit from x: the +inf extremal, whatever x is."""
+        return extremal_plus(self)
+
 
 def quadratic_roots(params: TwoSidedParams) -> tuple[float, float]:
     """Roots 1 < t0 <= t1 of b s^2 - 2 sqrt(pq) s + a = 0.
@@ -138,8 +146,9 @@ class _ClosedForm:
         x = np.asarray(x, dtype=float)
         right, left = self._sides()
         xp, xn = np.maximum(x, 0.0), np.minimum(x, 0.0)
-        pos = sum((a + b * xp) * t**xp for a, b, t in right)
-        neg = sum((a + b * xn) * t**xn for a, b, t in left)
+        with np.errstate(over="ignore"):  # a growing piece is inf far out
+            pos = sum((a + b * xp) * t**xp for a, b, t in right)
+            neg = sum((a + b * xn) * t**xn for a, b, t in left)
         out = np.where(x > 0, pos, np.where(x < 0, neg, 1.0))
         return out if out.ndim else float(out)
 
@@ -259,22 +268,6 @@ def reversibility_gamma(params: TwoSidedParams) -> _TwoSidedGamma:
     return _TwoSidedGamma(params)
 
 
-def gamma_log_values(kernel, lo: int, hi: int) -> np.ndarray:
-    """log gamma on [lo, hi] for an arbitrary kernel, gamma(0) = 1.
-
-    gamma(x) = prod_{k=1..x} p_{k-1}/q_k rightward and the mirror product
-    leftward; detailed balance holds by construction.
-    """
-    up, _, down = kernel.rows(lo - 1, hi + 1)
-    sites = np.arange(lo - 1, hi + 2)
-    steps = np.log(up[:-1]) - np.log(down[1:])  # log(p_k / q_{k+1})
-    out = np.zeros(len(sites))
-    i0 = int(np.searchsorted(sites, 0))
-    out[i0 + 1 :] = np.cumsum(steps[i0:])
-    out[:i0] = -np.cumsum(steps[:i0][::-1])[::-1]
-    return out[1:-1][: hi - lo + 1]
-
-
 @dataclass(frozen=True)
 class DualHarmonic(_ClosedForm):
     """h = mu/gamma: the rho-harmonic dual of an invariant measure.
@@ -355,6 +348,22 @@ class MirrorParams:
     @property
     def h_plus(self) -> MirrorHarmonic:
         return MirrorHarmonic(self, +1)
+
+    def split(self, x: int) -> tuple[float, float]:
+        """Boundary weights (w_minus, w_plus) = c_+- h_+-(x) / hhat(x) from x.
+
+        Here c_+- = 1/2, so with c = ``slope_h`` the side of 0 that x lies
+        on weighs (1 + 2c|x|)/(2 + 2c|x|) and the other side 1/(2 + 2c|x|).
+        In this form the weights stay exact far out, where ``value``
+        overflows and a ``log_value`` difference rounds.
+        """
+        d = 2.0 * self.slope_h * abs(x)
+        near, far = (1.0 + d) / (2.0 + d), 1.0 / (2.0 + d)
+        return (far, near) if x >= 0 else (near, far)
+
+    def limit(self, x: int) -> Mixture:
+        """The Yaglom limit from x: the extremals mixed by ``split(x)``."""
+        return Mixture(*self.split(x), mirror_extremal(self, -1), mirror_extremal(self, +1))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 The h-transform R K(x,y) h(y)/h(x) is the chain conditioned to survive
 forever; the time reversal mu(z) K(z,x) / (theta mu(x)) runs the chain
 backwards with respect to a theta-invariant measure.  Boundary weights
-are obtained from the h-transform's two-sided hitting problem, and the
-limiting conditioned law is the corresponding convex mixture of the two
-extremal invariant probabilities.
+are obtained numerically from the h-transform's two-sided hitting problem
+(the reference for the families' closed-form ``split``), and the limiting
+conditioned law is the corresponding convex mixture of the two extremal
+invariant probabilities.
 """
 
 from __future__ import annotations
@@ -146,9 +147,11 @@ def hitting_split(
     """Boundary weights by the gambler's-ruin system with doubling horizon.
 
     Solves the two-point hitting problem on [-M, M], starting from
-    M = max(M_start, 2|x| + 2), and doubles M until the answer moves by
-    less than ``_SPLIT_TOL`` (or the cap is reached, in which case
-    ``converged`` is False and ``delta`` reports the last change).  Raises
+    M = max(M_start, 2|x| + 2), and doubles M, the last time only up to
+    ``M_cap``, until the answer moves by less than ``_SPLIT_TOL`` (or the
+    cap is reached, in which case ``converged`` is False and ``delta``
+    reports the last change).  On the mirror chain the error falls only
+    like 1/M; the families' ``split`` gives the exact weights.  Raises
     if 2|x| + 2 exceeds ``M_cap`` (the first window alone would pass the
     cap), or if the rows of ``tk`` near 0 miss 1 by more than
     ``_RESIDUAL_TOL``.
@@ -163,7 +166,7 @@ def hitting_split(
     w = _ruin_w_plus(tk, x, M)
     delta = math.inf
     while M < M_cap:
-        M *= 2
+        M = min(2 * M, M_cap)
         w_next = _ruin_w_plus(tk, x, M)
         delta = abs(w_next - w)
         w = w_next
@@ -195,15 +198,17 @@ _HHAT_REL_TOL = 1e-3
 def _window_cauchy(series: np.ndarray):
     """Max sliding-window spread over the last half, relative to the level.
 
-    A tail with no positive finite entry (a site out of reach, or a
-    period-2 chain whose ratio is 0 or 0/0 at every step) has no level to
-    converge to: it is reported as not converged with an infinite spread.
+    A tail with a zero among its finite entries has no level to converge
+    to: a site out of reach, a site whose entry the run still flushes
+    below the smallest normal float, or a period-2 chain at an odd
+    distance from x0 (ratio 0 or undefined at every step).  It is
+    reported as not converged with an infinite spread.
     """
     half = series[len(series) // 2 :]
     half = half[np.isfinite(half)]
-    if len(half) < _HHAT_WIDTH + 1 or not (half > 0.0).any():
+    if len(half) < _HHAT_WIDTH + 1 or not (half > 0.0).all():
         return math.inf, False
-    level = abs(float(np.median(half))) or 1.0
+    level = float(np.median(half))
     windows = np.lib.stride_tricks.sliding_window_view(half, _HHAT_WIDTH)
     spread = float((windows.max(axis=1) - windows.min(axis=1)).max()) / level
     return spread, spread <= _HHAT_REL_TOL

@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+from itertools import takewhile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from yaglom.cli import _CSV_CHUNK, COMMANDS, MAX_SITE, _write_csv, main
+from yaglom.cli import _CSV_CHUNK, COMMANDS, FIELDS, MAX_SITE, _write_csv, main
 from yaglom.scenarios import PRESETS
 
 CUSTOM_CHAIN = {
@@ -357,19 +359,36 @@ def test_transform_site_outside_window_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, args",
-    [("transform", ["--n", "300"]), ("yaglom", ["--n", "50", "--tracked-sites", "0"])],
+    [("transform", ["--n", "300"]), ("yaglom", ["--n", "50", "--tracked-sites", "3000"])],
 )
-def test_start_beyond_hitting_horizon_is_budget_error(tmp_path, capsys, command, args):
-    code = run([command, "--preset", "symmetric", "--lazify", "0.5", "--x0", "40",
-                "--horizon-M", "64", *args, "--out-dir", tmp_path / "o"])
-    assert code == 4
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("budget exhausted:") and "x0=40" in err
-    assert len(err.splitlines()) == 1
-    # a start inside the horizon runs
-    code = run([command, "--preset", "symmetric", "--lazify", "0.5", "--x0", "31",
-                "--horizon-M", "64", *args, "--out-dir", tmp_path / "p"])
-    assert code == 0
+def test_far_symmetric_start_runs(tmp_path, command, args):
+    # the closed-form split needs no hitting horizon
+    assert run([command, "--preset", "symmetric", "--lazify", "0.5", "--x0", "3000",
+                *args, "--out-dir", tmp_path]) == 0
+    if command == "transform":
+        weights = read_report(tmp_path / "transform_report.json")["results"]["boundary_weights"]
+        assert weights == {"w_minus": 1 / 6002, "w_plus": 6001 / 6002}
+    else:
+        assert "tv_to_reference" in read_report(tmp_path / "yaglom_report.json")["results"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_transform_far_site_is_not_converged(tmp_path):
+    # the ratio at site 1500 is 0 until step 1939 (unreached, then flushed
+    # as subnormal), and the closed form there overflows a float
+    out = tmp_path / "t"
+    assert run(["transform", "--preset", "two_sided", "--lazify", "0.5", "--n", "2000",
+                "--sites", "1500", "--out-dir", out]) == 0
+    with open(out / "hhat.csv") as fh:
+        (row,) = csv.DictReader(line for line in fh if not line.startswith("#"))
+    assert (row["converged"], row["spread"], row["closed_form"]) == ("False", "inf", "inf")
+
+
+def test_readme_config_table_lists_every_field():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| key | type | default | range |") + 2
+    rows = takewhile(lambda line: line.startswith("|"), lines[start:])
+    assert [row.split("`")[1] for row in rows] == [f.key for f in FIELDS]
 
 
 def test_tracked_site_outside_window_is_config_error(tmp_path, capsys):
@@ -406,8 +425,7 @@ VALID = st.fixed_dictionaries(
         "n": st.integers(1, 300),
         "x0": st.integers(-10, 10),
         "budgets": st.fixed_dictionaries(
-            {"n_max": st.integers(200, 400), "mc_paths": st.integers(1, 2000),
-             "horizon_M": st.integers(1, 512)}
+            {"n_max": st.integers(200, 400), "mc_paths": st.integers(1, 2000)}
         ),
     },
     optional={

@@ -27,7 +27,7 @@ from yaglom import (
     quadratic_roots,
     reversibility_gamma,
 )
-from yaglom.measures import MirrorHarmonic, Mixture, gamma_log_values
+from yaglom.measures import MirrorHarmonic, Mixture
 
 PARAMS = TwoSidedParams(0.25, 0.75, 0.9, 0.1)
 KERNEL = build_two_sided(0.25, 0.75, 0.9, 0.1)
@@ -125,14 +125,6 @@ def test_gamma_values_and_detailed_balance():
         up = KERNEL.row(x)[0]
         down = KERNEL.row(x + 1)[2]
         assert abs(gx * up - gx1 * down) < 1e-15
-
-
-def test_gamma_log_values_matches_closed_form():
-    gamma = reversibility_gamma(PARAMS)
-    lo, hi = -40, 40
-    got = gamma_log_values(KERNEL, lo, hi)
-    want = gamma.log_value(np.arange(lo, hi + 1))
-    assert np.allclose(got, want, atol=1e-12)
 
 
 def test_dual_harmonic_values_and_residual():
@@ -294,14 +286,45 @@ def test_mirror_extremals_match_entrance_kernel():
 
 
 def test_mirror_duality_h_times_gamma():
-    # gamma h_plus recovers the +inf extremal measure, computed from the
-    # kernel itself rather than from closed-form gamma
+    # gamma h_plus recovers the +inf extremal measure, with gamma computed
+    # from the kernel's rates by detailed balance: gamma(x+1)/gamma(x) = p_x/q_{x+1}
     lo, hi = -30, 30
-    lgamma = gamma_log_values(MKERNEL, lo, hi)
+    up, _, down = MKERNEL.rows(lo, hi)
+    lgamma = np.concatenate([[0.0], np.cumsum(np.log(up[:-1]) - np.log(down[1:]))])
+    lgamma -= lgamma[-lo]  # gamma(0) = 1
     h_p = MirrorHarmonic(MIRROR, +1)
     got = np.exp(lgamma) * h_p.value(np.arange(lo, hi + 1))
     want = mirror_extremal(MIRROR, +1).value(np.arange(lo, hi + 1))
     assert np.allclose(got, want, rtol=1e-11)
+
+
+def test_mirror_split_is_half_h_over_hhat():
+    # w_+-(x) = c_+- h_+-(x) / hhat(x) with c_+- = 1/2
+    h_minus = MirrorHarmonic(MIRROR, -1)
+    for x in range(-20, 21):
+        w_minus, w_plus = MIRROR.split(x)
+        assert w_plus == pytest.approx(0.5 * MIRROR.h_plus.value(x) / MIRROR.hhat.value(x), rel=1e-14)
+        assert w_minus == pytest.approx(0.5 * h_minus.value(x) / MIRROR.hhat.value(x), rel=1e-14)
+    assert MIRROR.split(2)[1] == pytest.approx(5 / 6, abs=1e-12)
+    assert MIRROR.split(-6)[1] == pytest.approx(1 / 14, abs=1e-12)
+    assert MIRROR.split(0) == (0.5, 0.5)
+    # far out, where hhat.value overflows and a log_value difference rounds above 1
+    for x in (-10**9, 10**9):
+        w_minus, w_plus = MIRROR.split(x)
+        assert 0.0 <= w_minus <= 1.0 and 0.0 <= w_plus <= 1.0
+        assert w_minus + w_plus == pytest.approx(1.0, abs=1e-15)
+    assert MIRROR.split(10**9)[0] == pytest.approx(1 / (2 + 2e9), rel=1e-15)
+
+
+def test_family_limits():
+    # the two-sided walk's limit is the +inf extremal from every start
+    for x in (-10, 0, 10):
+        assert PARAMS.split(x) == (0.0, 1.0)
+        assert PARAMS.limit(x) == extremal_plus(PARAMS)
+    mix = MIRROR.limit(2)
+    assert (mix.w_minus, mix.w_plus) == MIRROR.split(2)
+    assert mix.pi_minus == mirror_extremal(MIRROR, -1)
+    assert mix.pi_plus == mirror_extremal(MIRROR, +1)
 
 
 @settings(max_examples=40, deadline=None)

@@ -146,6 +146,21 @@ def test_hitting_split_rejects_nonstochastic():
         hitting_split(tk, 0)
 
 
+def test_hitting_split_stops_at_the_cap():
+    tk = h_transform(MKERNEL, mirror_hhat(MIRROR), MIRROR.R)
+    # from x = 100 the horizon doubles 202, 404, ..., 3232, then stops at the cap
+    assert hitting_split(tk, 100).horizon == 4096
+    assert hitting_split(tk, 100, M_cap=1000).horizon == 1000
+
+
+@pytest.mark.parametrize("x", [-6, -2, 2, 6])
+def test_hitting_split_converges_like_one_over_M_to_the_exact_split(x):
+    tk = h_transform(MKERNEL, mirror_hhat(MIRROR), MIRROR.R)
+    want = MIRROR.split(x)[1]
+    for M in (1024, 4096, 16384):
+        assert M * abs(hitting_split(tk, x, M_cap=M).w_plus - want) < 0.5
+
+
 def test_estimate_hhat_identity_at_origin():
     est = estimate_hhat(lazify(KERNEL, 0.5), 0, (0,), 250)
     assert est.table[0] == 1.0
@@ -175,6 +190,14 @@ def test_estimate_hhat_period_two_odd_sites_not_converged():
     assert not est.converged[-1] and not est.converged[1]
     assert est.spreads[-1] == est.spreads[1] == math.inf
     assert est.converged[2]
+
+
+def test_estimate_hhat_far_site_not_converged_before_it_is_reached():
+    # the run reaches site 1500 at step 1500 and flushes its entry below the
+    # smallest normal float until step 1939: 939 of the last half's ratios are 0
+    est = estimate_hhat(lazify(KERNEL, 0.5), 0, (1500,), 2000)
+    assert not est.converged[1500]
+    assert est.spreads[1500] == math.inf
 
 
 def test_closed_form_hhat_values():
