@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-12
+_MAX_SPAN = 10**6  # most sites that validation or an exact Green solve walks one by one
 
 
 class DegenerateKernelError(RuntimeError):
@@ -213,7 +214,7 @@ def validate(kernel: NNKernel, window: Window | None = None) -> list[str]:
             report.append("overlapping unbounded regions")
         elif right.lo > left.hi + 1:
             gap = range(left.hi + 1, right.lo)
-            if len(gap) > 10**6 or any(x not in overridden for x in gap):
+            if len(gap) > _MAX_SPAN or any(x not in overridden for x in gap):
                 report.append(f"coverage gap between {left.hi} and {right.lo}")
         elif right.lo < left.hi + 1:
             report.append(f"regions overlap near {right.lo}")

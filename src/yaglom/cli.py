@@ -38,10 +38,10 @@ from .montecarlo import absorption_times, orey_trace, simulate_absorbed
 from .scenarios import PRESETS, oscillation_probe
 from .spectral import (
     MIN_RHO_FACTORS,
+    _green,
     closed_form_V,
     e0_r_zeta,
     estimate_rho,
-    green_partial,
     k2n00_asymptotic,
 )
 from .transforms import estimate_hhat, time_reversal
@@ -341,10 +341,6 @@ def cmd_spectral(cfg, base, kernel, family, out: Path) -> dict:
     _write_csv(out / "survival.csv", cfg, ["n", "survival_factor"], rows)
     if isinstance(family, TwoSidedParams):
         t0, t1 = quadratic_roots(family)
-        try:
-            g = green_partial(base, 0, "S", family.R, min(n, 4000))
-        except ValueError as exc:  # the tail fit can read a short period-2 series as growing
-            raise BudgetError(f"spectral's Green probe at n={min(n, 4000)}: {exc}") from None
         results.update(
             {
                 "base_rho_closed_form": family.rho,
@@ -352,7 +348,7 @@ def cmd_spectral(cfg, base, kernel, family, out: Path) -> dict:
                 "t1": t1,
                 "V": closed_form_V(family),
                 "E0_R_zeta_closed_form": e0_r_zeta(family),
-                "E0_R_zeta_green": 1.0 + (family.R - 1.0) * g.total,
+                "E0_R_zeta_green": 1.0 + (family.R - 1.0) * _green(base, 0, "S", family.R),
                 "k2n00_asymptotic_n200": k2n00_asymptotic(family, 200),
             }
         )
@@ -524,6 +520,7 @@ def cmd_kesten(cfg, base, kernel, family, out: Path) -> dict:
     results = {
         "n_grid": list(n_grid),
         "max_pairwise_tv": probe.max_tv,
+        "clip_lost": probe.clip_lost,
         "rho_by_budget": rho_by_budget,
         "rho_converged_everywhere": all(
             v["converged"] for v in rho_by_budget.values()

@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 from .chain import NNKernel
 from .evolve import evolve_trace
 from .measures import TwoSidedParams
-from .spectral import e0_r_zeta, estimate_rho, green_partial
+from .spectral import _green, e0_r_zeta, estimate_rho
 from .transforms import estimate_hhat
 
 __all__ = ["ConditionVerdict", "ConditionReport", "check_conditions", "DEFAULT_BUDGETS"]
 
 DEFAULT_BUDGETS = {
     "n_max": 2500,
-    "green_N": 2000,
     "probe_sites": (-20, 0, 20),
 }
 # [8] compares hhat at these offsets from the kill site with the +inf
@@ -76,6 +75,8 @@ def check_conditions(
     evidence-only rather than fail.
     """
     b = {**DEFAULT_BUDGETS, **(budgets or {})}
+    if set(b) != set(DEFAULT_BUDGETS):
+        raise ValueError(f"unknown budget keys {sorted(set(b) - set(DEFAULT_BUDGETS))}")
     out: dict[str, ConditionVerdict] = {}
 
     # --- structure: killing support, stay rates -------------------------
@@ -146,28 +147,23 @@ def check_conditions(
     elif not R > 1.0:
         out["2"] = ConditionVerdict("fails", ev2)
     else:
-        # Finiteness of E_z R^zeta at probe starts via the potential
-        # identity E_z R^zeta = 1 + (R - 1) G_{z,S}(R).  The potential is
-        # summed just inside the estimated radius so the fit stays safe
-        # against the rho_hat error.
-        w = R * (1.0 - 2.0 * est.error_bound - 1e-6)
-        green_N = int(b["green_N"])
-        status2 = "holds"
-        for z in (int(z) for z in b["probe_sites"]):
+        # E_z R^zeta = 1 + (R - 1) G_{z,S}(R), with G solved exactly just
+        # inside R (against the rho_hat error).  If G_00 converges just
+        # outside R, the pointwise radius lies past the survival radius.
+        margin = 2.0 * est.error_bound + 1e-6
+        try:
+            for z in (int(z) for z in b["probe_sites"]):
+                ev2[f"E_R_zeta_at_{z}"] = 1.0 + (R - 1.0) * _green(kernel, z, "S", R * (1.0 - margin))
+        except ValueError as exc:
+            status2, ev2["note"] = "evidence-only", f"no exact Green value: {exc}"
+        else:
             try:
-                g = green_partial(kernel, z, "S", w, green_N)
+                _green(kernel, 0, 0, R * (1.0 + margin))
             except ValueError:
-                # the potential diverges at the survival radius: the
-                # survival and pointwise decay rates disagree, so
-                # E_z R^zeta is infinite
-                ev2[f"E_R_zeta_at_{z}"] = math.inf
+                status2, ev2["note"] = "holds", "exact G_{z,S} inside R; G_00 diverges past R"
+            else:
                 status2 = "fails"
-                continue
-            val = 1.0 + (R - 1.0) * g.total
-            ev2[f"E_R_zeta_at_{z}"] = val
-            ev2[f"green_tail_at_{z}"] = g.tail_estimate
-            if not math.isfinite(val) or g.tail_estimate > g.value:
-                status2 = "evidence-only" if status2 == "holds" else status2
+                ev2["note"] = "G_00 converges past R: the pointwise radius exceeds the survival radius"
         out["2"] = ConditionVerdict(status2, ev2)
 
     # --- Jacka-Roberts via the one-point ratio ---------------------------

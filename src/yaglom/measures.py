@@ -314,6 +314,8 @@ class MirrorParams:
             raise ValueError("need 0 < p < 1/2")
         if not 0.0 < self.exit_prob < self.p:
             raise ValueError("need 0 < exit_prob < p for an R-transient chain")
+        if not math.isfinite(self.p / self.exit_prob):
+            raise ValueError(f"exit_prob = {self.exit_prob!r} is so small that p/exit_prob overflows")
 
     @property
     def q(self) -> float:
@@ -357,7 +359,7 @@ class MirrorParams:
         In this form the weights stay exact far out, where ``value``
         overflows and a ``log_value`` difference rounds.
         """
-        d = 2.0 * self.slope_h * abs(x)
+        d = min(2.0 * self.slope_h * abs(x), 1e300)  # an inf d would give nan weights
         near, far = (1.0 + d) / (2.0 + d), 1.0 / (2.0 + d)
         return (far, near) if x >= 0 else (near, far)
 

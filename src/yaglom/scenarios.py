@@ -154,6 +154,7 @@ class OscillationProbe:
     tv: dict[tuple[int, int], float]
     max_tv: float
     survival_factors: np.ndarray = field(repr=False, default=None)
+    clip_lost: float = 0.0  # the run's YaglomTrace.clip_lost
 
 
 def oscillation_probe(
@@ -175,7 +176,7 @@ def oscillation_probe(
             v2 = trace.snapshots[n2].values
             tv[(n1, n2)] = 0.5 * float(np.abs(v1 - v2).sum())
     max_tv = max(tv.values()) if tv else 0.0
-    return OscillationProbe(n_grid, tv, max_tv, trace.survival_factors)
+    return OscillationProbe(n_grid, tv, max_tv, trace.survival_factors, trace.clip_lost)
 
 
 def _two_sided(p=0.25, q=0.75, a=0.9, b=0.1):

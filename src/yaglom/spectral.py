@@ -1,8 +1,8 @@
 """Spectral radius estimation, generating functions and closed forms.
 
 Numerical side: Richardson extrapolation of survival-factor series and
-partial sums of the potential G_{x,y}(w) = sum_n w^n K^n(x,y) with a
-heuristic n^(-3/2) tail fit.  Closed-form side, for the two-sided walk:
+partial sums of the potential G_{x,y}(w) = sum_n w^n K^n(x,y), whose
+exact value comes from one tridiagonal solve.  Closed-form side, for the two-sided walk:
 its return-time transform at the radius V = F_00(R), E_0 R^zeta and the
 local asymptotics of K^{2n}(0,0); its parameters live in ``measures``.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _normalised_run
+from .chain import _MAX_SPAN, _normalised_run
 from .evolve import YaglomTrace
 from .measures import TwoSidedParams
 
@@ -97,11 +97,10 @@ def e0_r_zeta(params: TwoSidedParams) -> float:
 
 @dataclass(frozen=True)
 class GreenPartial:
-    """Partial sum of the potential plus a fitted tail estimate.
+    """Partial sum of the potential and its exact remainder.
 
-    ``tail_estimate`` comes from fitting c n^(-3/2) g^n to the last decade
-    of terms; it is a heuristic, because the n^(-3/2) rate is only proven
-    for the closed-form examples.
+    ``tail_estimate`` is G - ``value``, with G from ``_green``'s
+    tridiagonal solve, so ``total`` is the potential itself.
     """
 
     value: float
@@ -114,23 +113,22 @@ class GreenPartial:
 
 
 def green_partial(kernel, x: int, y, w: float, N: int) -> GreenPartial:
-    """sum_{n<=N} w^n K^n(x,y) with a fitted tail bound.
+    """sum_{n<=N} w^n K^n(x,y) by a forward run, plus the exact remainder.
 
     ``y`` may be a site or the string ``"S"`` for the full survival mass.
     A site outside [x-N, x+N] is out of reach in N steps: its partial sum
-    and tail are 0.  Raises if the terms are detected to grow geometrically
-    (w beyond the radius of convergence).
+    is 0 and its remainder the whole of G_{x,y}(w).  Raises ValueError if
+    w lies past the radius of convergence (see ``_green``).
     """
     if w < 0.0:
         raise ValueError("need w >= 0")
     if N < 1:
         raise ValueError("need N >= 1")
-    want_S = isinstance(y, str)
-    if want_S and y != "S":
-        raise ValueError("y must be a site or 'S'")
+    G = _green(kernel, x, y, w)
+    want_S = y == "S"
     lo, hi = x - N, x + N
     if not (want_S or lo <= y <= hi):
-        return GreenPartial(0.0, 0.0, N + 1)
+        return GreenPartial(0.0, G, N + 1)
     up, stay, down = kernel.rows(lo, hi)
     v = np.zeros(hi - lo + 1)
     v[x - lo] = 1.0
@@ -143,110 +141,69 @@ def green_partial(kernel, x: int, y, w: float, N: int) -> GreenPartial:
         n0, n = n, n + rec.surv.size
         block = np.exp(rec.log_mass + np.arange(n0 + 1, n + 1) * logw)
         terms[n0 + 1 : n + 1] = block if want_S else block * rec.watched[:, 0]
-    return GreenPartial(float(terms.sum()), _fit_tail(terms, N), N + 1)
+    value = float(terms.sum())
+    return GreenPartial(value, G - value, N + 1)
 
 
-# Euler-Maclaurin coefficients (2k)!/B_2k of the Cephes Hurwitz zeta
-_ZETA_A = (
-    12.0,
-    -720.0,
-    30240.0,
-    -1209600.0,
-    47900160.0,
-    -1.8924375803183791606e9,
-    7.47242496e10,
-    -2.950130727918164224e12,
-    1.1646782814350067249e14,
-    -4.5979787224074726105e15,
-    1.8152105401943546773e17,
-    -7.1661652561756670113e18,
-)
-_MACHEP = 1.11022302462515654042e-16
+# a tail discriminant within this many ulps of b^2 is a branch point
+_SNAP = 16.0 * np.finfo(float).eps
 
 
-def _hurwitz_zeta(x: float, q: float) -> float:
-    """Hurwitz zeta sum_{k>=0} (k + q)^(-x) for x > 1, q > 0.
+def _tail_root(w: float, out: float, r: float, back: float) -> float:
+    """Small root nu of (w back) t^2 - (1 - w r) t + w out = 0: past a hull
+    edge, a tail with rates (out, r, back) gives mu(edge + j) = mu(edge) nu^j."""
+    b = 1.0 - w * r
+    disc = b * b - 4.0 * w * w * out * back
+    if abs(disc) <= _SNAP * b * b:
+        disc = 0.0  # a float R lies a few ulps from the sqrt(R - w) branch point
+    elif b <= 0.0 or disc < 0.0:
+        raise ValueError(f"w = {w!r} lies past a tail's branch point")
+    return 2.0 * w * out / (b + math.sqrt(disc))
 
-    The Cephes algorithm, step for step and in the same float operations,
-    so it returns the same bits as ``scipy.special.zeta(x, q)``: the terms
-    k = 0..9, and on until k + q > 9, summed directly, then an
-    Euler-Maclaurin tail of at most 12 terms; each loop stops once its
-    last term is below MACHEP relative to the sum.  Beyond q = 1e8 the
-    two-term asymptotic expansion (DLMF 25.11.43) is used.
+
+def _green(kernel, x: int, y, w: float) -> float:
+    """G_{x,y}(w) = sum_n w^n K^n(x,y), or G_{x,S}(w) for ``y = "S"``, exactly.
+
+    mu = e_x (I - wK)^{-1} solves the column equations mu(y) = 1{y=x} +
+    w [mu(y-1) p_{y-1} + mu(y) r_y + mu(y+1) q_{y+1}].  Past the hull [L, U]
+    of the breakpoints, x and y, widened by one site, rates are constant,
+    so mu(U+j) = mu(U) nu_R^j and mu(L-j) = mu(L) nu_L^j (``_tail_root``).
+    That closes a tridiagonal system on [L, U], solved by one Thomas pass.
+    Raises ValueError past the radius of convergence (a tail discriminant
+    below 0; a pivot <= 0, an R-positive trap; nu >= 1 for the survival
+    sum), or when the hull spans more than ``_MAX_SPAN`` sites.
     """
-    if q > 1e8:
-        return (1.0 / (x - 1.0) + 1.0 / (2.0 * q)) * q ** (1.0 - x)
-    s = q**-x
-    a, i, b = q, 0, 0.0
-    while i < 9 or a <= 9.0:
-        i += 1
-        a += 1.0
-        b = a**-x
-        s += b
-        if abs(b / s) < _MACHEP:
-            return s
-    w = a
-    s += b * w / (x - 1.0)
-    s -= 0.5 * b
-    a, k = 1.0, 0.0
-    for coef in _ZETA_A:
-        a *= x + k
-        b /= w
-        t = a * b / coef
-        s += t
-        if abs(t / s) < _MACHEP:
-            return s
-        k += 1.0
-        a *= x + k
-        b /= w
-        k += 1.0
-    return s
-
-
-_TAIL_TERMS = 99999
-_TAIL_CHUNK = 8192
-
-
-def _fit_tail(terms: np.ndarray, N: int) -> float:
-    """Fit c n^(-3/2) g^n over the last decade and integrate past N."""
-    start = max(2, int(0.9 * N))
-    ns = np.arange(start, N + 1, dtype=float)
-    t = terms[start : N + 1]
-    pos = t > 0.0
-    if pos.sum() < 4:
-        return 0.0
-    ns, t = ns[pos], t[pos]
-    ylog = np.log(t) + 1.5 * np.log(ns)
-    A = np.vstack([np.ones_like(ns), ns]).T
-    coef, *_ = np.linalg.lstsq(A, ylog, rcond=None)
-    logc, logg = float(coef[0]), float(coef[1])
-    # Genuinely divergent series grow like exp(n log(w/R)); a small
-    # positive residual slope just means the prefactor has not reached its
-    # asymptotic n^(-3/2) rate yet (it decays slower from distant starts).
-    if logg > 1e-3:
-        raise ValueError("terms growing: w exceeds the radius of convergence")
-    c = math.exp(logc)
-    if logg > -1e-12:
-        # effectively g = 1: tail = c * Hurwitz zeta(3/2, N+1)
-        return c * _hurwitz_zeta(1.5, N + 1)
-    # Sum c g^k k^(-3/2) for k > N up to the first term below 1e-16 of the
-    # running total, at most _TAIL_TERMS terms.  Each chunk's products and
-    # sums run in order from the last chunk's, as a term-by-term loop would.
-    g = math.exp(logg)
-    tail, gk = 0.0, g ** (N + 1)
-    end = N + 1 + _TAIL_TERMS
-    for k0 in range(N + 1, end, _TAIL_CHUNK):
-        k = np.arange(k0, min(k0 + _TAIL_CHUNK, end), dtype=float)
-        gks = np.full(len(k), g)
-        gks[0] = gk
-        np.cumprod(gks, out=gks)
-        inc = c * gks * k**-1.5
-        run = np.cumsum(np.concatenate(([tail], inc)))[1:]
-        stop = np.flatnonzero(inc < 1e-16 * np.maximum(run, 1e-300))
-        if stop.size:
-            return float(run[stop[0]])
-        tail, gk = float(run[-1]), float(gks[-1]) * g
-    return tail
+    want_S = isinstance(y, str)
+    if want_S and y != "S":
+        raise ValueError("y must be a site or 'S'")
+    pts = kernel.breakpoints() + [x] + ([] if want_S else [y])
+    L, U = min(pts) - 1, max(pts) + 1
+    n = U - L + 1
+    if n > _MAX_SPAN:
+        raise ValueError(f"the Green solve's hull [{L}, {U}] spans more than {_MAX_SPAN} sites")
+    up, stay, down = (a.tolist() for a in kernel.rows(L, U))
+    nu_L = _tail_root(w, down[0], stay[0], up[0])
+    nu_R = _tail_root(w, up[-1], stay[-1], down[-1])
+    diag = [1.0 - w * r for r in stay]
+    diag[0] -= w * up[0] * nu_L
+    diag[-1] -= w * down[-1] * nu_R
+    # forward elimination of -w p_{i-1} below and -w q_{i+1} above the diagonal
+    e, d = [0.0] * n, [0.0] * n
+    for i in range(n):
+        a = w * up[i - 1] if i else 0.0  # at i = 0, a = 0 masks e[-1] and d[-1]
+        piv = diag[i] - a * e[i - 1]
+        if not piv > 0.0:
+            raise ValueError(f"w = {w!r} lies past the radius: pivot {piv!r} at site {L + i}")
+        e[i] = (w * down[i + 1] if i + 1 < n else 0.0) / piv
+        d[i] = ((1.0 if i == x - L else 0.0) + a * d[i - 1]) / piv
+    mu = d
+    for i in range(n - 2, -1, -1):
+        mu[i] += e[i] * mu[i + 1]
+    if not want_S:
+        return mu[y - L]
+    if nu_L >= 1.0 or nu_R >= 1.0:
+        raise ValueError(f"w = {w!r} lies past the survival radius: a tail ratio reaches 1")
+    return math.fsum(mu) + mu[-1] * nu_R / (1.0 - nu_R) + mu[0] * nu_L / (1.0 - nu_L)
 
 
 def k2n00_asymptotic(params: TwoSidedParams, n: int) -> float:

@@ -12,7 +12,7 @@ from yaglom import (
 )
 from yaglom.scenarios import default_kesten_schedule
 
-BUDGETS = {"n_max": 2500, "green_N": 1500}
+BUDGETS = {"n_max": 2500}
 TWO_SIDED = TwoSidedParams(0.25, 0.75, 0.9, 0.1)
 
 
@@ -65,10 +65,18 @@ def test_alpha_walk_kill_support_unbounded():
 
 def test_kesten_schedule_jacka_roberts_breaks():
     k = build_kesten(default_kesten_schedule())
-    rep = check_conditions(k, None, {"n_max": 4096, "green_N": 1000})
+    rep = check_conditions(k, None, {"n_max": 4096})
     assert rep.status("7") == "fails"  # stay rates dip to 1/4
     assert rep.status("5") in ("fails", "evidence-only")
     assert rep.status("2") in ("holds", "evidence-only")
+
+
+@pytest.mark.parametrize("key", ["green_N", "n_mx"])
+def test_unknown_budget_key_is_rejected(key):
+    # a stale or misspelt budget must not be ignored in silence
+    k = lazify(build_two_sided(0.25, 0.75, 0.9, 0.1), 0.5)
+    with pytest.raises(ValueError, match=key):
+        check_conditions(k, TWO_SIDED, {"n_max": 2500, key: 1000})
 
 
 def test_report_is_deterministic():

@@ -236,6 +236,15 @@ def test_mirror_params_guard():
         MirrorParams(0.6, 0.1)
 
 
+def test_mirror_params_reject_overflowing_slope():
+    # p/exit_prob overflows: slope_h would be inf and split(x) nan
+    with pytest.raises(ValueError, match="overflows"):
+        MirrorParams(0.25, 5e-324)
+    # a finite slope whose product with a far site overflows still splits
+    tiny = MirrorParams(0.25, 1e-308)
+    assert tiny.split(4) == (1e-300, 1.0) and tiny.split(-10**9) == (1.0, 1e-300)
+
+
 def test_mirror_cross_identity():
     m = mirror_extremal(MIRROR, +1)
     assert 1.0 / m.T == pytest.approx((1 - MIRROR.rho) / MIRROR.kappa, abs=1e-12)

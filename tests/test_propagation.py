@@ -25,7 +25,7 @@ from yaglom import (
     preset_kernel,
 )
 from yaglom.chain import _forward_step, _hull
-from yaglom.spectral import _fit_tail
+from yaglom.spectral import _green
 
 PRESETS = ("two_sided", "symmetric", "kesten", "alpha_walk")
 REL = 1e-14
@@ -156,15 +156,18 @@ def test_live_hull_brackets_the_final_support():
 
 @pytest.mark.parametrize("y", [0, "S"])
 def test_green_partial_matches_dense_loop(y):
+    """The partial sum against the dense loop at N, and the total against
+    the dense loop run on until its terms fall below 1e-17 of the sum."""
     kernel = preset_kernel("two_sided")
-    x, w, N = 1, 1.1, 1200
-    terms = np.zeros(N + 1)
+    x, w, N, M = 1, 1.1, 1200, 2400
+    terms = np.zeros(M + 1)
     terms[0] = 1.0 if y in ("S", x) else 0.0
-    for n, (lo, log_mass, v) in enumerate(dense_forward_runs(kernel, x, N), start=1):
+    for n, (lo, log_mass, v) in enumerate(dense_forward_runs(kernel, x, M), start=1):
         terms[n] = math.exp(log_mass + n * math.log(w)) * (1.0 if y == "S" else v[y - lo])
+    assert terms[-2:].max() < 1e-17 * terms.sum()
     g = green_partial(kernel, x, y, w, N)
-    assert g.value == pytest.approx(terms.sum(), rel=REL)
-    assert g.tail_estimate == pytest.approx(_fit_tail(terms, N), rel=1e-12)
+    assert g.value == pytest.approx(terms[: N + 1].sum(), rel=REL)
+    assert g.total == pytest.approx(terms.sum(), rel=1e-12)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs 80-bit long double")
@@ -187,24 +190,23 @@ def test_survival_green_sweep_against_extended_precision(name, lazy):
 
 
 def test_check_conditions_probes_are_green_partial_runs():
-    """Each [2] probe is E_z R^zeta = 1 + (R - 1) G_{z,S}(w), read off one
-    forward ``green_partial`` run from z at the checker's weight.  At this
-    short N the tail fit from z = 11 reads the terms as growing, which the
-    checker reports as an infinite E_z R^zeta."""
+    """Each [2] probe is E_z R^zeta = 1 + (R - 1) G_{z,S}(w) at the checker's
+    weight, from the exact Green solve: the total of a ``green_partial`` run
+    of any length.  A fitted tail once read the terms from z = 11 as
+    growing at N = 300 and made [2] fail."""
     kernel = lazify(preset_kernel("two_sided"), 0.5)
-    probes, N = (-7, 5, 11), 300
-    rep = check_conditions(kernel, budgets={"probe_sites": probes, "green_N": N})
+    probes = (-7, 5, 11)
+    rep = check_conditions(kernel, budgets={"probe_sites": probes})
     ev = rep.verdicts["2"].evidence
     R = ev["R"]
     w = R * (1.0 - 2.0 * ev["rho_error_bound"] - 1e-6)
-    for z in probes[:2]:
-        g = green_partial(kernel, z, "S", w, N)
-        assert ev[f"E_R_zeta_at_{z}"] == 1.0 + (R - 1.0) * g.total
-        assert ev[f"green_tail_at_{z}"] == g.tail_estimate
-    with pytest.raises(ValueError, match="terms growing"):
-        green_partial(kernel, 11, "S", w, N)
-    assert ev["E_R_zeta_at_11"] == math.inf and "green_tail_at_11" not in ev
-    assert rep.status("2") == "fails"
+    for z in probes:
+        G = _green(kernel, z, "S", w)
+        assert ev[f"E_R_zeta_at_{z}"] == 1.0 + (R - 1.0) * G
+        for N in (300, 2000):
+            assert green_partial(kernel, z, "S", w, N).total == pytest.approx(G, rel=1e-14)
+    assert not any(key.startswith("green_tail") for key in ev)
+    assert rep.status("2") == "holds"
 
 
 def test_estimate_hhat_matches_dense_loop():

@@ -7,6 +7,7 @@ from scipy.special import zeta
 
 from yaglom import (
     MirrorParams,
+    NNKernel,
     TwoSidedParams,
     build_alpha_walk,
     build_symmetric,
@@ -20,9 +21,10 @@ from yaglom import (
     green_partial,
     k2n00_asymptotic,
     lazify,
+    preset_kernel,
     quadratic_roots,
 )
-from yaglom.spectral import _fit_tail, _hurwitz_zeta
+from yaglom.spectral import _green
 
 PARAMS = TwoSidedParams(0.25, 0.75, 0.9, 0.1)
 MIRROR = MirrorParams(0.25, 0.125)
@@ -193,11 +195,13 @@ def test_green_partial_zero_weight():
 
 
 def test_green_partial_site_beyond_reach_is_zero():
-    # K^n(0, y) = 0 for |y| > N >= n: the window edge is no wrap-around
+    # K^n(0, y) = 0 for |y| > N >= n: the window edge is no wrap-around,
+    # and the remainder is all of G_{0,y}
     k = lazify(build_two_sided(0.25, 0.75, 0.9, 0.1), 0.5)
     for y in (-101, 101):
         g = green_partial(k, 0, y, 1.0, 100)
-        assert g.value == 0.0 and g.tail_estimate == 0.0 and g.terms == 101
+        assert g.value == 0.0 and g.terms == 101
+        assert g.tail_estimate == _green(k, 0, y, 1.0) > 0.0
     for y in (-100, 100):
         assert green_partial(k, 0, y, 1.0, 100).value > 0.0
 
@@ -215,77 +219,67 @@ def test_green_partial_rejects_supercritical_weight():
         green_partial(k, 0, "S", PARAMS.R * 1.05, 800)
 
 
-def loop_fit_tail(terms, N):
-    """The term-by-term ``_fit_tail``, kept as the oracle of the chunked
-    one; also returns which way the sum ended."""
-    start = max(2, int(0.9 * N))
-    ns = np.arange(start, N + 1, dtype=float)
-    t = terms[start : N + 1]
-    pos = t > 0.0
-    if pos.sum() < 4:
-        return 0.0, "no fit"
-    ns, t = ns[pos], t[pos]
-    ylog = np.log(t) + 1.5 * np.log(ns)
-    A = np.vstack([np.ones_like(ns), ns]).T
-    coef, *_ = np.linalg.lstsq(A, ylog, rcond=None)
-    logc, logg = float(coef[0]), float(coef[1])
-    if logg > 1e-3:
-        raise ValueError("terms growing")
-    c = math.exp(logc)
-    if logg > -1e-12:
-        return c * float(zeta(1.5, N + 1)), "zeta"
-    g = math.exp(logg)
-    tail = 0.0
-    gk = g ** (N + 1)
-    for k in range(N + 1, N + 100000):
-        inc = c * gk * k ** -1.5
-        tail += inc
-        if inc < 1e-16 * max(tail, 1e-300):
-            return tail, "stop"
-        gk *= g
-    return tail, "cap"
+def test_green_solve_matches_two_sided_closed_forms():
+    """At w = R, the right tail's branch point, 1 + (R - 1) G_{0,S} is
+    E_0 R^zeta and G_00 is 1/(1 - V)."""
+    rng = np.random.default_rng(20261019)
+    for _ in range(200):
+        params = random_params(rng)
+        k = build_two_sided(params.p, params.q, params.a, params.b)
+        e0 = 1.0 + (params.R - 1.0) * green_partial(k, 0, "S", params.R, 20).total
+        assert abs(e0 / e0_r_zeta(params) - 1.0) <= 1e-13, params
+        G00 = green_partial(k, 0, 0, params.R, 20).total
+        assert abs(G00 * (1.0 - closed_form_V(params)) - 1.0) <= 1e-13, params
 
 
-def test_hurwitz_zeta_matches_scipy_bit_for_bit():
-    """The library's port of the Cephes Hurwitz zeta returns the bits of
-    scipy.special.zeta (a test-only dependency) at every q = N + 1 a tail
-    fit can ask for: all of 2..20000 and a sparse grid up to 1e7."""
-    qs = np.concatenate(
-        [np.arange(2, 20001), np.unique(np.round(np.geomspace(2e4, 1e7, 10000)))]
-    ).astype(int)
-    want = zeta(1.5, qs.astype(float))
-    got = np.array([_hurwitz_zeta(1.5, int(q)) for q in qs])
-    diff = np.flatnonzero(got != want)
-    assert diff.size == 0, [(int(qs[i]), got[i], want[i]) for i in diff[:5]]
+def test_green_solve_matches_mirror_return_transform():
+    # at w = R both tails sit at their branch points, and F_00(R) = e/p
+    rng = np.random.default_rng(20261020)
+    for _ in range(200):
+        p = rng.uniform(0.05, 0.45)
+        e = rng.uniform(0.05, 0.95) * p
+        G00 = green_partial(build_symmetric(p, e), 0, 0, MirrorParams(p, e).R, 20).total
+        assert abs(G00 * (1.0 - e / p) - 1.0) <= 1e-13, (p, e)
 
 
-def test_fit_tail_matches_term_by_term_loop():
-    rng = np.random.default_rng(20261018)
-    ended = set()
-    for i in range(200):
-        c = 10.0 ** rng.uniform(-3, 3)
-        N = int(rng.integers(50, 3000))
-        kind = i % 5
-        if kind == 0:
-            logg = 0.0  # fitted slope within 1e-12 of 0: the zeta branch
-        elif kind == 1:
-            logg = -(10.0 ** rng.uniform(-3, 0))  # stops early
-        elif kind == 2:
-            logg = -(10.0 ** rng.uniform(-11, -6))  # runs to the term cap
-        else:
-            logg = -(10.0 ** rng.uniform(-4, 0))
-        n = np.arange(N + 1.0)
-        terms = np.ones(N + 1)
-        terms[1:] = c * n[1:] ** -1.5 * np.exp(logg * n[1:])
-        want, how = loop_fit_tail(terms, N)
-        ended.add(how)
-        got = _fit_tail(terms, N)
-        assert abs(got - want) <= 1e-14 * abs(want), (c, logg, N, how)
-    assert {"zeta", "stop", "cap"} <= ended
-    terms = np.ones(201)
-    terms[1:] = np.arange(1.0, 201.0) ** -1.5 * np.exp(0.01 * np.arange(1.0, 201.0))
+def forward_terms(kernel, x, y, N):
+    """K^n(x, y), or K^n(x, S) for y = "S", for n = 0..N from one traced run."""
+    tr = evolve_trace(kernel, x, N, tracked=() if y == "S" else (y,))
+    mass = np.exp(np.concatenate([[0.0], tr.log_mass]))
+    return mass if y == "S" else mass * tr.tracked_values[y]
+
+
+@pytest.mark.parametrize("lazy", [None, 0.5])
+@pytest.mark.parametrize("name", ["two_sided", "symmetric", "kesten", "alpha_walk"])
+def test_green_solve_matches_converged_forward_sums(name, lazy):
+    k = preset_kernel(name)
+    if lazy is not None:
+        k = lazify(k, lazy)
+    for x, y in ((0, 0), (0, "S"), (3, -2), (-4, "S"), (20, 0)):
+        terms = forward_terms(k, x, y, 3000)
+        assert terms[-2:].max() < 1e-17 * terms.sum()
+        assert green_partial(k, x, y, 1.0, 200).total == pytest.approx(terms.sum(), rel=1e-12)
+
+
+def test_green_solve_raises_past_an_r_positive_trap():
+    """Sites 3..8 that stay put with probability 0.975 trap the chain: its
+    radius 1.00547 lies inside the tails' branch point 1.07180, and just past
+    it a Thomas pivot turns negative although both tails still converge."""
+    k = lazify(build_two_sided(0.25, 0.75, 0.9, 0.1), 0.5)
+    trap = NNKernel(k.regions, k.overrides + tuple((s, 0.01, 0.975, 0.01) for s in range(3, 9)))
+    R = 1.0 / estimate_rho(evolve_trace(trap, 0, 4000)).rho_hat
+    assert R == pytest.approx(1.00547, abs=1e-5)
+    assert 1.0 / (0.5 + 0.5 * PARAMS.rho) == pytest.approx(1.07180, abs=1e-5)
+    for y in (0, "S"):
+        assert math.isfinite(_green(trap, 0, y, R * (1.0 - 1e-4)))
+        with pytest.raises(ValueError, match="pivot"):
+            _green(trap, 0, y, R * (1.0 + 1e-4))
+        assert math.isfinite(_green(k, 0, y, R * (1.0 + 1e-4)))
+
+
+def test_green_solve_rejects_a_bad_target():
     with pytest.raises(ValueError):
-        _fit_tail(terms, 200)
+        _green(build_two_sided(0.25, 0.75, 0.9, 0.1), 0, "T", 1.0)
 
 
 def test_green_onekill_identity_finite_N():
