@@ -147,10 +147,11 @@ class MassState:
     """Conditioned distribution on a window plus accumulated log survival.
 
     ``values`` sums to one; ``log_mass`` is log K^n(x0, S).  ``clipped``
-    is the sum over steps of the fraction of each step's mass removed by
-    tail clipping or lost off a capped window (zero unless either was
-    requested).  It is not a bound on the law's error: mass cut early is
-    the mass that later renormalisation amplifies.
+    sums the fraction of each step's mass lost off a capped window and the
+    fraction of the law removed by tail clipping at the end of each record
+    of at most 32 steps (zero unless either was requested).  It is not a
+    bound on the law's error: mass cut early is the mass that later
+    renormalisation amplifies.
     """
 
     window: Window
@@ -348,7 +349,7 @@ def _flush(v, a: int, b: int) -> tuple[int, int]:
     return max(a + first - 1, 0), min(a + last + 1, len(v) - 1)
 
 
-# Steps per block of an unclipped run: one band product applies K^m.
+# Steps per block: one band product applies K^m.
 _BLOCK = 32
 # A block whose mass K^m(v, S) falls below this is stepped one step at a
 # time instead, so that no S_j underflows.
@@ -359,12 +360,12 @@ class _Record(NamedTuple):
     """The steps a normalised run took since its last yield.
 
     ``surv`` holds the survival factor of each step and ``log_mass`` the
-    log of the total mass after it.  ``edge`` and ``clipped`` sum, over the
-    steps, the mass that flowed off the window ends and the mass removed by
-    clipping, each as a fraction of its step's sum before clipping.
-    Row i of ``watched`` holds the conditioned values at the watch sites
-    after the record's step i + 1 (None without watch sites), and [a, b] is
-    the live hull at the end.
+    log of the total mass after it.  ``edge`` sums, over the steps, the
+    mass that flowed off the window ends as a fraction of its step's sum;
+    ``clipped`` is the fraction of the law the clip removed at the
+    record's end.  Row i of ``watched`` holds the conditioned values at the
+    watch sites after the record's step i + 1 (None without watch sites),
+    and [a, b] is the live hull at the end.
     """
 
     surv: np.ndarray
@@ -538,14 +539,13 @@ class _BlockTables:
         return S, watched, lo - 1, hi + 1
 
 
-def _steps(v, up, stay, down, a: int, b: int, count: int, clip: float, watch):
-    """Up to ``count`` single renormalised steps, fewer if all mass dies
-    or the clip deletes it.
+def _steps(v, up, stay, down, a: int, b: int, count: int, watch):
+    """Up to ``count`` single renormalised steps, fewer if all mass dies.
 
-    Returns ``(surv, edge, clipped, watched, a, b)`` as in ``_Record``.
+    Returns ``(surv, edge, watched, a, b)`` as in ``_Record``.
     """
     surv, watched = [], []
-    edge_sum = clip_sum = 0.0
+    edge_sum = 0.0
     for _ in range(count):
         # up-flow out of the last site and down-flow out of the first
         edge = float(v[0] * down[0] + v[-1] * up[-1])
@@ -555,21 +555,32 @@ def _steps(v, up, stay, down, a: int, b: int, count: int, clip: float, watch):
         if s <= 0.0:
             break
         edge_sum += edge / s
-        if clip > 0.0:
-            small = live < clip * s
-            lost = float(live[small].sum())
-            if lost > 0.0:
-                live[small] = 0.0
-                clip_sum += lost / s
-                s = float(live.sum())
-                if s <= 0.0:  # the clip deleted all the mass
-                    break
         live /= s
         surv.append(s)
         if watch.size:
             watched.append(v[watch])
     watched = np.array(watched).reshape(len(surv), watch.size) if watch.size else None
-    return np.array(surv), edge_sum, clip_sum, watched, a, b
+    return np.array(surv), edge_sum, watched, a, b
+
+
+def _clip(v, a: int, b: int, clip: float) -> tuple[float, float]:
+    """Set the entries of the normalised law ``v`` below ``clip`` to 0.0 and
+    renormalise what is left; return the mass removed and the mass kept.
+
+    ``v`` has its support in [a, b].  Nothing changes when no positive
+    entry lies below ``clip``: the result is then (0.0, 1.0).  When the
+    clip removes every entry, ``v`` is left at 0.0 and the mass kept is 0.0.
+    """
+    live = v[a : b + 1]
+    small = live < clip
+    lost = float(live[small].sum())
+    if lost == 0.0:
+        return 0.0, 1.0
+    np.copyto(live, 0.0, where=small)
+    kept = float(live.sum())
+    if kept > 0.0:
+        live /= kept
+    return lost, kept
 
 
 def _normalised_run(v, up, stay, down, n: int, clip: float = 0.0, watch=(), stops=()):
@@ -581,23 +592,26 @@ def _normalised_run(v, up, stay, down, n: int, clip: float = 0.0, watch=(), stop
     window indices whose values every step records.  Records end at every
     step in ``stops`` and after at most ``_BLOCK`` = m steps.
 
-    Unclipped stretches of m steps whose live hull lies at least 2m sites
-    inside both window ends go in one block: one band product gives
-    ``v K^m``, and one matrix product gives every step's mass
-    ``S_j = v K^j 1``.  Everything else is stepped one step at a time: with
-    ``clip`` > 0, entries below ``clip`` times the step's sum are set to
-    0.0.  The run stops early once all mass is gone, killed or clipped.
+    Stretches of m steps whose live hull lies at least 2m sites inside
+    both window ends go in one block: one band product gives ``v K^m``,
+    and one matrix product gives every step's mass ``S_j = v K^j 1``.
+    Everything else is stepped one step at a time.  With ``clip`` > 0,
+    the end of every record sets the entries of the law below ``clip`` to
+    0.0 and renormalises by the mass kept, which multiplies the record's
+    last survival factor, so the clip counts as killing in ``surv`` and
+    ``log_mass``.  The run stops early once all mass is gone, killed or
+    clipped; a record whose last step the clip emptied ends before it.
     At the end of every record, entries of ``v`` below the smallest normal
-    float are set to 0.0 and the live hull shrinks to what is left; that
-    mass, under 1e-300 of the total, is counted in neither ``edge`` nor
-    ``clipped``.  ``log_mass`` gains one log per record, through a
+    float are then set to 0.0 and the live hull shrinks to what is left;
+    that mass, under 1e-300 of the total, is counted in neither ``edge``
+    nor ``clipped``.  ``log_mass`` gains one log per record, through a
     compensated sum.
     """
     watch = np.asarray(watch, dtype=np.intp).reshape(-1)
     first, last = np.flatnonzero(v)[[0, -1]].tolist()
     a, b = _hull(v, first, last)
     # blocks read v through a strided view of its buffer
-    blockable = clip == 0.0 and v.dtype == np.float64 and v.flags.c_contiguous
+    blockable = v.dtype == np.float64 and v.flags.c_contiguous
     tables = None
     k, log_mass, carry = 0, 0.0, 0.0
     for end in sorted({int(s) for s in stops if 0 < s < n} | {n}):
@@ -612,14 +626,27 @@ def _normalised_run(v, up, stay, down, n: int, clip: float = 0.0, watch=(), stop
                 surv = S.copy()
                 surv[1:] /= S[:-1]
                 partial = np.log(S)
-                edge = clipped = 0.0
+                edge = 0.0
             else:
-                surv, edge, clipped, watched, a, b = _steps(
-                    v, up, stay, down, a, b, count, clip, watch
-                )
+                surv, edge, watched, a, b = _steps(v, up, stay, down, a, b, count, watch)
                 if not surv.size:
                     return
                 partial = np.cumsum(np.log(surv))
+            alive = surv.size == count  # else all the mass is gone, and v with it
+            clipped = 0.0
+            if alive and clip > 0.0:
+                clipped, kept = _clip(v, a, b, clip)
+                if kept == 0.0:  # the record's last step left no mass
+                    alive = False
+                    surv, partial = surv[:-1], partial[:-1]
+                    watched = None if watched is None else watched[:-1]
+                    if not surv.size:
+                        return
+                elif clipped > 0.0:
+                    surv[-1] *= kept
+                    partial[-1] += math.log(kept)
+                    if watch.size:
+                        watched[-1] = v[watch]
             log_masses = partial + carry
             log_masses += log_mass
             # Neumaier's compensated sum of the per-record logs
@@ -631,7 +658,6 @@ def _normalised_run(v, up, stay, down, n: int, clip: float = 0.0, watch=(), stop
                 carry += (x - total) + log_mass
             log_mass = total
             k += surv.size
-            alive = surv.size == count  # else all the mass is gone, and v with it
             if alive:
                 a, b = _flush(v, a, b)
             yield _Record(surv, log_masses, edge, clipped, watched, a, b)

@@ -145,7 +145,7 @@ FIELDS = (
     Field("out_dir", "str", "yaglom_out"),
     Field("n_grid", "ints", OPTIONAL, AT_LEAST_1, "comma list (kesten)"),
     Field("orey_m_grid", "ints", OPTIONAL, AT_LEAST_1, "comma list (simulate)"),
-    Field("clip", "number", OPTIONAL, UNIT, "relative tail clip threshold"),
+    Field("clip", "number", OPTIONAL, UNIT, "drop law entries below this every 32 steps"),
     Field("sites", "ints", OPTIONAL, SITE, "comma list (transform)"),
 )
 _RATES = tuple(Field(k, "number", REQUIRED) for k in "prq")

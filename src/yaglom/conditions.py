@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .chain import NNKernel
 from .evolve import evolve_trace
 from .measures import TwoSidedParams
-from .spectral import _green, e0_r_zeta, estimate_rho
+from .spectral import _green, _GreenPole, e0_r_zeta, estimate_rho
 from .transforms import estimate_hhat
 
 __all__ = ["ConditionVerdict", "ConditionReport", "check_conditions", "DEFAULT_BUDGETS"]
@@ -149,7 +149,9 @@ def check_conditions(
     else:
         # E_z R^zeta = 1 + (R - 1) G_{z,S}(R), with G solved exactly just
         # inside R (against the rho_hat error).  If G_00 converges just
-        # outside R, the pointwise radius lies past the survival radius.
+        # outside R, the pointwise radius lies past the survival radius;
+        # if a pivot fails there, G has a pole within the margin of R, so
+        # E_z R^zeta is infinite.
         margin = 2.0 * est.error_bound + 1e-6
         try:
             for z in (int(z) for z in b["probe_sites"]):
@@ -159,6 +161,9 @@ def check_conditions(
         else:
             try:
                 _green(kernel, 0, 0, R * (1.0 + margin))
+            except _GreenPole as exc:
+                status2 = "fails"
+                ev2["note"] = f"G_00 has a pole at R, an R-positive trap: E_z R^zeta is infinite ({exc})"
             except ValueError:
                 status2, ev2["note"] = "holds", "exact G_{z,S} inside R; G_00 diverges past R"
             else:

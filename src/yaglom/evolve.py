@@ -70,8 +70,14 @@ def evolve_trace(
     tracked
         Sites whose pointwise ratio series are recorded.
     clip
-        Optional relative tail threshold; discarded mass is accumulated in
-        ``clip_lost`` and in the returned distribution's ``clipped`` total.
+        Optional tail threshold on the conditioned law, applied at the end
+        of every record: every 32 steps counted from the last snapshot
+        step, at each snapshot step and at step ``n``.  Entries below it
+        are set to 0.0 and the law is renormalised; the kept fraction
+        multiplies that step's survival factor, so the clip counts as
+        killing in ``survival_factors`` and ``log_mass``.  The discarded
+        mass is accumulated in ``clip_lost`` and in the returned
+        distribution's ``clipped`` total.
     snapshot_at
         Steps at which to store intermediate conditioned distributions.
     max_halfwidth
@@ -80,14 +86,14 @@ def evolve_trace(
         total.  The default grows the window exactly (one site per side
         per step).  Either way each step costs O(live hull), not O(window).
 
-    An unclipped run advances 32 steps at a time while its live hull lies
-    at least 64 sites inside both window ends: one band product applies
-    ``K^32``, and the survival factors and tracked values of the steps in
-    between come from precomputed tables of ``K^j 1`` and of the columns
-    ``K^j(., y)``.  Blocks end at the snapshot steps.  Clipped runs, and
-    the steps close to a window's ends, go one step at a time.  Both modes
-    agree with single dense steps to a few ulps.  ``log_mass`` gains one
-    ``log`` per block, so it does not drift over long runs.
+    A run advances 32 steps at a time while its live hull lies at least
+    64 sites inside both window ends: one band product applies ``K^32``,
+    and the survival factors and tracked values of the steps in between
+    come from precomputed tables of ``K^j 1`` and of the columns
+    ``K^j(., y)``.  Blocks end at the snapshot steps.  The steps close to
+    a window's ends go one step at a time.  Both modes agree with single
+    dense steps to a few ulps.  ``log_mass`` gains one ``log`` per block,
+    so it does not drift over long runs.
 
     Raises
     ------

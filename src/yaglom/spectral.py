@@ -161,6 +161,11 @@ def _tail_root(w: float, out: float, r: float, back: float) -> float:
     return 2.0 * w * out / (b + math.sqrt(disc))
 
 
+class _GreenPole(ValueError):
+    """A Thomas pivot <= 0 in ``_green``: w lies at or past a pole of G,
+    inside both tails' branch points (an R-positive trap)."""
+
+
 def _green(kernel, x: int, y, w: float) -> float:
     """G_{x,y}(w) = sum_n w^n K^n(x,y), or G_{x,S}(w) for ``y = "S"``, exactly.
 
@@ -170,8 +175,8 @@ def _green(kernel, x: int, y, w: float) -> float:
     so mu(U+j) = mu(U) nu_R^j and mu(L-j) = mu(L) nu_L^j (``_tail_root``).
     That closes a tridiagonal system on [L, U], solved by one Thomas pass.
     Raises ValueError past the radius of convergence (a tail discriminant
-    below 0; a pivot <= 0, an R-positive trap; nu >= 1 for the survival
-    sum), or when the hull spans more than ``_MAX_SPAN`` sites.
+    below 0; nu >= 1 for the survival sum), ``_GreenPole`` for a pivot
+    <= 0, and ValueError when the hull spans more than ``_MAX_SPAN`` sites.
     """
     want_S = isinstance(y, str)
     if want_S and y != "S":
@@ -193,7 +198,7 @@ def _green(kernel, x: int, y, w: float) -> float:
         a = w * up[i - 1] if i else 0.0  # at i = 0, a = 0 masks e[-1] and d[-1]
         piv = diag[i] - a * e[i - 1]
         if not piv > 0.0:
-            raise ValueError(f"w = {w!r} lies past the radius: pivot {piv!r} at site {L + i}")
+            raise _GreenPole(f"w = {w!r} lies past the radius: pivot {piv!r} at site {L + i}")
         e[i] = (w * down[i + 1] if i + 1 < n else 0.0) / piv
         d[i] = ((1.0 if i == x - L else 0.0) + a * d[i - 1]) / piv
     mu = d

@@ -1,10 +1,11 @@
-"""Blocked stepping of unclipped runs against single dense steps.
+"""Blocked stepping against single dense steps.
 
-An unclipped run advances ``chain._BLOCK`` steps per band product while
-its live hull lies far enough inside the window.  These tests pin it to
-the dense oracle of ``test_propagation`` where blocks end off the block
-grid (the last steps of a run, snapshots), where a capped window forces
-single steps, and where a block's mass would underflow.
+A run, clipped or not, advances ``chain._BLOCK`` steps per band product
+while its live hull lies far enough inside the window.  These tests pin
+it to the dense oracle of ``test_propagation`` where blocks end off the
+block grid (the last steps of a run, snapshots), where a capped window
+forces single steps, where a block's mass would underflow, and where a
+clip acts at the end of each record.
 """
 
 import math
@@ -16,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_propagation import REL, assert_norm_rel, assert_rel, dense_step, dense_trace
-from yaglom import NNKernel, Region, evolve_trace, lazify, preset_kernel
+from yaglom import DegenerateKernelError, NNKernel, Region, evolve_trace, lazify, preset_kernel
 from yaglom import chain
+from yaglom.cli import main
 
 M = chain._BLOCK
 PRESETS = ("two_sided", "symmetric", "kesten", "alpha_walk")
@@ -98,6 +100,54 @@ def test_snapshots_and_tracked_values_off_the_block_grid(modes):
     assert sorted(tr.snapshots) == list(at)
 
 
+def test_clipped_kesten_run_takes_blocks(modes):
+    """The clip no longer keeps a run out of the blocked core, and its
+    kept fraction enters the survival factors, so ``log_mass`` is still
+    their compensated log sum."""
+    kernel = preset_kernel("kesten")
+    tr = evolve_trace(kernel, 0, 4096, clip=1e-20, max_halfwidth=6000)
+    assert modes["blocks"] > 0 and tr.clip_lost > 0.0
+    want = math.fsum(np.log(tr.survival_factors).tolist())
+    assert tr.log_mass[-1] == tr.distribution.log_mass
+    assert abs(tr.log_mass[-1] - want) <= REL * abs(want)
+
+
+def test_clip_acts_at_snapshots_off_the_block_grid(modes):
+    """Snapshot steps end records, so each one clips, and the 32-step
+    records restart from it."""
+    kernel = lazify(preset_kernel("symmetric"), 0.5)
+    x0, n, tracked, at, clip = 2, 900, (0, 5), (50, 777), 1e-8
+    tr = evolve_trace(kernel, x0, n, tracked=tracked, clip=clip, snapshot_at=at)
+    surv, log_mass, v, clipped, vals = dense_trace(kernel, x0, n, tracked, clip=clip, stops=at)
+    assert modes["blocks"] > 0 and modes["steps"] > 0
+    for k in at:
+        values = tr.snapshots[k].values
+        assert not np.any((values > 0.0) & (values < clip))
+    assert_rel(tr.survival_factors, surv)
+    assert tr.distribution.log_mass == pytest.approx(log_mass, rel=REL)
+    assert_norm_rel(tr.distribution.values, v)
+    assert tr.clip_lost == pytest.approx(clipped, rel=REL, abs=0.0) and clipped > 0.0
+    for y in tracked:
+        assert_rel(tr.tracked_values[y], vals[y])
+    # the oracle without the snapshot stops clips on another schedule
+    assert not np.array_equal(dense_trace(kernel, x0, n, clip=clip)[0], surv)
+
+
+@pytest.mark.parametrize("n, step, blocks", [(20, 20, 0), (200, 32, 1)], ids=["per-step", "blocked"])
+def test_clip_that_deletes_all_the_mass_is_degenerate(n, step, blocks, modes, tmp_path, capsys):
+    """A clip of 0.5 deletes the whole spread-out law at the first
+    record's end: the run's last step when n = 20, a block's last when
+    n = 200.  The CLI turns the error into its config exit code 2."""
+    kernel = preset_kernel("alpha_walk")
+    with pytest.raises(DegenerateKernelError, match=f"clip=0.5 left no mass at step {step}$"):
+        evolve_trace(kernel, 0, n, tracked=(0, 1), clip=0.5)
+    assert modes["blocks"] == blocks
+    args = ["yaglom", "--preset", "alpha_walk", "--n", n, "--clip", 0.5, "--out-dir", tmp_path]
+    assert main([str(a) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"step {step}" in err
+
+
 @pytest.mark.parametrize("name", ("two_sided", "kesten"))
 def test_blocks_stop_short_of_a_capped_window_edge(name, modes):
     kernel = lazify(preset_kernel(name), 0.25)
@@ -144,17 +194,22 @@ def _exact_alpha_walk_log_mass(kernel, n):
     return float(n * mpmath.log(p + r + q))
 
 
-@pytest.mark.parametrize("mode", [{}, {"clip": 1e-300}], ids=["blocked", "per-step"])
+@pytest.mark.parametrize("per_step", [False, True], ids=["blocked", "per-step"])
 @pytest.mark.parametrize("lazy, n", [(0.25, 1500), (None, 8000)])
-def test_log_mass_matches_exact_value_on_alpha_walk(lazy, n, mode):
+def test_log_mass_matches_exact_value_on_alpha_walk(lazy, n, per_step, modes, monkeypatch):
     """A plain running sum of the per-step logs drifts from the exact value
     by about 4e-14 relative at n = 1500; an uncompensated sum of one log
-    per block by 4e-15 at n = 8000."""
+    per block by 4e-15 at n = 8000.  Refusing every block forces single
+    steps."""
     kernel = preset_kernel("alpha_walk")
     if lazy is not None:
         kernel = lazify(kernel, lazy)
+    if per_step:
+        monkeypatch.setattr(chain._BlockTables, "block", lambda self, v, a, b: None)
     exact = _exact_alpha_walk_log_mass(kernel, n)
-    tr = evolve_trace(kernel, 3, n, **mode)
+    tr = evolve_trace(kernel, 3, n)
+    assert modes["steps"] == (n if per_step else n % M)
+    assert (modes["blocks"] == 0) == per_step
     got = tr.distribution.log_mass
     assert abs(got - exact) <= 1e-15 * abs(exact)
     # the per-step series ends at the same value and does not drift on the way
@@ -186,20 +241,23 @@ rates = st.tuples(
     overrides=st.dictionaries(st.integers(-40, 40), rates, max_size=6),
     x0=st.integers(-30, 30),
     n=st.integers(2 * M, 6 * M),
+    clip=st.just(0.0) | st.floats(1e-30, 1e-6),
 )
-def test_blocks_match_dense_loop_on_random_region_kernels(left, right, overrides, x0, n):
+def test_blocks_match_dense_loop_on_random_region_kernels(left, right, overrides, x0, n, clip):
     """Rate changes anywhere near the start, several within m sites of
-    each other: every table row a block uses must be the site's own."""
+    each other: every table row a block uses must be the site's own.  A
+    clip acts at the end of each record, as in the dense oracle."""
     kernel = NNKernel(
         (Region(None, -1, *left), Region(0, None, *right)),
         tuple((site, *row) for site, row in sorted(overrides.items())),
     )
     tracked = (x0, x0 + 3, -x0)
-    tr = evolve_trace(kernel, x0, n, tracked=tracked)
-    surv, log_mass, v, _, vals = dense_trace(kernel, x0, n, tracked)
+    tr = evolve_trace(kernel, x0, n, tracked=tracked, clip=clip)
+    surv, log_mass, v, clipped, vals = dense_trace(kernel, x0, n, tracked, clip=clip)
     assert_rel(tr.survival_factors, surv)
     assert tr.distribution.log_mass == pytest.approx(log_mass, rel=REL)
     assert_norm_rel(tr.distribution.values, v)
+    assert tr.clip_lost == pytest.approx(clipped, rel=REL, abs=0.0)
     for y in tracked:
         assert_rel(tr.tracked_values[y], vals[y])
 

@@ -2,6 +2,7 @@ import pytest
 
 from yaglom import (
     MirrorParams,
+    NNKernel,
     TwoSidedParams,
     build_alpha_walk,
     build_kesten,
@@ -61,6 +62,20 @@ def test_alpha_walk_kill_support_unbounded():
     # survival decay alpha^2 differs from the true spectral radius, so the
     # potential diverges at the survival radius: E_z R^zeta is infinite
     assert rep.status("2") == "fails"
+
+
+@pytest.mark.parametrize("n_max", [1000, 2500, 4096, 8000])
+def test_r_positive_trap_fails_condition_2(n_max):
+    """Sites 3..8 that stay put with probability 0.975 trap the lazified
+    two-sided walk: G has a pole at R = 1.00547, inside both tails' branch
+    points, so E_z R^zeta is infinite.  Just past R a Thomas pivot of the
+    Green solve turns negative, and [2] reads that pole as failure."""
+    k = lazify(build_two_sided(0.25, 0.75, 0.9, 0.1), 0.5)
+    trap = NNKernel(k.regions, k.overrides + tuple((s, 0.01, 0.975, 0.01) for s in range(3, 9)))
+    ev = check_conditions(trap, None, {"n_max": n_max}).verdicts["2"]
+    assert ev.status == "fails"
+    assert "pole" in ev.evidence["note"] and "pivot" in ev.evidence["note"]
+    assert ev.evidence["R"] == pytest.approx(1.00547, abs=1e-3)
 
 
 def test_kesten_schedule_jacka_roberts_breaks():

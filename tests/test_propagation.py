@@ -29,6 +29,7 @@ from yaglom.spectral import _green
 
 PRESETS = ("two_sided", "symmetric", "kesten", "alpha_walk")
 REL = 1e-14
+BLOCK = 32  # steps per record of a run, the period of its clip
 
 
 def dense_step(v, up, stay, down):
@@ -46,8 +47,15 @@ def dense_backward(h, up, stay, down):
     return w
 
 
-def dense_trace(kernel, x0, n, tracked=(), clip=0.0, max_halfwidth=None):
-    """The pre-hull ``evolve_trace`` loop, whole window every step."""
+def dense_trace(kernel, x0, n, tracked=(), clip=0.0, max_halfwidth=None, stops=()):
+    """The pre-hull ``evolve_trace`` loop, whole window every step.
+
+    A clip acts where a record of the run ends: every ``BLOCK`` steps
+    counted from the last step in ``stops``, at each step in ``stops`` and
+    at step n.  It zeroes the entries of the normalised law below ``clip``,
+    renormalises by the kept fraction, and multiplies that step's survival
+    factor by it.
+    """
     half = n if max_halfwidth is None else min(n, max_halfwidth)
     lo, hi = x0 - half, x0 + half
     up, stay, down = kernel.rows(lo, hi)
@@ -59,24 +67,29 @@ def dense_trace(kernel, x0, n, tracked=(), clip=0.0, max_halfwidth=None):
     vals = {y: np.full(n + 1, np.nan) for y in tracked}
     for y in tracked:
         vals[y][0] = 1.0 if y == x0 else 0.0
-    for k in range(n):
+    last_stop = 0
+    for k in range(1, n + 1):
         w = dense_step(v, up, stay, down)
         edge = v[0] * down[0] + v[-1] * up[-1]
         s = float(w.sum())
         if edge > 0.0:
             clipped += edge / s
-        if clip > 0.0:
-            small = w < clip * s
-            lost = float(w[small].sum())
-            if lost > 0.0:
-                w[small] = 0.0
-                clipped += lost / s
-                s = float(w.sum())
         v = w / s
-        surv[k] = s
+        if clip > 0.0 and ((k - last_stop) % BLOCK == 0 or k in stops or k == n):
+            small = v < clip
+            lost = float(v[small].sum())
+            if lost > 0.0:
+                v[small] = 0.0
+                clipped += lost
+                kept = float(v.sum())
+                v /= kept
+                s *= kept
+        if k in stops:
+            last_stop = k
+        surv[k - 1] = s
         logs.append(math.log(s))
         for y in tracked:
-            vals[y][k + 1] = v[y - lo]
+            vals[y][k] = v[y - lo]
     return surv, math.fsum(logs), v, clipped, vals
 
 
