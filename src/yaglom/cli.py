@@ -232,19 +232,63 @@ def kernel_from_config(cfg: dict):
     return base, kernel, family
 
 
-def _write_csv(path: Path, cfg: dict, header: list[str], rows) -> None:
+def _write_csv(path: Path, cfg: dict, header: list[str], columns: list) -> None:
     """The config echo as a comment line, then the header and the rows,
-    written as ``csv.writer`` writes them.  Cells are numbers, bools or ""
-    only: none needs quoting, and each is written as its ``str``.  Rows
-    are formatted in chunks of _CSV_CHUNK, so the whole file is never held
-    as one string."""
-    line = ",".join(["%s"] * len(header)) + "\r\n"
-    rows = iter(rows)
+    written as ``csv.writer`` writes them.  ``columns`` holds one numpy
+    array or list per header name.  Cells are numbers, bools or "" only:
+    none needs quoting, and each is written as its ``str``.  Rows are
+    written in chunks of _CSV_CHUNK, so the whole file is never held as
+    one string.  A table of numpy integer arrays only is formatted in
+    numpy (``_int_chunks``); any other table row by row with one ``%s``
+    line, as its cost is float ``repr``, which numpy does no faster."""
     with open(path, "w", newline="") as fh:
         fh.write("# " + _json(cfg) + "\n")
         fh.write(",".join(header) + "\r\n")
-        while chunk := "".join([line % tuple(row) for row in islice(rows, _CSV_CHUNK)]):
+        if all(isinstance(c, np.ndarray) and c.dtype.kind in "iu" for c in columns):
+            fh.writelines(_int_chunks(columns))
+            return
+        line = ",".join(["%s"] * len(header)) + "\r\n"
+        rows = zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in columns])
+        while chunk := "".join([line % row for row in islice(rows, _CSV_CHUNK)]):
             fh.write(chunk)
+
+
+def _int_chunks(columns: list[np.ndarray]):
+    """CSV rows of equal-length integer columns, _CSV_CHUNK rows at a time.
+    Each cell has a field as wide as the widest cell, sign included, in one
+    uint8 table: its digits right-aligned and padded with 0 bytes, then
+    ``,`` or ``\\r\\n``.  The digits come from the cell's magnitude by
+    ``x // 10`` and ``x - 10 q``; a ``-`` goes left of them.  The 0 bytes
+    are dropped on output, as text."""
+    n = len(columns[0])
+    if n == 0:
+        return
+    width = max(len(str(x)) for c in columns for x in (c.min(), c.max()))
+    # a uint64 holds |int64 min| = 2**63; a magnitude below 10**9 fits, faster, in a uint32
+    mag = np.empty((min(n, _CSV_CHUNK), len(columns)), dtype=np.uint32 if width < 10 else np.uint64)
+    neg = np.zeros(mag.shape, dtype=bool)
+    table = np.zeros(mag.shape + (width + 2,), dtype=np.uint8)
+    table[:, :-1, width] = ord(",")
+    table[:, -1, width:] = (ord("\r"), ord("\n"))
+    for start in range(0, n, _CSV_CHUNK):
+        k = min(n - start, _CSV_CHUNK)
+        for j, col in enumerate(columns):
+            col = col[start:start + k]
+            if col.dtype.kind == "i":
+                col = col.astype(np.int64, copy=False)  # so |int32 min| is positive
+                np.less(col, 0, out=neg[:k, j])
+            mag[:k, j] = np.abs(col)
+        x = mag[:k]
+        for d in range(width):  # every position, so none keeps a byte of the chunk before
+            q = x // 10
+            byte = (x - q * 10).astype(np.uint8) + ord("0")
+            table[:k, :, width - 1 - d] = byte if d == 0 else byte * (x > 0)
+            x = q
+        if neg[:k].any():
+            rows, cols = np.nonzero(neg[:k])
+            digits = np.count_nonzero(table[rows, cols, :width], axis=1)
+            table[rows, cols, width - 1 - digits] = ord("-")
+        yield table[:k].tobytes().translate(None, b"\0").decode()
 
 
 def _write_json(path: Path, cfg: dict, results: dict) -> None:
@@ -259,7 +303,7 @@ def _write_measures(out: Path, cfg: dict, window: Window, plus, minus) -> None:
     columns = [sites]
     for m in (plus, minus):
         columns += [m.value(sites), prob_values(m, window)]
-    _write_csv(out / "measures.csv", cfg, header, zip(*(c.tolist() for c in columns)))
+    _write_csv(out / "measures.csv", cfg, header, columns)
 
 
 def _jsonable(obj):
@@ -303,12 +347,11 @@ def cmd_yaglom(cfg, base, kernel, family, out: Path) -> dict:
             raise ConfigError(f"tracked site {y} outside the window [{x0 - n}, {x0 + n}]")
     trace = evolve_trace(kernel, x0, n, tracked=tracked, clip=cfg.get("clip", 0.0))
     header = ["n", "survival_factor", "log_mass"] + [f"ratio_{y}" for y in tracked]
-    ratios = [trace.tracked_ratios[y].tolist() for y in tracked]
-    rows = zip(range(1, n + 1), trace.survival_factors.tolist(), trace.log_mass.tolist(), *ratios)
-    _write_csv(out / "trace.csv", cfg, header, rows)
+    ratios = [trace.tracked_ratios[y] for y in tracked]
+    columns = [np.arange(1, n + 1), trace.survival_factors, trace.log_mass, *ratios]
+    _write_csv(out / "trace.csv", cfg, header, columns)
     dist = trace.distribution
-    rows = zip(dist.window.sites().tolist(), dist.values.tolist())
-    _write_csv(out / "distribution.csv", cfg, ["site", "mass"], rows)
+    _write_csv(out / "distribution.csv", cfg, ["site", "mass"], [dist.window.sites(), dist.values])
     results = {
         "steps": n,
         "final_survival_factor": float(trace.survival_factors[-1]),
@@ -337,8 +380,8 @@ def cmd_spectral(cfg, base, kernel, family, out: Path) -> dict:
         "error_bound": est.error_bound,
         "converged": est.converged,
     }
-    rows = enumerate(trace.survival_factors.tolist(), start=1)
-    _write_csv(out / "survival.csv", cfg, ["n", "survival_factor"], rows)
+    columns = [np.arange(1, n + 1), trace.survival_factors]
+    _write_csv(out / "survival.csv", cfg, ["n", "survival_factor"], columns)
     if isinstance(family, TwoSidedParams):
         t0, t1 = quadratic_roots(family)
         results.update(
@@ -362,13 +405,13 @@ def cmd_invariant(cfg, base, kernel, family, out: Path) -> dict:
     if isinstance(family, TwoSidedParams):
         c1 = c_max(family)
         grid = np.linspace(0.0, c1, 11)
-        rows = []
-        residuals = {}
-        for c in grid:
-            m = family_measure(family, float(c))
-            residuals[f"{c:.6f}"] = invariance_residual(base, m, family.rho, Window(-60, 60))
-            rows.append([c, m.d0, m.T])
-        _write_csv(out / "family.csv", cfg, ["c", "d0", "T"], rows)
+        measures = [family_measure(family, float(c)) for c in grid]
+        residuals = {
+            f"{c:.6f}": invariance_residual(base, m, family.rho, Window(-60, 60))
+            for c, m in zip(grid, measures)
+        }
+        columns = [grid, [m.d0 for m in measures], [m.T for m in measures]]
+        _write_csv(out / "family.csv", cfg, ["c", "d0", "T"], columns)
         mp, mm = extremal_plus(family), extremal_minus(family)
         _write_measures(out, cfg, window, mp, mm)
         upper_plus = np.cumsum(prob_values(mp, window)[::-1])[::-1]
@@ -402,8 +445,10 @@ def cmd_transform(cfg, base, kernel, family, out: Path) -> dict:
             raise ConfigError(f"site {x} outside the window [{-n}, {n}]")
     est = estimate_hhat(kernel, 0, sites, n)
     closed = {} if family is None else {x: float(family.hhat.value(x)) for x in sites}
-    rows = [[x, est.table[x], est.converged[x], est.spreads[x], closed.get(x, "")] for x in sites]
-    _write_csv(out / "hhat.csv", cfg, ["site", "estimate", "converged", "spread", "closed_form"], rows)
+    header = ["site", "estimate", "converged", "spread", "closed_form"]
+    columns = [sites] + [[d[x] for x in sites] for d in (est.table, est.converged, est.spreads)]
+    columns.append([closed.get(x, "") for x in sites])
+    _write_csv(out / "hhat.csv", cfg, header, columns)
     results: dict = {
         "hhat": {str(x): est.table[x] for x in sites},
         "all_converged": est.verdict(),
@@ -429,9 +474,10 @@ def cmd_simulate(cfg, base, kernel, family, out: Path) -> dict:
         raise BudgetError(
             f"simulate from x0={x0}: paths not absorbed within budgets.n_max={n_max} steps"
         ) from None
-    _write_csv(out / "zeta.csv", cfg, ["path", "zeta"], enumerate(zeta.tolist()))
+    _write_csv(out / "zeta.csv", cfg, ["path", "zeta"], [np.arange(zeta.size), zeta])
     sample = simulate_absorbed(kernel, x0, min(cfg["n"], 5000), seed + 7)
-    _write_csv(out / "trajectory.csv", cfg, ["step", "site"], enumerate(sample.path.tolist()))
+    columns = [np.arange(sample.path.size), sample.path]
+    _write_csv(out / "trajectory.csv", cfg, ["step", "site"], columns)
     results: dict = {
         "seed": seed,
         "paths": n_paths,
@@ -475,8 +521,8 @@ def cmd_simulate(cfg, base, kernel, family, out: Path) -> dict:
         rho_lazy = r_orey + (1.0 - r_orey) * family.rho
         rk = time_reversal(lazy, mplus, rho_lazy)
         tr = orey_trace(rk, lazy, mplus, m_grid, seed + 1, probes=(0,))
-        rows = [[m, tr.positions[m], tr.ratios[m][0]] for m in m_grid]
-        _write_csv(out / "orey.csv", cfg, ["m", "position", "ratio_at_0"], rows)
+        columns = [m_grid, [tr.positions[m] for m in m_grid], [tr.ratios[m][0] for m in m_grid]]
+        _write_csv(out / "orey.csv", cfg, ["m", "position", "ratio_at_0"], columns)
         results["orey_lazify"] = r_orey
         results["orey_final_position"] = tr.positions[m_grid[-1]]
         results["orey_ratio_at_0"] = tr.ratios[m_grid[-1]][0]
@@ -506,8 +552,9 @@ def cmd_kesten(cfg, base, kernel, family, out: Path) -> dict:
         kernel, cfg["x0"], n_grid,
         clip=cfg.get("clip", 0.0), max_halfwidth=6000,
     )
-    rows = [[a, b, t] for (a, b), t in sorted(probe.tv.items())]
-    _write_csv(out / "oscillation.csv", cfg, ["n1", "n2", "tv"], rows)
+    pairs = sorted(probe.tv)
+    columns = [[a for a, _ in pairs], [b for _, b in pairs], [probe.tv[p] for p in pairs]]
+    _write_csv(out / "oscillation.csv", cfg, ["n1", "n2", "tv"], columns)
     rho_by_budget = {}
     for n in n_grid:
         if n >= MIN_RHO_FACTORS:
@@ -581,7 +628,10 @@ def main(argv=None) -> int:
         if cfg["n"] > cfg["budgets"]["n_max"]:
             raise BudgetError(f"n={cfg['n']} exceeds budgets.n_max={cfg['budgets']['n_max']}")
         out = Path(cfg["out_dir"])
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file at out_dir or above it, no permission, ...
+            raise ConfigError(f"cannot create out_dir: {exc}") from exc
         results = COMMANDS[args.command](cfg, base, kernel, family, out)
     # a clip that deletes all the mass ends the run with DegenerateKernelError
     except (ConfigError, DegenerateKernelError) as exc:
@@ -589,6 +639,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as exc:  # a window or table too large to allocate
+        print(f"budget exhausted: out of memory: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     summary = {k: v for k, v in results.items() if not isinstance(v, (dict, list))}
     print(_json(summary))

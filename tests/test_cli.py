@@ -4,6 +4,7 @@ import math
 from itertools import takewhile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -99,23 +100,74 @@ def test_reports_write_unbounded_values_as_null(tmp_path, capsys):
     assert ev6["kill_support"] == "unbounded" and ev6["n_kill_sites"] is None
 
 
+def _int_column(rng, dtype, size):
+    """Integers of ``dtype`` spread over every digit count, with its extremes,
+    0 and (if signed) -1 among them."""
+    info = np.iinfo(dtype)
+    col = rng.integers(info.min, info.max, size, dtype=dtype, endpoint=True)
+    col >>= rng.integers(0, info.bits, size).astype(dtype)
+    col[:4] = [info.min, info.max, 0, -1 if info.min else 1]
+    return col
+
+
 def test_write_csv_matches_csv_writer(tmp_path):
-    # every kind of cell the subcommands write, in a file longer than one
-    # chunk, with a row given as a list
+    # every kind of cell the subcommands write, in list columns longer than
+    # one chunk beside an integer array; float and bool arrays; and tables
+    # of integer arrays only, which take the numpy path: longer than one
+    # chunk with int64, uint64 and int32 extremes or with small integer
+    # types, cells of 10 characters, one row, no rows
     cells = [0, -7, 2**70, 0.1, -2.5e-8, math.nan, math.inf, -math.inf, -0.0,
              5e-324, 1e300, True, False, ""]
-    rows = [(i, cells[i % len(cells)], cells[(3 * i + 1) % len(cells)]) for i in range(10_001)]
-    rows[17] = list(rows[17])
-    assert len(rows) > _CSV_CHUNK
+    n = 10_001
+    assert n > _CSV_CHUNK
+    rng = np.random.default_rng(5)
+    m = 3 * _CSV_CHUNK + 5
+    tables = {
+        "cells": [np.arange(n), [cells[i % len(cells)] for i in range(n)],
+                  tuple(cells[(3 * i + 1) % len(cells)] for i in range(n))],
+        "arrays": [np.arange(-50, 50), np.linspace(-1.0, 1e-300, 100), np.arange(100) % 3 == 0],
+        "ints": [np.arange(m), _int_column(rng, np.int64, m), _int_column(rng, np.uint64, m),
+                 _int_column(rng, np.int32, m)],
+        # at most 9 characters a cell; signs and widths change between chunks
+        "small_ints": [m - 21 - np.arange(m), _int_column(rng, np.int16, m),
+                       _int_column(rng, np.uint8, m),
+                       np.r_[-99_999_999, np.full(m - 1, 999_999_999) >> rng.integers(0, 30, m - 1)]],
+        "ten_chars": [np.array([2**32 - 1, 2**32, 9_999_999_999, -999_999_999])],
+        "one_row": [np.array([-7]), np.array([2**64 - 1], dtype=np.uint64)],
+        "no_rows": [np.arange(0), np.arange(0)],
+    }
+    assert tables["ints"][2].max() >= 2**63
     cfg = {"seed": 3, "chain": {"preset": "two_sided"}}
-    header = ["n", "a", "b"]
-    _write_csv(tmp_path / "new.csv", cfg, header, iter(rows))
-    with open(tmp_path / "old.csv", "w", newline="") as fh:
-        fh.write("# " + json.dumps(cfg, sort_keys=True) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    for name, columns in tables.items():
+        header = [f"c{j}" for j in range(len(columns))]
+        _write_csv(tmp_path / "new.csv", cfg, header, columns)
+        with open(tmp_path / "old.csv", "w", newline="") as fh:
+            fh.write("# " + json.dumps(cfg, sort_keys=True) + "\n")
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes(), name
+
+
+def test_out_dir_that_cannot_be_made_is_config_error(tmp_path, capsys):
+    # a file at out_dir, or at a directory above it
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        assert run(["yaglom", "--n", "10", "--out-dir", out]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error: cannot create out_dir") and "\n" not in err
+
+
+def test_out_of_memory_is_budget_error(tmp_path, capsys, monkeypatch):
+    # as numpy raises it for a window too large to allocate
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array with shape (2000000000001,)")
+
+    monkeypatch.setattr("yaglom.cli.evolve_trace", no_memory)
+    assert run(["yaglom", "--n", "10", "--out-dir", tmp_path]) == 4
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("budget exhausted: out of memory: Unable to allocate") and "\n" not in err
 
 
 def test_unknown_preset_is_schema_error(tmp_path):
