@@ -22,14 +22,12 @@ from .measures import (
     Mixture,
     TwoSidedParams,
     c_max,
-    dual_harmonic,
     extremal_minus,
     extremal_plus,
     family_measure,
     invariance_residual,
     mirror_extremal,
     mirror_hhat,
-    normalizer_T,
     prob_values,
     quadratic_roots,
     reversibility_gamma,
@@ -44,7 +42,6 @@ from .spectral import (
 )
 from .transforms import (
     BoundaryWeights,
-    closed_form_hhat,
     estimate_hhat,
     h_transform,
     hitting_split,

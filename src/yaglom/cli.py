@@ -504,7 +504,7 @@ def cmd_simulate(cfg, base, kernel, family, out: Path) -> dict:
         n_star = 60
         tvals = np.where(zeta <= n_star, vals, 0.0)
         tr = evolve_trace(kernel, x0, n_star)
-        surv = np.concatenate([[1.0], np.exp(np.cumsum(np.log(tr.survival_factors)))])
+        surv = np.concatenate([[1.0], np.exp(tr.log_mass)])
         death = surv[:-1] - surv[1:]
         results["E0_R_zeta_trunc60_mc"] = float(tvals.mean())
         results["E0_R_zeta_trunc60_mc_stderr"] = float(
@@ -532,13 +532,12 @@ def cmd_simulate(cfg, base, kernel, family, out: Path) -> dict:
 
 
 def cmd_conditions(cfg, base, kernel, family, out: Path) -> dict:
-    budgets = {"n_max": min(cfg["budgets"]["n_max"], max(cfg["n"], 2500))}
-    if budgets["n_max"] < MIN_RHO_FACTORS:
+    n_max = min(cfg["budgets"]["n_max"], max(cfg["n"], 2500))
+    if n_max < MIN_RHO_FACTORS:
         raise BudgetError(
-            f"conditions needs budgets.n_max >= {MIN_RHO_FACTORS} to estimate rho, "
-            f"got {budgets['n_max']}"
+            f"conditions needs budgets.n_max >= {MIN_RHO_FACTORS} to estimate rho, got {n_max}"
         )
-    report = check_conditions(kernel, family, budgets)
+    report = check_conditions(kernel, family, n_max)
     _write_json(out / "conditions.json", cfg, report.as_dict())
     return {f"condition_{key}": v.status for key, v in sorted(report.verdicts.items())}
 
@@ -569,9 +568,9 @@ def cmd_kesten(cfg, base, kernel, family, out: Path) -> dict:
         "max_pairwise_tv": probe.max_tv,
         "clip_lost": probe.clip_lost,
         "rho_by_budget": rho_by_budget,
-        "rho_converged_everywhere": all(
-            v["converged"] for v in rho_by_budget.values()
-        ),
+        # nothing measured is no convergence: all([]) would read true
+        "rho_converged_everywhere": bool(rho_by_budget)
+        and all(v["converged"] for v in rho_by_budget.values()),
     }
     _write_json(out / "kesten_report.json", cfg, results)
     return results

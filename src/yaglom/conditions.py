@@ -18,12 +18,10 @@ from .measures import TwoSidedParams
 from .spectral import _green, _GreenPole, e0_r_zeta, estimate_rho
 from .transforms import estimate_hhat
 
-__all__ = ["ConditionVerdict", "ConditionReport", "check_conditions", "DEFAULT_BUDGETS"]
+__all__ = ["ConditionVerdict", "ConditionReport", "check_conditions"]
 
-DEFAULT_BUDGETS = {
-    "n_max": 2500,
-    "probe_sites": (-20, 0, 20),
-}
+# [2] reports E_z R^zeta at these sites
+_PROBE_SITES = (-20, 0, 20)
 # [8] compares hhat at these offsets from the kill site with the +inf
 # extremal harmonic, and holds when every relative mismatch is below _HHAT_TOL
 _HHAT_SITES = (-3, -2, -1, 1, 2, 3)
@@ -65,18 +63,14 @@ def _min_stay(kernel: NNKernel) -> float:
     return min(vals)
 
 
-def check_conditions(
-    kernel: NNKernel, family=None, budgets: dict | None = None
-) -> ConditionReport:
+def check_conditions(kernel: NNKernel, family=None, n_max: int = 2500) -> ConditionReport:
     """Run all checkers and assemble the structured report.
 
     ``family`` holds the closed forms of the base chain (a TwoSidedParams
     or a MirrorParams); without it the comparison-based checks degrade to
-    evidence-only rather than fail.
+    evidence-only rather than fail.  ``n_max`` is the length of the
+    survival run behind [2] and of the hhat run behind [5] and [8].
     """
-    b = {**DEFAULT_BUDGETS, **(budgets or {})}
-    if set(b) != set(DEFAULT_BUDGETS):
-        raise ValueError(f"unknown budget keys {sorted(set(b) - set(DEFAULT_BUDGETS))}")
     out: dict[str, ConditionVerdict] = {}
 
     # --- structure: killing support, stay rates -------------------------
@@ -130,7 +124,6 @@ def check_conditions(
         )
 
     # --- spectral: rho, R, E_z R^zeta ------------------------------------
-    n_max = int(b["n_max"])
     trace = evolve_trace(kernel, 0, n_max)
     est = estimate_rho(trace)
     ev2: dict = {"rho_hat": est.rho_hat, "rho_error_bound": est.error_bound}
@@ -154,7 +147,7 @@ def check_conditions(
         # E_z R^zeta is infinite.
         margin = 2.0 * est.error_bound + 1e-6
         try:
-            for z in (int(z) for z in b["probe_sites"]):
+            for z in _PROBE_SITES:
                 ev2[f"E_R_zeta_at_{z}"] = 1.0 + (R - 1.0) * _green(kernel, z, "S", R * (1.0 - margin))
         except ValueError as exc:
             status2, ev2["note"] = "evidence-only", f"no exact Green value: {exc}"

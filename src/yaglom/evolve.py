@@ -3,8 +3,10 @@
 The central quantity is the conditioned law K^n(x0,.)/K^n(x0,S) together
 with the survival-factor series s_n = K^{n+1}(x0,S)/K^n(x0,S) and, for a
 designated finite set of sites, the pointwise ratio series
-K^{n+1}(x0,y)/K^n(x0,y).  A fraction-exact path enumeration serves as the
-ground-truth oracle at small n.
+K^{n+1}(x0,y)/K^n(x0,y).  ``evolve_trace`` is the one driver of the
+propagation core ``chain._normalised_run``: Green partial sums and the
+hhat ratio series are ``evolve_trace`` runs too.  A fraction-exact path
+enumeration serves as the ground-truth oracle at small n.
 """
 
 from __future__ import annotations

@@ -35,10 +35,8 @@ __all__ = [
     "extremal_plus",
     "extremal_minus",
     "c_max",
-    "normalizer_T",
     "invariance_residual",
     "reversibility_gamma",
-    "dual_harmonic",
     "mirror_extremal",
     "mirror_hhat",
     "prob_values",
@@ -228,11 +226,6 @@ def extremal_minus(params: TwoSidedParams) -> ClosedFormMeasure:
     return family_measure(params, 0.0)
 
 
-def normalizer_T(m: ClosedFormMeasure) -> float:
-    """Total mass T(c) = sum_x mu(x), in closed form."""
-    return m.T
-
-
 def invariance_residual(kernel, measure, rho: float, window: Window) -> float:
     """max_y |(mu K)(y) - rho mu(y)| / mu(y) over the window interior.
 
@@ -283,10 +276,6 @@ class DualHarmonic(_ClosedForm):
         m = self.measure
         s = math.sqrt(m.params.q / m.params.p)
         return ((1.0, m.c, s),), ((m.d0, 0.0, 1.0 / m.t1), (m.d1, 0.0, 1.0 / m.t0))
-
-
-def dual_harmonic(m: ClosedFormMeasure) -> DualHarmonic:
-    return DualHarmonic(m)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import NNKernel, Region
-from .evolve import evolve_trace
+from .evolve import evolve_trace, total_variation
 from .measures import MirrorParams, TwoSidedParams
 
 __all__ = [
@@ -169,12 +169,12 @@ def oscillation_probe(
         kernel, x0, n_grid[-1], clip=clip, snapshot_at=n_grid,
         max_halfwidth=max_halfwidth,
     )
-    tv: dict[tuple[int, int], float] = {}
-    for i, n1 in enumerate(n_grid):
-        v1 = trace.snapshots[n1].values
-        for n2 in n_grid[i + 1 :]:
-            v2 = trace.snapshots[n2].values
-            tv[(n1, n2)] = 0.5 * float(np.abs(v1 - v2).sum())
+    snaps = trace.snapshots
+    tv = {
+        (n1, n2): total_variation(snaps[n1], snaps[n2])
+        for i, n1 in enumerate(n_grid)
+        for n2 in n_grid[i + 1 :]
+    }
     max_tv = max(tv.values()) if tv else 0.0
     return OscillationProbe(n_grid, tv, max_tv, trace.survival_factors, trace.clip_lost)
 

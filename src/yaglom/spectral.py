@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _MAX_SPAN, _normalised_run
-from .evolve import YaglomTrace
+from .chain import _MAX_SPAN
+from .evolve import YaglomTrace, evolve_trace
 from .measures import TwoSidedParams
 
 __all__ = [
@@ -126,21 +126,16 @@ def green_partial(kernel, x: int, y, w: float, N: int) -> GreenPartial:
         raise ValueError("need N >= 1")
     G = _green(kernel, x, y, w)
     want_S = y == "S"
-    lo, hi = x - N, x + N
-    if not (want_S or lo <= y <= hi):
+    if not (want_S or abs(y - x) <= N):
         return GreenPartial(0.0, G, N + 1)
-    up, stay, down = kernel.rows(lo, hi)
-    v = np.zeros(hi - lo + 1)
-    v[x - lo] = 1.0
+    trace = evolve_trace(kernel, x, N, tracked=() if want_S else (y,))
     logw = math.log(w) if w > 0.0 else -math.inf
-    terms = np.zeros(N + 1)
+    terms = np.empty(N + 1)
     terms[0] = 1.0 if (want_S or y == x) else 0.0
-    watch = () if want_S else (y - lo,)
-    n = 0
-    for rec in _normalised_run(v, up, stay, down, N, watch=watch):
-        n0, n = n, n + rec.surv.size
-        block = np.exp(rec.log_mass + np.arange(n0 + 1, n + 1) * logw)
-        terms[n0 + 1 : n + 1] = block if want_S else block * rec.watched[:, 0]
+    # n >= 1 here, so w = 0 gives n log w = -inf and a term of 0, never 0 * (-inf)
+    terms[1:] = np.exp(trace.log_mass + np.arange(1, N + 1) * logw)
+    if not want_S:
+        terms[1:] *= trace.tracked_values[y][1:]
     value = float(terms.sum())
     return GreenPartial(value, G - value, N + 1)
 

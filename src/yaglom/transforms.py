@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Window, _normalised_run
-from .measures import Mixture, TwoSidedParams
+from .chain import Window
+from .evolve import evolve_trace
+from .measures import Mixture
 
 __all__ = [
     "TransformedKernel",
@@ -28,7 +29,6 @@ __all__ = [
     "time_reversal",
     "hitting_split",
     "estimate_hhat",
-    "closed_form_hhat",
     "mixture_limit",
 ]
 
@@ -217,41 +217,31 @@ def _window_cauchy(series: np.ndarray):
 def estimate_hhat(kernel, x0: int, sites, n_max: int) -> HhatEstimate:
     """Estimate hhat(x)/hhat(x0) from the ratio series K^n(x,x0)/K^n(x0,x0).
 
-    The ratios at step n are entries of one backward vector K^n e_{x0}.
-    Since (K h)(x) = up[x] h(x+1) + stay[x] h(x) + down[x] h(x-1), that
-    vector comes from one forward run on the transposed rates
-    (down[x+1], stay[x], up[x-1]); each step's normalisation cancels in
-    the ratio.  Non-convergence (the Kesten case) is a verdict per site,
-    decided by a sliding Cauchy window over the last half of the series,
-    not an exception.
+    The ratios at step n are entries of one backward vector K^n e_{x0},
+    which is one forward run of the transpose K^T: the time reversal of
+    ``kernel`` with respect to counting measure at theta = 1, whose rows
+    are (down[x+1], stay[x], up[x-1]).  Each step's normalisation cancels
+    in the ratio.  Only sites within ``n_max`` of ``x0`` are tracked; a
+    site out of reach has K^n(x,x0) = 0, so its series is 0 (NaN where
+    K^n(x0,x0) is 0) and it does not widen the window.  Non-convergence
+    (the Kesten case) is a verdict per site, decided by a sliding Cauchy
+    window over the last half of the series, not an exception.
     """
     sites = tuple(sites)
-    lo, hi = min((x0 - n_max, *sites)), max((x0 + n_max, *sites))
-    up, stay, down = kernel.rows(lo - 1, hi + 1)
-    v = np.zeros(hi - lo + 1)
-    v[x0 - lo] = 1.0
-    idx = np.array([x - lo for x in sites] + [x0 - lo])
-    vals = np.zeros((n_max + 1, len(idx)))
-    vals[0] = v[idx]
-    n = 0
-    for rec in _normalised_run(v, down[2:], stay[1:-1], up[:-2], n_max, watch=idx):
-        n0, n = n, n + rec.surv.size
-        vals[n0 + 1 : n + 1] = rec.watched
+    tracked = tuple(dict.fromkeys(x for x in (*sites, x0) if abs(x - x0) <= n_max))
+    trace = evolve_trace(time_reversal(kernel, np.ones_like, 1.0), x0, n_max, tracked=tracked)
+    at_x0, zero = trace.tracked_values[x0], np.zeros(n_max + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = vals[:, :-1] / vals[:, -1:]
-    ratios[~np.isfinite(ratios)] = np.nan
-    series = {x: np.ones(n_max + 1) if x == x0 else r.copy() for x, r in zip(sites, ratios.T)}
+        series = {
+            x: np.ones(n_max + 1) if x == x0 else trace.tracked_values.get(x, zero) / at_x0
+            for x in sites
+        }
     out, conv, spreads = {}, {}, {}
     for x, ratio in series.items():
+        ratio[~np.isfinite(ratio)] = np.nan
         out[x] = float(ratio[np.isfinite(ratio)][-1])  # step 0 is always finite
         spreads[x], conv[x] = _window_cauchy(ratio)
     return HhatEstimate(x0, out, conv, spreads, series)
-
-
-def closed_form_hhat(params: TwoSidedParams, x) -> float | np.ndarray:
-    """hhat of the two-sided walk: t0^{-x} for x < 0, (1+c1 x)(q/p)^{x/2}
-    for x >= 0, with c1 = sqrt(1 - ab/pq).  Equals mu_plus/gamma pointwise."""
-    return params.hhat.value(x)
 
 
 def mixture_limit(weights: BoundaryWeights, pi_minus, pi_plus) -> Mixture:

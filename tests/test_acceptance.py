@@ -20,7 +20,6 @@ from yaglom import (
     build_symmetric,
     build_two_sided,
     c_max,
-    dual_harmonic,
     estimate_hhat,
     estimate_rho,
     evolve_trace,
@@ -34,7 +33,6 @@ from yaglom import (
     mirror_extremal,
     mirror_hhat,
     mixture_limit,
-    normalizer_T,
     oscillation_probe,
     preset_kernel,
     prob_values,
@@ -44,7 +42,6 @@ from yaglom import (
 from yaglom.evolve import brute_force_distribution
 from yaglom.montecarlo import absorption_times, simulate_absorbed
 from yaglom.scenarios import default_kesten_schedule
-from yaglom.transforms import closed_form_hhat
 
 PARAMS = TwoSidedParams(0.25, 0.75, 0.9, 0.1)
 MIRROR = MirrorParams(0.25, 0.125)
@@ -119,7 +116,7 @@ def test_criterion_03_root_and_duality_identities():
             worst = max(worst, abs(params.a / t + params.b * t - rho))
         worst = max(worst, abs(family_measure(params, 0.0).d0 - 0.5))
         mu = extremal_plus(params)
-        hhat = closed_form_hhat(params, xs)
+        hhat = params.hhat.value(xs)
         dual = mu.value(xs) / reversibility_gamma(params).value(xs)
         worst = max(worst, float(np.max(np.abs(hhat - dual) / dual)))
     report(
@@ -132,7 +129,7 @@ def test_criterion_03_root_and_duality_identities():
 
 def test_criterion_04_cross_identity_at_kill_site():
     pi0 = float(prob_values(extremal_plus(PARAMS), Window(0, 0))[0])
-    one_over_T = 1.0 / normalizer_T(extremal_plus(PARAMS))
+    one_over_T = 1.0 / extremal_plus(PARAMS).T
     onekill = (1.0 - RHO) / KAPPA
     err = max(abs(pi0 - one_over_T), abs(one_over_T - onekill))
     report(
@@ -237,7 +234,7 @@ def test_criterion_09_hhat_recovery():
     est = estimate_hhat(kernel, 0, sites, 3000)
     worst = 0.0
     for x in sites:
-        want = float(closed_form_hhat(PARAMS, x))
+        want = float(PARAMS.hhat.value(x))
         worst = max(worst, abs(est.table[x] - want) / want)
     converged = all(est.converged[x] for x in sites)
     report(

@@ -10,11 +10,11 @@ PUBLIC = {
     "SpectralEstimate", "TwoSidedParams", "Window", "YaglomTrace",
     "absorption_times", "brute_force_distribution", "build_alpha_walk", "build_kesten",
     "build_symmetric", "build_two_sided", "c_max", "check_conditions", "closed_form_V",
-    "closed_form_hhat", "default_kesten_schedule", "dual_harmonic", "e0_r_zeta",
+    "default_kesten_schedule", "e0_r_zeta",
     "empirical_hitting_split", "estimate_hhat", "estimate_rho", "evolve_trace",
     "extremal_minus", "extremal_plus", "family_measure", "green_partial", "h_transform",
     "hitting_split", "invariance_residual", "k2n00_asymptotic", "lazify",
-    "mirror_extremal", "mirror_hhat", "mixture_limit", "normalizer_T", "orey_trace",
+    "mirror_extremal", "mirror_hhat", "mixture_limit", "orey_trace",
     "oscillation_probe", "preset_kernel", "prob_values", "quadratic_roots",
     "reversibility_gamma", "simulate_absorbed", "square_even", "time_reversal",
     "total_variation", "validate",

@@ -377,6 +377,16 @@ def test_kesten_report_carries_clip_lost(tmp_path):
     assert lost["plain"] == 0.0 and lost["clipped"] > 0.0
 
 
+def test_kesten_without_a_rho_budget_reports_no_convergence(tmp_path):
+    # every n_grid entry is below the 200 survival factors rho needs, so no
+    # series was measured and none may be reported converged
+    assert run(["kesten", "--preset", "kesten", "--n-grid", "64,128", "--n", "128",
+                "--out-dir", tmp_path / "k"]) == 0
+    res = read_report(tmp_path / "k" / "kesten_report.json")["results"]
+    assert res["rho_by_budget"] == {}
+    assert res["rho_converged_everywhere"] is False
+
+
 def test_conditions_on_a_far_breakpoint_is_evidence_only(tmp_path):
     # the exact Green solve would span 10**9 sites; [2] says so instead
     right = {"p": 0.125, "r": 0.5, "q": 0.375}

@@ -51,3 +51,28 @@ def test_library_imports_only_stdlib_and_numpy():
         if name.partition(".")[0] not in ALLOWED
     ]
     assert not outside, outside
+
+
+# Every private name one library module imports from another, as
+# (importer, source, name).  Like the export list in ``test_api.py``, this
+# grows only on purpose: the propagation core ``_normalised_run`` has the
+# one driver ``evolve.evolve_trace``.
+PRIVATE_IMPORTS = {
+    ("cli", "spectral", "_green"),
+    ("conditions", "spectral", "_green"),
+    ("conditions", "spectral", "_GreenPole"),
+    ("evolve", "chain", "_normalised_run"),
+    ("spectral", "chain", "_MAX_SPAN"),
+}
+
+
+def test_private_imports_between_modules_are_pinned():
+    found = {
+        (path.stem, node.module, alias.name)
+        for path in sorted((SRC / "yaglom").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    }
+    assert found == PRIVATE_IMPORTS

@@ -12,7 +12,6 @@ from yaglom import (
     build_symmetric,
     build_two_sided,
     c_max,
-    dual_harmonic,
     extremal_minus,
     extremal_plus,
     family_measure,
@@ -22,12 +21,11 @@ from yaglom import (
     lazify,
     mirror_extremal,
     mirror_hhat,
-    normalizer_T,
     prob_values,
     quadratic_roots,
     reversibility_gamma,
 )
-from yaglom.measures import MirrorHarmonic, Mixture
+from yaglom.measures import DualHarmonic, MirrorHarmonic, Mixture
 
 PARAMS = TwoSidedParams(0.25, 0.75, 0.9, 0.1)
 KERNEL = build_two_sided(0.25, 0.75, 0.9, 0.1)
@@ -77,7 +75,7 @@ def test_extremal_values():
 
 def test_normalizer_closed_form_and_direct_sum():
     mp = extremal_plus(PARAMS)
-    T = normalizer_T(mp)
+    T = mp.T
     assert 1.0 / T == pytest.approx(0.20611, abs=1e-5)
     direct = float(mp.value(np.arange(-400, 401)).sum())
     assert T == pytest.approx(direct, abs=1e-10)
@@ -85,7 +83,7 @@ def test_normalizer_closed_form_and_direct_sum():
 
 def test_cross_identity_T_vs_onekill():
     # pi_plus(0) = 1/T(c1) = (1 - rho)/kappa
-    T = normalizer_T(extremal_plus(PARAMS))
+    T = extremal_plus(PARAMS).T
     assert 1.0 / T == pytest.approx((1 - PARAMS.rho) / PARAMS.kappa, abs=1e-10)
 
 
@@ -129,11 +127,11 @@ def test_gamma_values_and_detailed_balance():
 
 def test_dual_harmonic_values_and_residual():
     t0, _ = quadratic_roots(PARAMS)
-    h = dual_harmonic(extremal_plus(PARAMS))
+    h = DualHarmonic(extremal_plus(PARAMS))
     assert h.value(-1) == pytest.approx(t0, rel=1e-12)
     assert h.value(2) == pytest.approx(7.3267, abs=1e-4)
     assert h_transform(KERNEL, h, PARAMS.R).stochastic_residual(Window(-60, 60)) < 1e-12
-    h_minus = dual_harmonic(extremal_minus(PARAMS))
+    h_minus = DualHarmonic(extremal_minus(PARAMS))
     assert h_transform(KERNEL, h_minus, PARAMS.R).stochastic_residual(Window(-60, 60)) < 1e-12
     # the family members: hhat and the +inf extremal harmonic are this h
     xs = np.arange(-30, 31)
@@ -144,14 +142,14 @@ def test_dual_harmonic_values_and_residual():
 def test_dual_harmonic_is_mu_over_gamma():
     gamma = reversibility_gamma(PARAMS)
     for m in (extremal_plus(PARAMS), extremal_minus(PARAMS), family_measure(PARAMS, 0.3)):
-        h = dual_harmonic(m)
+        h = DualHarmonic(m)
         xs = np.arange(-30, 31)
         assert np.allclose(h.value(xs), m.value(xs) / gamma.value(xs), rtol=1e-11)
 
 
 def test_extremal_harmonics_ratio_vanishes():
-    h_plus = dual_harmonic(extremal_plus(PARAMS))
-    h_minus = dual_harmonic(extremal_minus(PARAMS))
+    h_plus = DualHarmonic(extremal_plus(PARAMS))
+    h_minus = DualHarmonic(extremal_minus(PARAMS))
     ys = np.arange(1, 61)
     # toward +inf the ratio decays like 1/(1 + c1 y): monotone, slow
     ratio = h_minus.value(ys) / h_plus.value(ys)
@@ -192,8 +190,8 @@ CLOSED_FORMS = {
     "family_half_c1": lambda: family_measure(PARAMS, 0.5 * c_max(PARAMS)),
     "family_c1": lambda: family_measure(PARAMS, c_max(PARAMS)),
     "gamma": lambda: reversibility_gamma(PARAMS),
-    "dual_plus": lambda: dual_harmonic(extremal_plus(PARAMS)),
-    "dual_minus": lambda: dual_harmonic(extremal_minus(PARAMS)),
+    "dual_plus": lambda: DualHarmonic(extremal_plus(PARAMS)),
+    "dual_minus": lambda: DualHarmonic(extremal_minus(PARAMS)),
     "mirror_plus": lambda: mirror_extremal(MIRROR, +1),
     "mirror_minus": lambda: mirror_extremal(MIRROR, -1),
     "mirror_h_minus": lambda: MirrorHarmonic(MIRROR, -1),

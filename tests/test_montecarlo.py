@@ -10,7 +10,6 @@ from yaglom import (
     TwoSidedParams,
     build_symmetric,
     build_two_sided,
-    dual_harmonic,
     e0_r_zeta,
     evolve_trace,
     extremal_plus,
@@ -18,11 +17,11 @@ from yaglom import (
     h_transform,
     lazify,
     mirror_hhat,
-    normalizer_T,
     simulate_absorbed,
     time_reversal,
 )
 from yaglom.chain import NNKernel, Region, Window
+from yaglom.measures import DualHarmonic
 from yaglom.montecarlo import (
     _move,
     _renormalised,
@@ -76,7 +75,7 @@ def test_conditioned_step_frequencies_match_row(transform, x, seed):
         rho_lazy = 0.5 + 0.5 * MIRROR.rho
         tk = h_transform(lazify(build_symmetric(0.25), 0.5), mirror_hhat(MIRROR), 1.0 / rho_lazy)
     else:
-        tk = h_transform(KERNEL, dual_harmonic(extremal_plus(PARAMS)), PARAMS.R)
+        tk = h_transform(KERNEL, DualHarmonic(extremal_plus(PARAMS)), PARAMS.R)
     n = 100_000
     table = _stochastic_rows(tk, Window(x - 16, x + 16), 1e-9, x - 1, x + 1)
     rows = np.ones(n, dtype=np.int64)  # x is row 1
@@ -130,7 +129,7 @@ def test_samplers_pinned_to_recorded_draws():
 
     class Prob:
         def prob(self, x):
-            return mplus.value(x) / normalizer_T(mplus)
+            return mplus.value(x) / mplus.T
 
     assert absorption_times(lazy, 0, 12, seed=5).tolist() == [1, 1, 4, 2, 3, 2, 21, 4, 3, 1, 9, 3]
     s = simulate_absorbed(lazy, 3, 40, seed=8)
@@ -210,12 +209,12 @@ def test_orey_plus_reversal_drifts_up_and_recovers_extremal():
 
     class Prob:
         def prob(self, x):
-            return mplus.value(x) / normalizer_T(mplus)
+            return mplus.value(x) / mplus.T
 
     tr = orey_trace(rk, k, Prob(), (256, 1024, 2048), seed=4, probes=(0, 1))
     assert tr.truncated_mass < 1e-9
     assert tr.positions[2048] > 0
-    target = 1.0 / normalizer_T(mplus)
+    target = 1.0 / mplus.T
     assert tr.ratios[2048][0] == pytest.approx(target, abs=5e-2)
 
 
@@ -227,10 +226,10 @@ def test_orey_minus_reversal_drifts_down():
 
     class Prob:
         def prob(self, x):
-            return mminus.value(x) / normalizer_T(mminus)
+            return mminus.value(x) / mminus.T
 
     tr = orey_trace(rk, k, Prob(), (128, 512), seed=6, probes=(0,))
     assert tr.positions[512] < -100
     # mirror case: the ratio approaches pi_minus(0), here only loosely
-    target = 1.0 / normalizer_T(mminus)
+    target = 1.0 / mminus.T
     assert tr.ratios[512][0] == pytest.approx(target, rel=0.5)

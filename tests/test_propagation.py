@@ -203,14 +203,16 @@ def test_survival_green_sweep_against_extended_precision(name, lazy):
 
 
 def test_check_conditions_probes_are_green_partial_runs():
-    """Each [2] probe is E_z R^zeta = 1 + (R - 1) G_{z,S}(w) at the checker's
-    weight, from the exact Green solve: the total of a ``green_partial`` run
-    of any length.  A fitted tail once read the terms from z = 11 as
-    growing at N = 300 and made [2] fail."""
+    """Each [2] probe, at the fixed sites -20, 0 and 20, is E_z R^zeta =
+    1 + (R - 1) G_{z,S}(w) at the checker's weight, from the exact Green
+    solve: the total of a ``green_partial`` run of any length."""
     kernel = lazify(preset_kernel("two_sided"), 0.5)
-    probes = (-7, 5, 11)
-    rep = check_conditions(kernel, budgets={"probe_sites": probes})
+    probes = (-20, 0, 20)
+    rep = check_conditions(kernel)
     ev = rep.verdicts["2"].evidence
+    assert {key for key in ev if key.startswith("E_R_zeta_at_")} == {
+        f"E_R_zeta_at_{z}" for z in probes
+    }
     R = ev["R"]
     w = R * (1.0 - 2.0 * ev["rho_error_bound"] - 1e-6)
     for z in probes:
@@ -279,20 +281,49 @@ def test_estimate_hhat_site_out_of_reach_is_zero():
     np.testing.assert_array_equal(est.series[50], np.zeros(11))
     np.testing.assert_array_equal(est.series[0], np.ones(11))
     assert est.table[50] == 0.0 and not est.converged[50]
+    # period 2: K^n(0,0) is 0 at odd n, so the far site reads 0/0 there
+    est = estimate_hhat(preset_kernel("two_sided"), 0, (0, 50), 10)
+    want = np.zeros(11)
+    want[1::2] = np.nan
+    np.testing.assert_array_equal(est.series[50], want)
+    np.testing.assert_array_equal(est.series[0], np.ones(11))
+    assert est.table[50] == 0.0 and not est.converged[50]
+
+
+class CountingKernel:
+    """A kernel that counts its ``rows`` calls and the sites they ask for."""
+
+    def __init__(self, kernel):
+        self.kernel, self.calls, self.widest = kernel, 0, 0
+
+    def rows(self, lo, hi):
+        self.calls += 1
+        self.widest = max(self.widest, hi - lo + 1)
+        return self.kernel.rows(lo, hi)
 
 
 def test_estimate_hhat_reads_rows_once():
-    class CountingKernel:
-        def __init__(self, kernel):
-            self.kernel, self.calls = kernel, 0
-
-        def rows(self, lo, hi):
-            self.calls += 1
-            return self.kernel.rows(lo, hi)
-
     counting = CountingKernel(lazify(preset_kernel("kesten"), 0.5))
     estimate_hhat(counting, 0, (-3, -1, 0, 1, 3, 40), 300)
     assert counting.calls == 1
+
+
+def test_estimate_hhat_far_site_does_not_widen_the_window():
+    # the run's window is [x0 - n_max, x0 + n_max] and the reversal reads
+    # one site more per side, whatever far site is asked for
+    counting = CountingKernel(lazify(preset_kernel("two_sided"), 0.5))
+    est = estimate_hhat(counting, 0, (0, 10**6), 50)
+    assert counting.calls == 1 and counting.widest <= 2 * 50 + 3
+    np.testing.assert_array_equal(est.series[10**6], np.zeros(51))
+
+
+def test_estimate_hhat_series_does_not_depend_on_the_other_sites():
+    # far sites on both sides once widened the window, so blocks ran longer
+    # and the near sites' series moved by a few ulps
+    kernel = lazify(preset_kernel("two_sided"), 0.5)
+    alone = estimate_hhat(kernel, 0, (3,), 300).series[3]
+    with_far = estimate_hhat(kernel, 0, (-500, 3, 500), 300).series[3]
+    assert alone.tobytes() == with_far.tobytes()
 
 
 rate_triples = st.lists(

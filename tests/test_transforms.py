@@ -10,8 +10,6 @@ from yaglom import (
     build_kesten,
     build_symmetric,
     build_two_sided,
-    closed_form_hhat,
-    dual_harmonic,
     estimate_hhat,
     extremal_minus,
     extremal_plus,
@@ -25,6 +23,7 @@ from yaglom import (
     time_reversal,
 )
 from yaglom.scenarios import default_kesten_schedule
+from yaglom.measures import DualHarmonic
 from yaglom.transforms import BoundaryWeights
 
 PARAMS = TwoSidedParams(0.25, 0.75, 0.9, 0.1)
@@ -34,7 +33,7 @@ MKERNEL = build_symmetric(0.25)
 
 
 def test_h_transform_stochastic_for_harmonic_h():
-    tk = h_transform(KERNEL, dual_harmonic(extremal_plus(PARAMS)), PARAMS.R)
+    tk = h_transform(KERNEL, DualHarmonic(extremal_plus(PARAMS)), PARAMS.R)
     assert tk.stochastic_residual(Window(-60, 60)) < 1e-12
     up, _, down = tk.rows(40, 60)
     assert (up - down > 0).all()  # drifts to +inf far to the right
@@ -47,7 +46,7 @@ def test_h_transform_flags_nonharmonic_h():
 
 
 def test_h_minus_transform_drifts_left():
-    tk = h_transform(KERNEL, dual_harmonic(extremal_minus(PARAMS)), PARAMS.R)
+    tk = h_transform(KERNEL, DualHarmonic(extremal_minus(PARAMS)), PARAMS.R)
     up, _, down = tk.rows(-60, -30)
     assert (up - down < 0).all()
 
@@ -112,7 +111,7 @@ def test_hitting_split_symmetric_start():
 
 
 def test_hitting_split_dominant_boundary():
-    tk = h_transform(KERNEL, dual_harmonic(extremal_plus(PARAMS)), PARAMS.R)
+    tk = h_transform(KERNEL, DualHarmonic(extremal_plus(PARAMS)), PARAMS.R)
     for x in (-3, 0, 4):
         w = hitting_split(tk, x)
         assert w.w_plus > 1.0 - 1e-9
@@ -172,7 +171,7 @@ def test_estimate_hhat_matches_closed_form():
     sites = (-2, -1, 1, 2)
     est = estimate_hhat(k, 0, sites, 1500)
     for x in sites:
-        want = float(closed_form_hhat(PARAMS, x))
+        want = float(PARAMS.hhat.value(x))
         assert est.converged[x]
         assert est.table[x] == pytest.approx(want, rel=2e-2)
 
@@ -202,14 +201,14 @@ def test_estimate_hhat_far_site_not_converged_before_it_is_reached():
 
 def test_closed_form_hhat_values():
     t0, _ = quadratic_roots(PARAMS)
-    assert closed_form_hhat(PARAMS, 0) == 1.0
-    assert closed_form_hhat(PARAMS, -2) == pytest.approx(t0 * t0, rel=1e-12)
-    assert closed_form_hhat(PARAMS, -2) == pytest.approx(1.45837, abs=1e-5)
-    assert closed_form_hhat(PARAMS, 1) == pytest.approx(2.98105, abs=1e-5)
+    assert PARAMS.hhat.value(0) == 1.0
+    assert PARAMS.hhat.value(-2) == pytest.approx(t0 * t0, rel=1e-12)
+    assert PARAMS.hhat.value(-2) == pytest.approx(1.45837, abs=1e-5)
+    assert PARAMS.hhat.value(1) == pytest.approx(2.98105, abs=1e-5)
     # equals the dual of the +inf extremal pointwise
-    h = dual_harmonic(extremal_plus(PARAMS))
+    h = DualHarmonic(extremal_plus(PARAMS))
     xs = np.arange(-40, 41)
-    assert np.allclose(closed_form_hhat(PARAMS, xs), h.value(xs), rtol=1e-12)
+    assert np.allclose(PARAMS.hhat.value(xs), h.value(xs), rtol=1e-12)
 
 
 def test_mixture_limit_trivial_weights():
