@@ -354,6 +354,10 @@ _BLOCK = 32
 # A block whose mass K^m(v, S) falls below this is stepped one step at a
 # time instead, so that no S_j underflows.
 _MIN_BLOCK_MASS = 1e-200
+# The band and watch tables are stored times this power of two, so that a
+# tap of at least 2^-200 times a law entry of at least the smallest normal
+# float is normal too.
+_SCALE = 2.0**200
 
 
 class _Record(NamedTuple):
@@ -401,6 +405,18 @@ class _BlockTables:
     other sites keep their own band rows, in site order, in
     ``G_sites[pos[y]]``, so a block reads a stretch of them as one slice.
     ``cols[i, t, j-1] = K^j(w-m+t, w)`` for the i-th watch site w.
+
+    ``G_rows``, ``G_sites`` and ``cols`` are stored times ``_SCALE`` =
+    2^200: their columns are stepped from 2^200 e_y, not e_y, and
+    ``block`` divides by the scale with the masses.  A flushed law has no
+    positive entry below 2^-1022, and on every preset, raw or lazified, no
+    positive tap lies below 2^-139, so no product of the two is subnormal.
+    Unscaled, on a law whose tails reach down to 2^-1022, about 1.5% of
+    the products were: each costs a slow microcode assist and loses
+    digits.  The scale is a power of two, so every value whose unscaled
+    computation formed no subnormal is the same to the bit.  A law sums
+    to 1 and a tap K^j(x, y) is at most 1, so no scaled sum
+    exceeds 2^200, far from overflow.
     """
 
     def __init__(self, up, stay, down, watch):
@@ -432,7 +448,7 @@ class _BlockTables:
             self.watch_idx = np.clip(near, 0, width - 1)
             self.watch_mask = (near >= 0) & (near < width)
             h = np.zeros((watch.size, 2 * m + 1))
-            h[:, m] = 1.0
+            h[:, m] = _SCALE
             rates = self._near(watch)
             self.cols = np.empty((watch.size, 2 * m + 1, m))
             for j in range(m):
@@ -463,7 +479,7 @@ class _BlockTables:
             reps = self.firsts[need]
             x = reps[:, None] + np.arange(-m, m + 1)
             h = np.zeros((2, reps.size, 2 * m + 1))
-            h[0, :, m] = 1.0  # e_y, stepped to the column K^j(., y)
+            h[0, :, m] = _SCALE  # 2^200 e_y, stepped to 2^200 K^j(., y)
             h[1] = (x >= 0) & (x < self.width)  # 1 on the window, stepped to K^j 1
             rates = self._near(reps)
             for j in range(m):
@@ -497,7 +513,8 @@ class _BlockTables:
         ``v`` summed on the id's sites times its ``C_rows`` row.  On the
         sites of a long id, ``v K^m`` is one correlation of ``v`` with the
         id's ``G_rows`` row; each stretch of sites between long ids reads
-        its rows as one slice of ``G_sites``.
+        its rows as one slice of ``G_sites``.  Both tables hold the taps
+        times ``_SCALE``, so the product is divided by ``S_m * _SCALE``.
         """
         m = _BLOCK
         f, l = a + 1, b - 1  # the support
@@ -511,7 +528,7 @@ class _BlockTables:
         watched = None
         if self.cols is not None:
             near = v[self.watch_idx] * self.watch_mask
-            watched = np.einsum("ix,ixj->ji", near, self.cols) / S[:, None]
+            watched = np.einsum("ix,ixj->ji", near, self.cols) / (S[:, None] * _SCALE)
         # row i is v[lo - m + i : lo + m + i + 1], the inputs to site lo + i
         windows = np.ndarray(
             (hi - lo + 1, 2 * m + 1), buffer=v, offset=8 * (lo - m), strides=(8, 8)
@@ -534,7 +551,7 @@ class _BlockTables:
             out[y - lo :] = np.einsum(
                 "ij,ij->i", windows[y - lo :], self.G_sites[p : p + hi + 1 - y]
             )
-        out /= S[-1]
+        out /= S[-1] * _SCALE
         v[lo : hi + 1] = out
         return S, watched, lo - 1, hi + 1
 

@@ -53,6 +53,9 @@ EXIT_BUDGET = 4
 
 MC_PATH_CAP = 200000
 _CSV_CHUNK = 4096  # rows formatted per write
+# a shorter run of all-zero rows is written row by row: below this, setting
+# up _int_chunks costs more than the float formatting it saves
+_ZERO_RUN = 256
 MAX_SITE = 10**9  # keeps every site index the subcommands form inside int64
 
 
@@ -239,18 +242,48 @@ def _write_csv(path: Path, cfg: dict, header: list[str], columns: list) -> None:
     none needs quoting, and each is written as its ``str``.  Rows are
     written in chunks of _CSV_CHUNK, so the whole file is never held as
     one string.  A table of numpy integer arrays only is formatted in
-    numpy (``_int_chunks``); any other table row by row with one ``%s``
-    line, as its cost is float ``repr``, which numpy does no faster."""
+    numpy (``_int_chunks``).  So is each run of at least _ZERO_RUN rows
+    whose cells after an integer first column are all +0.0 in float
+    arrays (a conditioned law's dead tails): its first column goes through
+    ``_int_chunks``, and ``,0.0`` per other column is put before each line
+    end.  Any other row is written with one ``%s`` line, as its cost is
+    float ``repr``, which numpy does no faster."""
     with open(path, "w", newline="") as fh:
         fh.write("# " + _json(cfg) + "\n")
         fh.write(",".join(header) + "\r\n")
-        if all(isinstance(c, np.ndarray) and c.dtype.kind in "iu" for c in columns):
+        if all(_is_int(c) for c in columns):
             fh.writelines(_int_chunks(columns))
             return
         line = ",".join(["%s"] * len(header)) + "\r\n"
-        rows = zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in columns])
-        while chunk := "".join([line % row for row in islice(rows, _CSV_CHUNK)]):
-            fh.write(chunk)
+        zeros = ",0.0" * (len(columns) - 1) + "\r\n"
+        n = len(columns[0])
+        start = 0
+        for lo, hi in _zero_runs(columns) + [(n, n)]:  # (n, n): the rows after the last run
+            cells = [c[start:lo] for c in columns]
+            rows = zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in cells])
+            while chunk := "".join([line % row for row in islice(rows, _CSV_CHUNK)]):
+                fh.write(chunk)
+            fh.writelines(c.replace("\r\n", zeros) for c in _int_chunks([columns[0][lo:hi]]))
+            start = hi
+
+
+def _is_int(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype.kind in "iu"
+
+
+def _zero_runs(columns: list) -> list[tuple[int, int]]:
+    """The [lo, hi) row ranges of at least _ZERO_RUN rows whose cells
+    after an integer first column are all +0.0; none unless every other
+    column is a float array."""
+    first, rest = columns[0], columns[1:]
+    if not (rest and _is_int(first)
+            and all(isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in rest)):
+        return []
+    zero = np.logical_and.reduce([(c == 0.0) & ~np.signbit(c) for c in rest])
+    edges = np.flatnonzero(np.diff(zero, prepend=False, append=False))
+    lo, hi = edges[::2], edges[1::2]
+    long = hi - lo >= _ZERO_RUN
+    return list(zip(lo[long].tolist(), hi[long].tolist()))
 
 
 def _int_chunks(columns: list[np.ndarray]):

@@ -11,6 +11,7 @@ enumeration serves as the ground-truth oracle at small n.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,6 +25,23 @@ __all__ = [
     "brute_force_distribution",
     "total_variation",
 ]
+
+
+# Peak bytes a run holds per window site (rates, law, block tables) and per
+# step of each series (survival factors and log masses as one; values and
+# ratios per tracked site as two), by tracemalloc on lazified two_sided:
+# 164 n bytes at n = 100000 on the full window, 19.5 per step at
+# n = 200000 on 1001 sites, 57 per step with one tracked site.
+_SITE_BYTES = 72
+_STEP_BYTES = 20
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
 
 
 @dataclass
@@ -94,23 +112,37 @@ def evolve_trace(
     come from precomputed tables of ``K^j 1`` and of the columns
     ``K^j(., y)``.  Blocks end at the snapshot steps.  The steps close to
     a window's ends go one step at a time.  Both modes agree with single
-    dense steps to a few ulps.  ``log_mass`` gains one ``log`` per block,
-    so it does not drift over long runs.
+    dense steps to a few ulps.  The band tables are stored times 2^200, so
+    the band product forms no subnormal from the law's tail, and a
+    block's entries below 2^-969 keep their digits (unscaled tables lost
+    up to 1.6e-13 relative there, on raw ``alpha_walk``).  ``log_mass`` gains one ``log`` per
+    block, so it does not drift over long runs.
 
     Raises
     ------
     DegenerateKernelError
         If the chain goes extinct (total mass reaches zero), or the clip
         deletes all the mass.
+    MemoryError
+        Before anything is allocated, if the run would hold more than the
+        machine's physical memory: about 72 bytes per window site and 20
+        per step of each series (one, plus two per tracked site).
     """
     if n < 1:
         raise ValueError("need at least one step")
     half = n if max_halfwidth is None else min(n, int(max_halfwidth))
     lo, hi = x0 - half, x0 + half
+    tracked = tuple(tracked)
+    need = _SITE_BYTES * (hi - lo + 1) + _STEP_BYTES * n * (1 + 2 * len(tracked))
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise MemoryError(
+            f"{n} steps on a window of {hi - lo + 1} sites need about {need / 2**30:.3g} GiB, "
+            f"more than the {memory / 2**30:.3g} GiB of physical memory"
+        )
     up, stay, down = kernel.rows(lo, hi)
     v = np.zeros(hi - lo + 1)
     v[x0 - lo] = 1.0
-    tracked = tuple(tracked)
     for y in tracked:
         if not lo <= y <= hi:
             raise ValueError(f"tracked site {y} outside the capped window")

@@ -5,10 +5,12 @@ while its live hull lies far enough inside the window.  These tests pin
 it to the dense oracle of ``test_propagation`` where blocks end off the
 block grid (the last steps of a run, snapshots), where a capped window
 forces single steps, where a block's mass would underflow, and where a
-clip acts at the end of each record.
+clip acts at the end of each record; and the scaled band tables against
+exact products where the law's tail nears the smallest normal float.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -265,7 +267,9 @@ def test_blocks_match_dense_loop_on_random_region_kernels(left, right, overrides
 def test_tables_hold_powers_of_the_window_kernel():
     """Every site's rows, read through its row id, near rate changes and
     near the window ends too, against powers of the dense window matrix
-    (rates 0 outside the window, so flow off it is lost)."""
+    (rates 0 outside the window, so flow off it is lost).  The band and
+    watch tables are stored times a power of two, so dividing it out is
+    exact."""
     kernel = NNKernel(
         (Region(None, -1, 0.3, 0.2, 0.4), Region(0, None, 0.25, 0.35, 0.3)),
         ((-3, 0.1, 0.5, 0.2), (-2, 0.4, 0.1, 0.4), (30, 0.2, 0.2, 0.2)),
@@ -277,7 +281,8 @@ def test_tables_hold_powers_of_the_window_kernel():
     tables = chain._BlockTables(up, stay, down, watch)
     assert tables._rows(0, width - 1) == (0, tables.firsts.size - 1)
     assert tables.done.all()
-    G, C = tables.G_rows[tables.ids], tables.C_rows[tables.ids]
+    G, C = tables.G_rows[tables.ids] / chain._SCALE, tables.C_rows[tables.ids]
+    cols = tables.cols / chain._SCALE
     t = np.arange(-M, M + 1)
     power = np.eye(width)
     for j in range(1, M + 1):
@@ -286,7 +291,7 @@ def test_tables_hold_powers_of_the_window_kernel():
         for i, w in enumerate(watch):
             x = w + t
             want = np.where((x >= 0) & (x < width), power[np.clip(x, 0, width - 1), w], 0.0)
-            np.testing.assert_allclose(tables.cols[i, :, j - 1], want, rtol=1e-13)
+            np.testing.assert_allclose(cols[i, :, j - 1], want, rtol=1e-13)
     for y in range(width):
         x = y + t
         want = np.where((x >= 0) & (x < width), power[np.clip(x, 0, width - 1), y], 0.0)
@@ -294,7 +299,7 @@ def test_tables_hold_powers_of_the_window_kernel():
     # the sites off the long runs hold their own rows, in site order
     short = np.flatnonzero(~tables.long[tables.ids])
     assert short.size and np.array_equal(tables.pos[short], np.arange(short.size))
-    np.testing.assert_array_equal(tables.G_sites, G[short])
+    np.testing.assert_array_equal(tables.G_sites / chain._SCALE, G[short])
 
 
 def _assert_no_subnormals(tr):
@@ -421,3 +426,103 @@ def test_correlation_threshold_against_dense_loop(modes):
     assert_norm_rel(tr.distribution.values, v)
     for y in tracked:
         assert_rel(tr.tracked_values[y], vals[y])
+
+
+def _exact_band_product(law, rates, y):
+    """(v K^m)(y) in Fractions: the column K^j(., y), stepped back m times
+    from e_y on the window (rates 0 off it), against the law's floats."""
+    up, stay, down = ([Fraction(x) for x in r.tolist()] for r in rates)
+    col = {y: Fraction(1)}
+    for _ in range(M):
+        col = {
+            x: stay[x] * col.get(x, 0) + up[x] * col.get(x + 1, 0) + down[x] * col.get(x - 1, 0)
+            for x in range(max(y - M, 0), min(y + M + 1, len(law)))
+        }
+    return sum(Fraction(float(law[x])) * c for x, c in col.items())
+
+
+def test_scaled_tables_keep_digits_near_the_smallest_normal_float(monkeypatch):
+    """One block on a flushed law of lazified two_sided, whose tails fall
+    from the bulk down to the smallest normal float 2^-1022.  Unscaled,
+    the band product's taps times the law's tail entries round to
+    subnormals, and the entries it gives in [2^-1022, 2^-969] were off by
+    up to 2.5e-15; with the tables stored times 2^200 they are within
+    1e-15 of the exact product.  The masses S_j do not use the scaled
+    tables, so each entry is held against the exact v K^m divided by the
+    block's own S_m.  Every larger entry is the unscaled one to the bit."""
+    kernel = lazify(preset_kernel("two_sided"), 0.5)
+    tr = evolve_trace(kernel, 0, 3000)
+    law, lo = tr.distribution.values, tr.distribution.window.lo
+    rates = kernel.rows(lo, tr.distribution.window.hi)
+    a, b = tr.live_hull.lo - lo, tr.live_hull.hi - lo
+    assert law.max() > 1e-2 and 2.0**-1022 <= law[law > 0].min() < 2.0**-1021
+
+    def one_block(scale):
+        monkeypatch.setattr(chain, "_SCALE", scale)
+        v = law.copy()
+        tables = chain._BlockTables(*rates, np.array([], dtype=np.intp))
+        return v, tables.block(v, a, b)[0][-1]
+
+    v, S = one_block(2.0**200)
+    v_unscaled, S_unscaled = one_block(1.0)
+    assert S == S_unscaled
+    errors = {}
+    for y in np.flatnonzero((v >= 2.0**-1022) & (v <= 2.0**-969)).tolist():
+        exact = _exact_band_product(law, rates, y) / Fraction(float(S))
+        errors[y] = [abs(float((Fraction(float(w[y])) - exact) / exact)) for w in (v, v_unscaled)]
+    assert len(errors) > 40
+    assert max(new for new, _ in errors.values()) <= 1e-15
+    assert max(old for _, old in errors.values()) > 2e-15  # what the scale mends
+    bulk = v > 2.0**-969
+    np.testing.assert_array_equal(v[bulk], v_unscaled[bulk])
+
+
+@pytest.mark.parametrize("lazy", [0.5, None], ids=["lazy", "raw"])
+@pytest.mark.parametrize("name", PRESETS)
+def test_every_stored_tap_is_at_least_one(name, lazy):
+    """A positive tap of at least 2^-200 becomes at least 1 in the scaled
+    tables, so its product with a law entry of at least 2^-1022 is normal.
+    Every preset's taps stay above that, near its rate changes too."""
+    kernel = preset_kernel(name)
+    if lazy is not None:
+        kernel = lazify(kernel, lazy)
+    up, stay, down = kernel.rows(-400, 400)
+    width = len(up)
+    tables = chain._BlockTables(up, stay, down, np.array([0, 5, 400, 421, width - 1]))
+    tables._rows(0, width - 1)
+    for taps in (tables.G_rows, tables.G_sites, tables.cols):
+        assert taps[taps > 0].min() >= 1.0
+
+
+@pytest.mark.parametrize("case", ["largest-taps", "taps-below-2^-200"])
+def test_adversarial_taps_match_single_steps(case, modes, monkeypatch):
+    """Sites that move their mass up or down with probability 1, in pairs
+    up, up, down, down, give taps of exactly 1 and columns of K summing to
+    2, the largest scaled sums.  A rate of 1e-3 gives taps below 2^-200,
+    whose products with the law's tail can still round to subnormals:
+    slower, but as exact.  Both blocked runs agree with single steps to a
+    few ulps."""
+    if case == "largest-taps":
+        moves = [(1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0)]
+        kernel = NNKernel(
+            (Region(None, None, 0.3, 0.3, 0.3),),
+            tuple((x, *moves[x % 4]) for x in range(-600, 601)),
+        )
+    else:
+        kernel = NNKernel((Region(None, -1, 1e-3, 0.6, 0.3), Region(0, None, 0.25, 0.5, 0.2)))
+    x0, n, tracked = 3, 15 * M + 7, (3, 4, -20)
+    up, stay, down = kernel.rows(x0 - n, x0 + n)
+    tables = chain._BlockTables(up, stay, down, np.array([n]))
+    tables._rows(0, 2 * n)
+    small = tables.G_rows[tables.G_rows > 0].min()
+    assert small == chain._SCALE if case == "largest-taps" else small < 1.0
+    blocked = evolve_trace(kernel, x0, n, tracked=tracked)
+    assert modes["blocks"] >= n // M - 1  # the slow left tail reaches the window's end
+    monkeypatch.setattr(chain._BlockTables, "block", lambda self, v, a, b: None)
+    single = evolve_trace(kernel, x0, n, tracked=tracked)
+    ulps = 8 * np.finfo(float).eps
+    assert_rel(blocked.survival_factors, single.survival_factors, ulps)
+    assert_rel(blocked.log_mass, single.log_mass, ulps)
+    assert_norm_rel(blocked.distribution.values, single.distribution.values, ulps)
+    for y in tracked:
+        assert_rel(blocked.tracked_values[y], single.tracked_values[y], ulps)

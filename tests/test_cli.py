@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 from itertools import takewhile
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from yaglom.cli import _CSV_CHUNK, COMMANDS, FIELDS, MAX_SITE, _write_csv, main
+from yaglom.cli import _CSV_CHUNK, _ZERO_RUN, COMMANDS, FIELDS, MAX_SITE, _write_csv, main
 from yaglom.scenarios import PRESETS
 
 CUSTOM_CHAIN = {
@@ -115,13 +116,24 @@ def test_write_csv_matches_csv_writer(tmp_path):
     # one chunk beside an integer array; float and bool arrays; and tables
     # of integer arrays only, which take the numpy path: longer than one
     # chunk with int64, uint64 and int32 extremes or with small integer
-    # types, cells of 10 characters, one row, no rows
+    # types, cells of 10 characters, one row, no rows; and (site, mass)
+    # tables with runs of +0.0 rows
     cells = [0, -7, 2**70, 0.1, -2.5e-8, math.nan, math.inf, -math.inf, -0.0,
              5e-324, 1e300, True, False, ""]
     n = 10_001
     assert n > _CSV_CHUNK
     rng = np.random.default_rng(5)
     m = 3 * _CSV_CHUNK + 5
+    # runs of +0.0 longer than one chunk at both ends and in the middle,
+    # runs just below and at _ZERO_RUN, single zeros, and a run broken by
+    # -0.0, nan and 5e-324
+    gaps = [2 * _CSV_CHUNK + 3, 7, 0, 1, 0, _ZERO_RUN - 1, 0, 0, _ZERO_RUN, 3, 1200, 0,
+            _CSV_CHUNK + 1, 2, 0]
+    law = np.concatenate([np.r_[np.zeros(g), rng.random(3) * 10.0 ** -rng.integers(0, 320, 3)]
+                          for g in gaps] + [np.zeros(3 * _CSV_CHUNK)])
+    z = law.size
+    broken = sum(gaps[:10]) + 30  # the first row of the run of 1200
+    law[[broken + 300, broken + 600, broken + 900]] = -0.0, math.nan, 5e-324
     tables = {
         "cells": [np.arange(n), [cells[i % len(cells)] for i in range(n)],
                   tuple(cells[(3 * i + 1) % len(cells)] for i in range(n))],
@@ -135,6 +147,15 @@ def test_write_csv_matches_csv_writer(tmp_path):
         "ten_chars": [np.array([2**32 - 1, 2**32, 9_999_999_999, -999_999_999])],
         "one_row": [np.array([-7]), np.array([2**64 - 1], dtype=np.uint64)],
         "no_rows": [np.arange(0), np.arange(0)],
+        # (site, mass) tables, whose runs of +0.0 rows take the numpy path
+        "zero_runs": [np.arange(-20_000, -20_000 + z), law],
+        "zero_runs_f32": [np.arange(z), law.astype(np.float32)],
+        "all_zero": [np.arange(-5, 3 * _CSV_CHUNK), np.zeros(3 * _CSV_CHUNK + 5)],
+        "one_zero_row": [np.array([-3]), np.zeros(1)],
+        "some_zero": [np.arange(z), law, np.r_[law[100:], law[:100]], np.zeros(z)],
+        "negative_zeros": [np.arange(z), -law],
+        "zeros_and_false": [np.arange(2 * _ZERO_RUN), np.zeros(2 * _ZERO_RUN),
+                            np.zeros(2 * _ZERO_RUN, dtype=bool)],
     }
     assert tables["ints"][2].max() >= 2**63
     cfg = {"seed": 3, "chain": {"preset": "two_sided"}}
@@ -168,6 +189,38 @@ def test_out_of_memory_is_budget_error(tmp_path, capsys, monkeypatch):
     assert run(["yaglom", "--n", "10", "--out-dir", tmp_path]) == 4
     err = capsys.readouterr().err.strip()
     assert err.startswith("budget exhausted: out of memory: Unable to allocate") and "\n" not in err
+
+
+def test_window_beyond_physical_memory_is_budget_error(tmp_path, capsys, monkeypatch):
+    # the run is refused before its window is allocated
+    monkeypatch.setattr("yaglom.evolve._physical_memory", lambda: 10**6)
+    assert run(["yaglom", "--n", "10000", "--out-dir", tmp_path]) == 4
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("budget exhausted: out of memory: 10000 steps on a window of 20001 sites")
+    assert "\n" not in err
+    assert run(["yaglom", "--n", "1000", "--out-dir", tmp_path]) == 0
+
+
+# sha256 of trace.csv after its config line, and of yaglom_report.json's
+# results as sorted JSON, from ``yaglom --x0 2 --n 2000``; recorded before
+# the band tables were scaled, which must move neither
+PINNED = {
+    ("two_sided", "0.5"): ("3ade2321ca0bb1b94a876c6a9220b470ea4712d9ae6b810ecb770f91c209f2b3",
+                           "cad6e977714a33051864a4682c7c0529b307eace075e1a6da21438bdf4e0a305"),
+    ("symmetric", None): ("e437e4e487760aba8d8646d74da7c47a3a473c8ad943bf31ca1298e2b37849ff",
+                          "bf1833054907d94e29a7ccad81706a9d24f2a3a80a721c45e3c1227fc8489dfd"),
+}
+
+
+@pytest.mark.parametrize("preset, lazify", list(PINNED))
+def test_yaglom_trace_and_report_are_pinned(preset, lazify, tmp_path):
+    args = ["yaglom", "--preset", preset, "--x0", "2", "--n", "2000", "--out-dir", tmp_path]
+    assert run(args + (["--lazify", lazify] if lazify else [])) == 0
+    trace = (tmp_path / "trace.csv").read_bytes().split(b"\n", 1)[1]
+    results = read_report(tmp_path / "yaglom_report.json")["results"]
+    got = (hashlib.sha256(trace).hexdigest(),
+           hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest())
+    assert got == PINNED[preset, lazify]
 
 
 def test_unknown_preset_is_schema_error(tmp_path):

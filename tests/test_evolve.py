@@ -14,6 +14,7 @@ from yaglom import (
     lazify,
     total_variation,
 )
+from yaglom import evolve
 from yaglom.chain import MassState, Window
 from yaglom.evolve import brute_force_distribution
 
@@ -148,3 +149,33 @@ def test_total_variation_window_alignment():
     b = MassState(Window(1, 2), np.array([0.5, 0.5]))
     assert total_variation(a, b) == pytest.approx(0.5)
     assert total_variation(a, a) == 0.0
+
+
+def test_run_beyond_physical_memory_is_refused_before_allocating(monkeypatch):
+    """About 72 bytes per window site and 20 per step of each series: a
+    run that would need more than the machine has raises MemoryError
+    before ``rows`` builds its window, so nothing large is allocated."""
+    asked = []
+
+    class Kernel:
+        def rows(self, lo, hi):
+            asked.append((lo, hi))
+            return lazy_walk().rows(lo, hi)
+
+    assert evolve._physical_memory() > 0
+    # 10000 steps, full window of 20001 sites, one tracked site
+    need = 72 * 20001 + 20 * 10000 * 3
+    monkeypatch.setattr(evolve, "_physical_memory", lambda: need - 1)
+    with pytest.raises(MemoryError, match="20001 sites"):
+        evolve_trace(Kernel(), 0, 10000, tracked=(0,))
+    assert asked == []
+    monkeypatch.setattr(evolve, "_physical_memory", lambda: need)
+    evolve_trace(Kernel(), 0, 10000, tracked=(0,))
+    # a capped window: the series dominate
+    monkeypatch.setattr(evolve, "_physical_memory", lambda: 72 * 201 + 20 * 10**6 - 1)
+    with pytest.raises(MemoryError, match="201 sites"):
+        evolve_trace(Kernel(), 0, 10**6, max_halfwidth=100)
+    # where the system does not say, no run is refused
+    monkeypatch.setattr(evolve, "_physical_memory", lambda: None)
+    evolve_trace(Kernel(), 0, 100)
+    assert asked == [(-10000, 10000), (-100, 100)]
