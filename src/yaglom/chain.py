@@ -11,6 +11,7 @@ of Z are represented exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -333,6 +334,13 @@ def _forward_step(v, up, stay, down, a: int, b: int) -> tuple[int, int]:
 _TINY = np.finfo(np.float64).tiny
 
 
+def _kept_hull(small, a: int, size: int) -> tuple[int, int]:
+    """Live hull of what is left in ``v[a : a + small.size]`` once the
+    entries where ``small`` is True are 0.0, in a window of ``size`` sites."""
+    first, last = int(small.argmin()), small.size - 1 - int(small[::-1].argmin())
+    return max(a + first - 1, 0), min(a + last + 1, size - 1)
+
+
 def _flush(v, a: int, b: int) -> tuple[int, int]:
     """Set the entries of ``v`` below the smallest normal float to 0.0 and
     return the live hull of what is left.
@@ -345,8 +353,7 @@ def _flush(v, a: int, b: int) -> tuple[int, int]:
     live = v[a : b + 1]
     small = live < _TINY
     np.copyto(live, 0.0, where=small)
-    first, last = int(small.argmin()), small.size - 1 - int(small[::-1].argmin())
-    return max(a + first - 1, 0), min(a + last + 1, len(v) - 1)
+    return _kept_hull(small, a, len(v))
 
 
 # Steps per block: one band product applies K^m.
@@ -358,6 +365,8 @@ _MIN_BLOCK_MASS = 1e-200
 # tap of at least 2^-200 times a law entry of at least the smallest normal
 # float is normal too.
 _SCALE = 2.0**200
+# reduceat's offsets when a block's support lies in one row id
+_ONE_START = np.zeros(1, dtype=np.intp)
 
 
 class _Record(NamedTuple):
@@ -400,9 +409,14 @@ class _BlockTables:
     a row id: each site within m of a rate change has its own, and each
     run of constant rates between such sites has one.  ``G_rows[i]`` and
     ``C_rows[i]`` hold the two rows of id i, computed the first time a
-    block reaches a site with that id.  An id whose run has at least 4m
-    sites is ``long``: a block serves its sites by one correlation.  The
-    other sites keep their own band rows, in site order, in
+    block reaches a site with that id, in batches (``_rows``) that one
+    backward run of m steps fills (``_fill``): the band columns of the
+    batch's ids and the ones vector near them, laid end to end in one
+    vector.  ``filled`` is a site range whose rows are all there, so a
+    block inside it asks for nothing.  An id whose run has at least 4m
+    sites is ``long``: a block serves its sites by one correlation, and
+    ``long_ids`` lists those ids in order, with their first and last
+    sites.  The other sites keep their own band rows, in site order, in
     ``G_sites[pos[y]]``, so a block reads a stretch of them as one slice.
     ``cols[i, t, j-1] = K^j(w-m+t, w)`` for the i-th watch site w.
 
@@ -442,58 +456,120 @@ class _BlockTables:
         self.G_rows = np.empty((self.firsts.size, 2 * m + 1))
         self.C_rows = np.empty((self.firsts.size, m))
         self.done = np.zeros(self.firsts.size, dtype=bool)
+        self.filled = (0, -1)  # a site range whose ids all have their rows
+        self.long_ids = np.flatnonzero(self.long).tolist()
+        self.long_firsts = self.firsts[self.long].tolist()
+        self.long_lasts = self.lasts[self.long].tolist()
         self.cols = None
         if watch.size:
             near = watch[:, None] + np.arange(-m, m + 1)
             self.watch_idx = np.clip(near, 0, width - 1)
             self.watch_mask = (near >= 0) & (near < width)
-            h = np.zeros((watch.size, 2 * m + 1))
-            h[:, m] = _SCALE
             rates = self._near(watch)
-            self.cols = np.empty((watch.size, 2 * m + 1, m))
+            h = np.zeros(rates[0].size)
+            h[m :: 2 * m + 2] = _SCALE
+            cols = np.empty((m, h.size))
             for j in range(m):
                 h = _backward(h, *rates)
-                self.cols[:, :, j] = h
+                cols[j] = h
+            cols = cols.reshape(m, watch.size, 2 * m + 2)[:, :, :-1]
+            self.cols = np.ascontiguousarray(cols.transpose(1, 2, 0))
 
     def _near(self, sites):
-        """Rates at x = y-m..y+m for each site y, one row per site, 0 off the window."""
-        x = sites[:, None] + np.arange(-_BLOCK, _BLOCK + 1)
+        """Rates at x = y-m..y+m for each site y, 0 off the window, laid end to
+        end with one zero-rate site after each y's: 2m + 2 entries per site.
+
+        Stepped back from 2^200 e_y, each piece gives the band column at its
+        y: the zero site adds exact zeros, as the rates off the window do.
+        """
+        x = sites[:, None] + np.arange(-_BLOCK, _BLOCK + 2)
         inside = (x >= 0) & (x < self.width)
+        inside[:, -1] = False
         x = np.clip(x, 0, self.width - 1)
-        return [r[x] * inside for r in self.rates]
+        return [(r[x] * inside).ravel() for r in self.rates]
 
     def _rows(self, lo: int, hi: int) -> tuple[int, int]:
         """Fill the rows of the sites lo..hi; return their first and last id.
 
         A missing row fills every missing row within an eighth of the range
         (at least 4m sites) beyond it too, so a growing hull computes its
-        rows in a few large batches instead of a few rows per block.
+        rows in a few large batches instead of a few rows per block.  Every
+        id between the ends of that range then has its rows, and ``filled``
+        keeps the site range known to be filled, so the calls whose sites
+        lie inside it, most of a run's, cost two lookups.
         """
-        m = _BLOCK
         i0, i1 = int(self.ids[lo]), int(self.ids[hi])
-        if not self.done[i0 : i1 + 1].all():
-            grow = max(4 * m, (hi - lo) // 8)
-            j0 = int(self.ids[max(lo - grow, 0)])
-            j1 = int(self.ids[min(hi + grow, self.width - 1)])
-            need = j0 + np.flatnonzero(~self.done[j0 : j1 + 1])
-            reps = self.firsts[need]
-            x = reps[:, None] + np.arange(-m, m + 1)
-            h = np.zeros((2, reps.size, 2 * m + 1))
-            h[0, :, m] = _SCALE  # 2^200 e_y, stepped to 2^200 K^j(., y)
-            h[1] = (x >= 0) & (x < self.width)  # 1 on the window, stepped to K^j 1
-            rates = self._near(reps)
-            for j in range(m):
-                h = _backward(h, *rates)
-                self.C_rows[need, j] = h[1, :, m]
-            self.G_rows[need] = h[0]
-            self.done[need] = True
-            short = need[~self.long[need]]
-            if short.size:  # copy each short id's row to its sites
-                counts = self.lasts[short] - self.firsts[short] + 1
-                starts = self.pos[self.firsts[short]] - (np.cumsum(counts) - counts)
-                rows = np.repeat(starts, counts) + np.arange(int(counts.sum()))
-                self.G_sites[rows] = np.repeat(self.G_rows[short], counts, axis=0)
+        f0, f1 = self.filled
+        if f0 <= lo and hi <= f1:
+            return i0, i1
+        grow = max(4 * _BLOCK, (hi - lo) // 8)
+        j0 = int(self.ids[max(lo - grow, 0)])
+        j1 = int(self.ids[min(hi + grow, self.width - 1)])
+        need = j0 + np.flatnonzero(~self.done[j0 : j1 + 1])
+        if need.size:
+            self._fill(need)
+        s0, s1 = int(self.firsts[j0]), int(self.lasts[j1])
+        if s0 <= f1 + 1 and f0 <= s1 + 1:  # the two ranges meet
+            s0, s1 = min(s0, f0), max(s1, f1)
+        self.filled = s0, s1
         return i0, i1
+
+    def _fill(self, need):
+        """Compute the rows of the ids ``need``, in increasing order.
+
+        One backward run of m steps fills them all.  Its vector holds, for
+        each id, the band column stepped from 2^200 e_y at the id's first
+        site y on y-m..y+m, then the ones vector on the stretches of sites
+        within m of some y, each piece followed by a zero-rate site that
+        holds 0.0.  That site adds exact zeros, as the rates off the window
+        do, so every value at a y goes through the same products, in the
+        same order, as on the whole window: the ends a piece cuts off lie
+        more than m sites from its ys.  The ones vector never covers more
+        than 2m + 2 sites per id.
+        """
+        m, w = _BLOCK, 2 * _BLOCK + 2  # a band column and its zero site
+        reps = self.firsts[need]
+        k = reps.size
+        lo, hi = np.maximum(reps - m, 0), np.minimum(reps + m, self.width - 1)
+        fresh = np.concatenate(([True], lo[1:] > hi[:-1] + 1))  # a new stretch starts
+        seg = np.cumsum(fresh) - 1
+        left, right = lo[fresh], hi[np.append(np.flatnonzero(fresh)[1:], k) - 1]
+        sizes = right - left + 2
+        offsets = np.cumsum(sizes) - sizes
+        x = np.repeat(left - offsets, sizes) + np.arange(int(sizes.sum()))
+        gaps = offsets + sizes - 1
+        x[gaps] = 0
+        rates = []
+        for band, r in zip(self._near(reps), self.rates):
+            strip = r[x]
+            strip[gaps] = 0.0
+            rates.append(np.concatenate((band, strip)))
+        h = np.zeros(k * w + x.size)
+        h[m : k * w : w] = _SCALE
+        h[k * w :] = 1.0
+        h[k * w + gaps] = 0.0
+        at = k * w + offsets[seg] + reps - left[seg]  # where each y's ones value sits
+        C = np.empty((m, k))
+        for j in range(m):
+            h = _backward(h, *rates)
+            C[j] = h[at]
+        self.G_rows[need] = h[: k * w].reshape(k, w)[:, :-1]
+        self.C_rows[need] = C.T
+        self.done[need] = True
+        short = need[~self.long[need]]
+        if short.size:  # copy each short id's row to its sites
+            counts = self.lasts[short] - self.firsts[short] + 1
+            starts = self.pos[self.firsts[short]] - (np.cumsum(counts) - counts)
+            rows = np.repeat(starts, counts) + np.arange(int(counts.sum()))
+            self.G_sites[rows] = np.repeat(self.G_rows[short], counts, axis=0)
+
+    def _gather(self, v, y: int, z: int):
+        """``(v K^m)(x)`` for the short sites x = y..z-1, from their own rows."""
+        m = _BLOCK
+        # row i is v[y - m + i : y + m + i + 1], the inputs to site y + i
+        windows = np.ndarray((z - y, 2 * m + 1), buffer=v, offset=8 * (y - m), strides=(8, 8))
+        p = self.pos[y]
+        return np.einsum("ij,ij->i", windows, self.G_sites[p : p + z - y])
 
     def block(self, v, a: int, b: int):
         """Replace ``v`` by ``v K^m / S_m`` in place, with S_j = v K^j 1.
@@ -521,7 +597,7 @@ class _BlockTables:
         lo, hi = f - m, l + m  # the sites v K^m reaches
         i0, i1 = self._rows(lo, hi)
         k0, k1 = int(self.ids[f]), int(self.ids[l])
-        starts = np.maximum(self.firsts[k0 : k1 + 1], f) - f
+        starts = _ONE_START if k0 == k1 else np.maximum(self.firsts[k0 : k1 + 1], f) - f
         S = np.add.reduceat(v[f : l + 1], starts) @ self.C_rows[k0 : k1 + 1]
         if not S[-1] >= _MIN_BLOCK_MASS:
             return None
@@ -529,28 +605,18 @@ class _BlockTables:
         if self.cols is not None:
             near = v[self.watch_idx] * self.watch_mask
             watched = np.einsum("ix,ixj->ji", near, self.cols) / (S[:, None] * _SCALE)
-        # row i is v[lo - m + i : lo + m + i + 1], the inputs to site lo + i
-        windows = np.ndarray(
-            (hi - lo + 1, 2 * m + 1), buffer=v, offset=8 * (lo - m), strides=(8, 8)
-        )
         out = np.empty(hi - lo + 1)
         y = lo  # the first site not yet computed
-        for i in (i0 + np.flatnonzero(self.long[i0 : i1 + 1])).tolist():
-            y0, y1 = max(int(self.firsts[i]), lo), min(int(self.lasts[i]), hi)
+        for k in range(bisect_left(self.long_ids, i0), bisect_right(self.long_ids, i1)):
+            y0, y1 = max(self.long_firsts[k], lo), min(self.long_lasts[k], hi)
             if y < y0:
-                p = self.pos[y]
-                out[y - lo : y0 - lo] = np.einsum(
-                    "ij,ij->i", windows[y - lo : y0 - lo], self.G_sites[p : p + y0 - y]
-                )
+                out[y - lo : y0 - lo] = self._gather(v, y, y0)
             out[y0 - lo : y1 - lo + 1] = np.correlate(
-                v[y0 - m : y1 + m + 1], self.G_rows[i], "valid"
+                v[y0 - m : y1 + m + 1], self.G_rows[self.long_ids[k]], "valid"
             )
             y = y1 + 1
         if y <= hi:
-            p = self.pos[y]
-            out[y - lo :] = np.einsum(
-                "ij,ij->i", windows[y - lo :], self.G_sites[p : p + hi + 1 - y]
-            )
+            out[y - lo :] = self._gather(v, y, hi + 1)
         out /= S[-1] * _SCALE
         v[lo : hi + 1] = out
         return S, watched, lo - 1, hi + 1
@@ -580,24 +646,30 @@ def _steps(v, up, stay, down, a: int, b: int, count: int, watch):
     return np.array(surv), edge_sum, watched, a, b
 
 
-def _clip(v, a: int, b: int, clip: float) -> tuple[float, float]:
+def _clip(v, a: int, b: int, clip: float):
     """Set the entries of the normalised law ``v`` below ``clip`` to 0.0 and
-    renormalise what is left; return the mass removed and the mass kept.
+    renormalise what is left; return the mass removed, the mass kept and
+    the live hull of what is left.
 
     ``v`` has its support in [a, b].  Nothing changes when no positive
-    entry lies below ``clip``: the result is then (0.0, 1.0).  When the
-    clip removes every entry, ``v`` is left at 0.0 and the mass kept is 0.0.
+    entry lies below ``clip``: the mass removed is then 0.0 and the mass
+    kept 1.0.  When the clip removes every entry, ``v`` is left at 0.0 and
+    the mass kept is 0.0.  The hull comes from the same threshold pass, so
+    it is None unless every entry left is at least the smallest normal
+    float: when ``clip / kept`` is below it, as for a clip below 2^-1022,
+    the caller flushes ``v`` instead.
     """
     live = v[a : b + 1]
     small = live < clip
-    lost = float(live[small].sum())
-    if lost == 0.0:
-        return 0.0, 1.0
-    np.copyto(live, 0.0, where=small)
-    kept = float(live.sum())
-    if kept > 0.0:
-        live /= kept
-    return lost, kept
+    lost, kept = float(live[small].sum()), 1.0
+    if lost > 0.0:
+        np.copyto(live, 0.0, where=small)
+        kept = float(live.sum())
+        if kept > 0.0:
+            live /= kept
+    if kept == 0.0 or clip / kept < _TINY:  # an entry x >= clip may leave x / kept subnormal
+        return lost, kept, None
+    return lost, kept, _kept_hull(small, a, len(v))
 
 
 def _normalised_run(v, up, stay, down, n: int, clip: float = 0.0, watch=(), stops=()):
@@ -621,8 +693,10 @@ def _normalised_run(v, up, stay, down, n: int, clip: float = 0.0, watch=(), stop
     At the end of every record, entries of ``v`` below the smallest normal
     float are then set to 0.0 and the live hull shrinks to what is left;
     that mass, under 1e-300 of the total, is counted in neither ``edge``
-    nor ``clipped``.  ``log_mass`` gains one log per record, through a
-    compensated sum.
+    nor ``clipped``.  A clip of at least that float leaves no such entry
+    (unless dividing by a kept mass above 1 could make one), so its own
+    threshold pass gives the hull and the record is not flushed.
+    ``log_mass`` gains one log per record, through a compensated sum.
     """
     watch = np.asarray(watch, dtype=np.intp).reshape(-1)
     first, last = np.flatnonzero(v)[[0, -1]].tolist()
@@ -650,9 +724,9 @@ def _normalised_run(v, up, stay, down, n: int, clip: float = 0.0, watch=(), stop
                     return
                 partial = np.cumsum(np.log(surv))
             alive = surv.size == count  # else all the mass is gone, and v with it
-            clipped = 0.0
+            clipped, hull = 0.0, None
             if alive and clip > 0.0:
-                clipped, kept = _clip(v, a, b, clip)
+                clipped, kept, hull = _clip(v, a, b, clip)
                 if kept == 0.0:  # the record's last step left no mass
                     alive = False
                     surv, partial = surv[:-1], partial[:-1]
@@ -676,7 +750,7 @@ def _normalised_run(v, up, stay, down, n: int, clip: float = 0.0, watch=(), stop
             log_mass = total
             k += surv.size
             if alive:
-                a, b = _flush(v, a, b)
+                a, b = hull or _flush(v, a, b)
             yield _Record(surv, log_masses, edge, clipped, watched, a, b)
             if not alive:
                 return

@@ -9,6 +9,8 @@ clip acts at the end of each record; and the scaled band tables against
 exact products where the law's tail nears the smallest normal float.
 """
 
+import contextlib
+import hashlib
 import math
 from fractions import Fraction
 
@@ -368,6 +370,80 @@ def test_flush_runs_once_per_record(stops, monkeypatch):
         assert records == n
 
 
+# sha256 of the survival factors, log masses and law of raw kesten from 0
+# over 3000 steps, then clip_lost and edge_lost; recorded before a clip of
+# at least 2^-1022 took over the flush's hull
+PINNED_CLIPS = {
+    (1e-310, None): ("ba2f1f258f6e9a8e8bd7a859bdbfbcac15079665362207b1bf69927b5d59bd1b",
+                     1.052898061626346e-308, 0.0),
+    (2.0**-1022, None): ("ba2f1f258f6e9a8e8bd7a859bdbfbcac15079665362207b1bf69927b5d59bd1b",
+                         2.4589881466102422e-306, 0.0),
+    (1e-20, None): ("8bf8a526a0a523fec25142a703d8d140bcbc6c8979defb824c166b4a011c5611",
+                    2.2753863058316938e-18, 0.0),
+    (1e-310, 600): ("02022cb09e384db100c5b77ab4519789676b37f052f3b06861b86dc277376323",
+                    1.272679344577944e-309, 1.0234622018453628e-153),
+    (2.0**-1022, 600): ("02022cb09e384db100c5b77ab4519789676b37f052f3b06861b86dc277376323",
+                        2.9632044582224897e-307, 1.0234622018453628e-153),
+    (1e-20, 600): ("826403c28b73c1d28fc4dff475e4b72e9302cd22224597108b5fe4e68a555fa8",
+                   2.2753863058316938e-18, 0.0),
+}
+
+
+@pytest.mark.parametrize("clip, cap", list(PINNED_CLIPS), ids=repr)
+def test_clip_edge_cases_are_pinned(clip, cap):
+    """A clip below the smallest normal float (1e-310), at it (2^-1022)
+    and far above it (1e-20), on the growing window and on a capped one
+    that loses mass at its ends."""
+    tr = evolve_trace(preset_kernel("kesten"), 0, 3000, clip=clip, max_halfwidth=cap)
+    arrays = (tr.survival_factors, tr.log_mass, tr.distribution.values)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+    assert (digest, tr.clip_lost, tr.edge_lost) == PINNED_CLIPS[clip, cap]
+    _assert_no_subnormals(tr)
+
+
+@pytest.mark.parametrize("clip", [1e-310, 2.0**-1022, 1e-20], ids=repr)
+def test_clipped_records_end_on_the_tight_hull(clip, monkeypatch):
+    """A clip below the smallest normal float leaves subnormal entries,
+    so its records are flushed once each, as unclipped ones are.  A clip
+    of 1e-20 leaves none, and its own threshold pass gives the hull.  A
+    clip of exactly 2^-1022 gives the hull too, except where the mass it
+    keeps rounds above 1: dividing by it could take an entry at the clip
+    below 2^-1022, so that record is flushed."""
+    calls = {"flush": 0, "clip": 0, "flush_after_clip": 0}
+    flush, clip_fn = chain._flush, chain._clip
+
+    def counting_flush(v, a, b):
+        calls["flush"] += 1
+        return flush(v, a, b)
+
+    def counting_clip(v, a, b, c):
+        out = clip_fn(v, a, b, c)
+        calls["clip"] += 1
+        calls["flush_after_clip"] += out[2] is None
+        assert (out[2] is None) == (c / out[1] < chain._TINY)
+        return out
+
+    monkeypatch.setattr(chain, "_flush", counting_flush)
+    monkeypatch.setattr(chain, "_clip", counting_clip)
+    n = 3000
+    up, stay, down = preset_kernel("kesten").rows(-n, n)
+    v = np.zeros(2 * n + 1)
+    v[n] = 1.0
+    records = 0
+    for rec in chain._normalised_run(v, up, stay, down, n, clip=clip, stops=(10, 11, 650)):
+        records += 1
+        assert (rec.a, rec.b) == chain._hull(v, rec.a, rec.b)
+        assert not np.any((v > 0.0) & (v < chain._TINY))
+    assert records > n // M and calls["clip"] == records
+    assert calls["flush"] == calls["flush_after_clip"]
+    if clip < chain._TINY:
+        assert calls["flush"] == records
+    elif clip == chain._TINY:
+        assert 0 < calls["flush"] < records
+    else:
+        assert calls["flush"] == 0
+
+
 def test_correlation_serves_most_band_product_sites(modes):
     """On lazified two_sided only the sites within m of a rate change
     gather their own band rows; the rest are served by correlations."""
@@ -494,6 +570,16 @@ def test_every_stored_tap_is_at_least_one(name, lazy):
         assert taps[taps > 0].min() >= 1.0
 
 
+def _adversarial_kernel(case):
+    if case == "largest-taps":
+        moves = [(1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0)]
+        return NNKernel(
+            (Region(None, None, 0.3, 0.3, 0.3),),
+            tuple((x, *moves[x % 4]) for x in range(-600, 601)),
+        )
+    return NNKernel((Region(None, -1, 1e-3, 0.6, 0.3), Region(0, None, 0.25, 0.5, 0.2)))
+
+
 @pytest.mark.parametrize("case", ["largest-taps", "taps-below-2^-200"])
 def test_adversarial_taps_match_single_steps(case, modes, monkeypatch):
     """Sites that move their mass up or down with probability 1, in pairs
@@ -502,14 +588,7 @@ def test_adversarial_taps_match_single_steps(case, modes, monkeypatch):
     whose products with the law's tail can still round to subnormals:
     slower, but as exact.  Both blocked runs agree with single steps to a
     few ulps."""
-    if case == "largest-taps":
-        moves = [(1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, 1.0)]
-        kernel = NNKernel(
-            (Region(None, None, 0.3, 0.3, 0.3),),
-            tuple((x, *moves[x % 4]) for x in range(-600, 601)),
-        )
-    else:
-        kernel = NNKernel((Region(None, -1, 1e-3, 0.6, 0.3), Region(0, None, 0.25, 0.5, 0.2)))
+    kernel = _adversarial_kernel(case)
     x0, n, tracked = 3, 15 * M + 7, (3, 4, -20)
     up, stay, down = kernel.rows(x0 - n, x0 + n)
     tables = chain._BlockTables(up, stay, down, np.array([n]))
@@ -526,3 +605,165 @@ def test_adversarial_taps_match_single_steps(case, modes, monkeypatch):
     assert_norm_rel(blocked.distribution.values, single.distribution.values, ulps)
     for y in tracked:
         assert_rel(blocked.tracked_values[y], single.tracked_values[y], ulps)
+
+
+def _step_back(h, up, stay, down):
+    """K h along the last axis, h 0 past both ends, in the products and
+    order of the propagation core."""
+    out = stay * h
+    out[..., :-1] += up[..., :-1] * h[..., 1:]
+    out[..., 1:] += down[..., 1:] * h[..., :-1]
+    return out
+
+
+def _per_id_tables(tables, watch):
+    """The tables of ``tables`` as each id's rows come from its own vectors
+    of 2m + 1 sites around its first site y: 2^200 e_y and the ones
+    vector, both stepped back m times on the rates there (0 off the
+    window).  Returns ``G_rows``, ``C_rows``, ``G_sites`` and ``cols``."""
+    up, stay, down = tables.rates
+    width = len(up)
+
+    def near(sites):
+        x = sites[:, None] + np.arange(-M, M + 1)
+        inside = (x >= 0) & (x < width)
+        return [r[np.clip(x, 0, width - 1)] * inside for r in (up, stay, down)], inside
+
+    rates, inside = near(tables.firsts)
+    band, ones = np.zeros(inside.shape), inside.astype(float)
+    band[:, M] = chain._SCALE
+    C = np.empty((tables.firsts.size, M))
+    for j in range(M):
+        band, ones = _step_back(band, *rates), _step_back(ones, *rates)
+        C[:, j] = ones[:, M]
+    cols = None
+    if watch.size:
+        rates, inside = near(watch)
+        h = np.zeros(inside.shape)
+        h[:, M] = chain._SCALE
+        cols = np.empty((watch.size, 2 * M + 1, M))
+        for j in range(M):
+            h = _step_back(h, *rates)
+            cols[:, :, j] = h
+    short = ~tables.long[tables.ids]
+    return band, C, band[tables.ids[short]], cols
+
+
+def _assert_tables_match_per_id_fill(tables, watch):
+    """Every row filled so far, and the watch columns, to the bit."""
+    G, C, G_sites, cols = _per_id_tables(tables, watch)
+    done = tables.done
+    assert np.array_equal(tables.G_rows[done], G[done])
+    assert np.array_equal(tables.C_rows[done], C[done])
+    filled = done[tables.ids[~tables.long[tables.ids]]]
+    assert np.array_equal(tables.G_sites[filled], G_sites[filled])
+    assert (tables.cols is None) == (cols is None)
+    if cols is not None:
+        assert np.array_equal(tables.cols, cols)
+
+
+@contextlib.contextmanager
+def _made_tables():
+    """Every ``_BlockTables`` built in the block, with its watch sites."""
+    made = []
+    init = chain._BlockTables.__init__
+
+    def keeping_init(self, up, stay, down, watch):
+        init(self, up, stay, down, watch)
+        made.append((self, watch))
+
+    chain._BlockTables.__init__ = keeping_init
+    try:
+        yield made
+    finally:
+        chain._BlockTables.__init__ = init
+
+
+def _fill_and_run(kernel, x0=2, n=1200):
+    """Fill a window's tables whole, then run on another, and check both."""
+    up, stay, down = kernel.rows(-400, 400)
+    with _made_tables() as made:
+        tables = chain._BlockTables(up, stay, down, np.array([0, 5, 400, 421, len(up) - 1]))
+        tables._rows(0, len(up) - 1)
+        evolve_trace(kernel, x0, n, tracked=(x0, x0 + 3, -x0))
+    assert tables.done.all() and len(made) == 2 and made[-1][0].done.any()
+    for t, watch in made:
+        _assert_tables_match_per_id_fill(t, watch)
+
+
+@pytest.mark.parametrize("lazy", [0.5, None], ids=["lazy", "raw"])
+@pytest.mark.parametrize("name", PRESETS)
+def test_tables_match_per_id_fill_on_presets(name, lazy):
+    kernel = preset_kernel(name)
+    if lazy is not None:
+        kernel = lazify(kernel, lazy)
+    _fill_and_run(kernel)
+
+
+@pytest.mark.parametrize("case", ["rate-per-site", "largest-taps", "taps-below-2^-200"])
+def test_tables_match_per_id_fill_on_adversarial_kernels(case):
+    if case == "rate-per-site":
+        kernel = NNKernel(
+            (Region(None, None, 0.25, 0.4, 0.25),),
+            tuple((t, 0.2 + 0.1 * (7 * t % 11) / 11, 0.4, 0.25) for t in range(-3100, 3101)),
+        )
+    else:
+        kernel = _adversarial_kernel(case)
+    _fill_and_run(kernel, x0=3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    left=rates,
+    right=rates,
+    overrides=st.dictionaries(st.integers(-40, 40), rates, max_size=6),
+    x0=st.integers(-30, 30),
+    n=st.integers(4 * M, 12 * M),
+    cap=st.integers(4 * M + 2, 5 * M),
+)
+def test_tables_match_per_id_fill_on_random_region_kernels(left, right, overrides, x0, n, cap):
+    """A capped window puts its end ids in the batches a growing hull
+    asks for: ids near rate changes and near both window ends."""
+    kernel = NNKernel(
+        (Region(None, -1, *left), Region(0, None, *right)),
+        tuple((site, *row) for site, row in sorted(overrides.items())),
+    )
+    with _made_tables() as made:
+        evolve_trace(kernel, x0, n, tracked=(x0, -x0), max_halfwidth=cap)
+    [(t, watch)] = made
+    assert t.done[t.ids[[0, -1]]].all()  # the rows of both window ends
+    _assert_tables_match_per_id_fill(t, watch)
+
+
+def test_fill_steps_the_ones_vector_near_its_sites_only(monkeypatch):
+    """On an 80 001-site window, rows for sites near 0 and near both ends
+    step a vector of at most 2m + 2 sites per id for the band columns and
+    as many for the ones vector, never the whole window: batch by batch,
+    and when one call asks for every site's rows."""
+    sizes, batches = [], []
+    backward, fill = chain._backward, chain._BlockTables._fill
+
+    def counting_backward(h, *rates):
+        sizes.append(h.size)
+        return backward(h, *rates)
+
+    def counting_fill(self, need):
+        start = len(sizes)
+        fill(self, need)
+        batches.append((need.size, sizes[start:]))
+
+    monkeypatch.setattr(chain, "_backward", counting_backward)
+    monkeypatch.setattr(chain._BlockTables, "_fill", counting_fill)
+    width = 80001
+    up, stay, down = lazify(preset_kernel("two_sided"), 0.5).rows(-(width // 2), width // 2)
+    tables = chain._BlockTables(up, stay, down, np.array([], dtype=np.intp))
+    for lo, hi in ((width // 2 - 100, width // 2 + 100), (0, 300), (width - 301, width - 1)):
+        tables._rows(lo, hi)
+    assert len(batches) == 3
+    whole = chain._BlockTables(up, stay, down, np.array([], dtype=np.intp))
+    whole._rows(0, width - 1)
+    assert len(batches) == 4 and whole.done.all() and batches[-1][0] == whole.firsts.size
+    for ids, stepped in batches:
+        ones = max(stepped) - (2 * M + 2) * ids  # past the band columns
+        assert len(stepped) == M and 0 < ids < 300
+        assert 0 < ones <= (2 * M + 2) * ids and ones < width // 50

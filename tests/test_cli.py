@@ -223,6 +223,55 @@ def test_yaglom_trace_and_report_are_pinned(preset, lazify, tmp_path):
     assert got == PINNED[preset, lazify]
 
 
+def _results_sha256(path):
+    results = read_report(path)["results"]
+    return hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of conditions.json's results as sorted JSON, from ``conditions
+# --n 2500`` with two_sided and symmetric lazified 0.5 (the benchmark's
+# condition sweep); recorded before the band tables were filled in one
+# pass, which must move none of them
+PINNED_CONDITIONS = {
+    "two_sided": "bb1ac2723a8839f8e56a31b4c54c20b39427a16b60fac39f3b32423e7cc65289",
+    "symmetric": "e2d3df4eb74a4e5163d34b3182d1338d0b0fac7fdce5534de5ddf6b1b30a9a70",
+    "kesten": "ac55ae8c21c387f683d18c120141778c2ad7e0af11eb997059e83d77667cf112",
+    "alpha_walk": "9023b3e32431194d65edde104848345d2829c52a343dbf824ea756d1d6c06971",
+}
+
+
+@pytest.mark.parametrize("preset", list(PINNED_CONDITIONS))
+def test_conditions_report_is_pinned(preset, tmp_path):
+    args = ["conditions", "--preset", preset, "--n", "2500", "--out-dir", tmp_path]
+    lazy = ["--lazify", "0.5"] if preset in ("two_sided", "symmetric") else []
+    assert run(args + lazy) == 0
+    assert _results_sha256(tmp_path / "conditions.json") == PINNED_CONDITIONS[preset]
+
+
+def test_transform_report_and_hhat_table_are_pinned(tmp_path):
+    """sha256 of transform_report.json's results and of hhat.csv after its
+    config line, on lazified symmetric from x0 = 3 at n = 3000."""
+    assert run(["transform", "--preset", "symmetric", "--lazify", "0.5", "--x0", "3",
+                "--n", "3000", "--out-dir", tmp_path]) == 0
+    table = (tmp_path / "hhat.csv").read_bytes().split(b"\n", 1)[1]
+    assert _results_sha256(tmp_path / "transform_report.json") == (
+        "7fa034acd3c8a634033cab17b090245725e77c0854c3bf9e148fda5c17b9389d")
+    assert hashlib.sha256(table).hexdigest() == (
+        "d61595adc754adaa1ef35df1658ce0e3ead5f7d7ec4e08df3d4e1cd055971580")
+
+
+def test_clipped_kesten_probe_report_is_pinned(tmp_path):
+    """The benchmark's clipped probe: kesten on a 24577-site window,
+    clipped at 1e-20, read at three budgets."""
+    cfg = {"chain": {"preset": "kesten"}, "x0": 0, "n": 24576, "n_grid": [512, 4096, 24576],
+           "clip": 1e-20, "budgets": {"n_max": 24576}, "out_dir": str(tmp_path)}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["kesten", "--config", path]) == 0
+    assert _results_sha256(tmp_path / "kesten_report.json") == (
+        "313d0c1346c7fc2993cf9a2894abacf44c9533d05790f91ce954c7082462da57")
+
+
 def test_unknown_preset_is_schema_error(tmp_path):
     assert run(["yaglom", "--preset", "nope", "--out-dir", tmp_path]) == 2
 

@@ -24,7 +24,7 @@ from yaglom import (
 )
 from yaglom.scenarios import default_kesten_schedule
 from yaglom.measures import DualHarmonic
-from yaglom.transforms import BoundaryWeights
+from yaglom.transforms import _HHAT_REL_TOL, _HHAT_WIDTH, BoundaryWeights, _window_cauchy
 
 PARAMS = TwoSidedParams(0.25, 0.75, 0.9, 0.1)
 KERNEL = build_two_sided(0.25, 0.75, 0.9, 0.1)
@@ -197,6 +197,62 @@ def test_estimate_hhat_far_site_not_converged_before_it_is_reached():
     est = estimate_hhat(lazify(KERNEL, 0.5), 0, (1500,), 2000)
     assert not est.converged[1500]
     assert est.spreads[1500] == math.inf
+
+
+def _strided_cauchy(series):
+    """The spread over every window of _HHAT_WIDTH terms, read from a
+    strided view of the last half, as the reference for the doubling."""
+    half = series[len(series) // 2 :]
+    half = half[np.isfinite(half)]
+    if len(half) < _HHAT_WIDTH + 1 or not (half > 0.0).all():
+        return math.inf, False
+    level = float(np.median(half))
+    windows = np.lib.stride_tricks.sliding_window_view(half, _HHAT_WIDTH)
+    spread = float((windows.max(axis=1) - windows.min(axis=1)).max()) / level
+    return spread, spread <= _HHAT_REL_TOL
+
+
+def _cauchy_cases():
+    rng = np.random.default_rng(20261019)
+    for n in (50, 101, 102, 103, 150, 151, 777, 3000):
+        yield 1.0 + rng.normal(0.0, 1e-4, n)  # converged
+        yield 1.0 + rng.normal(0.0, 1e-2, n)  # not converged
+        # a slow drift to its level, one spike, and ties between terms
+        drift = 2.0 + np.exp(-np.arange(n) / 40.0) + np.round(rng.normal(0.0, 1e-4, n), 5)
+        drift[rng.integers(n)] *= 1.5
+        yield drift
+    for n in rng.integers(50, 3001, 40):
+        yield np.exp(rng.normal(0.0, rng.choice([1e-5, 1e-3, 1.0]), n))
+
+
+@pytest.mark.parametrize("series", list(_cauchy_cases()), ids=len)
+def test_window_cauchy_matches_strided_windows(series):
+    """Seeded series of 50 to 3000 terms: the spread and the verdict are
+    the strided view's, to the bit."""
+    got = _window_cauchy(series)
+    assert got == _strided_cauchy(series)
+    assert math.isfinite(got[0]) == (len(series) - len(series) // 2 > _HHAT_WIDTH)
+
+
+def test_window_cauchy_edge_cases():
+    """Too few terms, a zero in the last half, and NaN terms dropped."""
+    rng = np.random.default_rng(7)
+    base = 1.0 + rng.normal(0.0, 1e-5, 400)
+    cases = {"short": base[:100], "just-enough": base[:101]}  # 50 and 51 terms in the last half
+    zero = base.copy()
+    zero[300] = 0.0
+    cases["zero"] = zero
+    nans = base.copy()
+    nans[200::3] = np.nan  # 200 - 67 = 133 finite terms left in the last half
+    cases["nan"] = nans
+    few = base.copy()
+    few[200::2] = np.nan
+    few[201:300:2] = np.nan  # 50 finite terms left
+    cases["nan-short"] = few
+    got = {name: _window_cauchy(series) for name, series in cases.items()}
+    assert got == {name: _strided_cauchy(series) for name, series in cases.items()}
+    assert got["short"] == got["zero"] == got["nan-short"] == (math.inf, False)
+    assert got["just-enough"][1] and got["nan"][1]
 
 
 def test_closed_form_hhat_values():
