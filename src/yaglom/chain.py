@@ -406,19 +406,21 @@ class _BlockTables:
     and 0 outside it, so mass leaving the window is lost.  The band column
     ``K^m(y-m+t, y)``, t = 0..2m, and the row ``(K^j 1)(y)``, j = 1..m, at
     a site y depend only on the rates within m sites of it, so sites share
-    a row id: each site within m of a rate change has its own, and each
-    run of constant rates between such sites has one.  ``G_rows[i]`` and
-    ``C_rows[i]`` hold the two rows of id i, computed the first time a
-    block reaches a site with that id, in batches (``_rows``) that one
-    backward run of m steps fills (``_fill``): the band columns of the
-    batch's ids and the ones vector near them, laid end to end in one
-    vector.  ``filled`` is a site range whose rows are all there, so a
-    block inside it asks for nothing.  An id whose run has at least 4m
-    sites is ``long``: a block serves its sites by one correlation, and
-    ``long_ids`` lists those ids in order, with their first and last
-    sites.  The other sites keep their own band rows, in site order, in
-    ``G_sites[pos[y]]``, so a block reads a stretch of them as one slice.
-    ``cols[i, t, j-1] = K^j(w-m+t, w)`` for the i-th watch site w.
+    a row id: each site within m of a rate change or a window end has its
+    own, and each run of constant rates between such sites has one.
+    ``G_rows[i]`` and ``C_rows[i]`` hold the two rows of id i, and
+    ``cols[i, t, j-1] = K^j(w-m+t, w)`` for the i-th watch site w; one
+    backward run of m steps (``_fill``) computes them all when the tables
+    are built.  A block reads the rows of the sites m+1..width-m-2 only,
+    so the 2m ids of the sites 0..m-1 and width-m..width-1 are left out:
+    their rows hold whatever ``np.empty`` gave.  ``watch_idx[i]`` holds
+    the sites w-m..w+m clamped to the window, with no mask: in a block
+    the law is 0.0 at both window ends, and a tap off the window is 0.0.
+    An id whose run has at least 4m sites is ``long``: a block serves its
+    sites by one correlation, and ``long_ids`` lists those ids in order,
+    with their first and last sites.  The other sites keep their own band
+    rows, in site order, in ``G_sites[pos[y]]``, so a block reads a
+    stretch of them as one slice.
 
     ``G_rows``, ``G_sites`` and ``cols`` are stored times ``_SCALE`` =
     2^200: their columns are stepped from 2^200 e_y, not e_y, and
@@ -450,30 +452,18 @@ class _BlockTables:
         self.firsts = ys[fresh]  # the first site with each id
         self.lasts = np.append(self.firsts[1:], width) - 1
         self.long = self.lasts - self.firsts >= 4 * m - 1
-        short = ~self.long[self.ids]
-        self.pos = np.cumsum(short) - 1
-        self.G_sites = np.empty((int(short.sum()), 2 * m + 1))
-        self.G_rows = np.empty((self.firsts.size, 2 * m + 1))
-        self.C_rows = np.empty((self.firsts.size, m))
-        self.done = np.zeros(self.firsts.size, dtype=bool)
-        self.filled = (0, -1)  # a site range whose ids all have their rows
         self.long_ids = np.flatnonzero(self.long).tolist()
         self.long_firsts = self.firsts[self.long].tolist()
         self.long_lasts = self.lasts[self.long].tolist()
+        self.G_rows = np.empty((self.firsts.size, 2 * m + 1))
+        self.C_rows = np.empty((self.firsts.size, m))
         self.cols = None
         if watch.size:
-            near = watch[:, None] + np.arange(-m, m + 1)
-            self.watch_idx = np.clip(near, 0, width - 1)
-            self.watch_mask = (near >= 0) & (near < width)
-            rates = self._near(watch)
-            h = np.zeros(rates[0].size)
-            h[m :: 2 * m + 2] = _SCALE
-            cols = np.empty((m, h.size))
-            for j in range(m):
-                h = _backward(h, *rates)
-                cols[j] = h
-            cols = cols.reshape(m, watch.size, 2 * m + 2)[:, :, :-1]
-            self.cols = np.ascontiguousarray(cols.transpose(1, 2, 0))
+            self.watch_idx = np.clip(watch[:, None] + np.arange(-m, m + 1), 0, width - 1)
+        self._fill(np.arange(self.ids[m], self.ids[width - m - 1] + 1), watch)
+        short = ~self.long[self.ids]
+        self.pos = np.cumsum(short) - 1
+        self.G_sites = self.G_rows[self.ids[short]]
 
     def _near(self, sites):
         """Rates at x = y-m..y+m for each site y, 0 off the window, laid end to
@@ -488,44 +478,20 @@ class _BlockTables:
         x = np.clip(x, 0, self.width - 1)
         return [(r[x] * inside).ravel() for r in self.rates]
 
-    def _rows(self, lo: int, hi: int) -> tuple[int, int]:
-        """Fill the rows of the sites lo..hi; return their first and last id.
+    def _fill(self, need, watch):
+        """Compute the rows of the ids ``need``, in increasing order, and the
+        columns of the watch sites ``watch``.
 
-        A missing row fills every missing row within an eighth of the range
-        (at least 4m sites) beyond it too, so a growing hull computes its
-        rows in a few large batches instead of a few rows per block.  Every
-        id between the ends of that range then has its rows, and ``filled``
-        keeps the site range known to be filled, so the calls whose sites
-        lie inside it, most of a run's, cost two lookups.
-        """
-        i0, i1 = int(self.ids[lo]), int(self.ids[hi])
-        f0, f1 = self.filled
-        if f0 <= lo and hi <= f1:
-            return i0, i1
-        grow = max(4 * _BLOCK, (hi - lo) // 8)
-        j0 = int(self.ids[max(lo - grow, 0)])
-        j1 = int(self.ids[min(hi + grow, self.width - 1)])
-        need = j0 + np.flatnonzero(~self.done[j0 : j1 + 1])
-        if need.size:
-            self._fill(need)
-        s0, s1 = int(self.firsts[j0]), int(self.lasts[j1])
-        if s0 <= f1 + 1 and f0 <= s1 + 1:  # the two ranges meet
-            s0, s1 = min(s0, f0), max(s1, f1)
-        self.filled = s0, s1
-        return i0, i1
-
-    def _fill(self, need):
-        """Compute the rows of the ids ``need``, in increasing order.
-
-        One backward run of m steps fills them all.  Its vector holds, for
-        each id, the band column stepped from 2^200 e_y at the id's first
-        site y on y-m..y+m, then the ones vector on the stretches of sites
-        within m of some y, each piece followed by a zero-rate site that
-        holds 0.0.  That site adds exact zeros, as the rates off the window
-        do, so every value at a y goes through the same products, in the
-        same order, as on the whole window: the ends a piece cuts off lie
-        more than m sites from its ys.  The ones vector never covers more
-        than 2m + 2 sites per id.
+        One backward run of m steps gives them all.  Its vector holds the
+        band column stepped from 2^200 e_y on y-m..y+m, for each id's first
+        site y and then for each watch site y, then the ones vector on the
+        stretches of sites within m of some id's y, each piece followed by
+        a zero-rate site that holds 0.0.  That site adds exact zeros, as
+        the rates off the window do, so every value at a y goes through the
+        same products, in the same order, as on the whole window: the ends
+        a piece cuts off lie more than m sites from its ys.  ``G_rows``
+        comes from the last step, ``C_rows`` and ``cols`` from every step.
+        The ones vector never covers more than 2m + 2 sites per id.
         """
         m, w = _BLOCK, 2 * _BLOCK + 2  # a band column and its zero site
         reps = self.firsts[need]
@@ -539,29 +505,28 @@ class _BlockTables:
         x = np.repeat(left - offsets, sizes) + np.arange(int(sizes.sum()))
         gaps = offsets + sizes - 1
         x[gaps] = 0
+        cut = (k + watch.size) * w  # where the ones vector starts
         rates = []
-        for band, r in zip(self._near(reps), self.rates):
+        for band, r in zip(self._near(np.concatenate((reps, watch))), self.rates):
             strip = r[x]
             strip[gaps] = 0.0
             rates.append(np.concatenate((band, strip)))
-        h = np.zeros(k * w + x.size)
-        h[m : k * w : w] = _SCALE
-        h[k * w :] = 1.0
-        h[k * w + gaps] = 0.0
-        at = k * w + offsets[seg] + reps - left[seg]  # where each y's ones value sits
+        h = np.zeros(cut + x.size)
+        h[m:cut:w] = _SCALE
+        h[cut:] = 1.0
+        h[cut + gaps] = 0.0
+        at = cut + offsets[seg] + reps - left[seg]  # where each y's ones value sits
         C = np.empty((m, k))
+        cols = np.empty((m, cut - k * w))
         for j in range(m):
             h = _backward(h, *rates)
             C[j] = h[at]
+            cols[j] = h[k * w : cut]
         self.G_rows[need] = h[: k * w].reshape(k, w)[:, :-1]
         self.C_rows[need] = C.T
-        self.done[need] = True
-        short = need[~self.long[need]]
-        if short.size:  # copy each short id's row to its sites
-            counts = self.lasts[short] - self.firsts[short] + 1
-            starts = self.pos[self.firsts[short]] - (np.cumsum(counts) - counts)
-            rows = np.repeat(starts, counts) + np.arange(int(counts.sum()))
-            self.G_sites[rows] = np.repeat(self.G_rows[short], counts, axis=0)
+        if watch.size:
+            cols = cols.reshape(m, watch.size, w)[:, :, :-1]
+            self.cols = np.ascontiguousarray(cols.transpose(1, 2, 0))
 
     def _gather(self, v, y: int, z: int):
         """``(v K^m)(x)`` for the short sites x = y..z-1, from their own rows."""
@@ -595,7 +560,7 @@ class _BlockTables:
         m = _BLOCK
         f, l = a + 1, b - 1  # the support
         lo, hi = f - m, l + m  # the sites v K^m reaches
-        i0, i1 = self._rows(lo, hi)
+        i0, i1 = int(self.ids[lo]), int(self.ids[hi])
         k0, k1 = int(self.ids[f]), int(self.ids[l])
         starts = _ONE_START if k0 == k1 else np.maximum(self.firsts[k0 : k1 + 1], f) - f
         S = np.add.reduceat(v[f : l + 1], starts) @ self.C_rows[k0 : k1 + 1]
@@ -603,8 +568,7 @@ class _BlockTables:
             return None
         watched = None
         if self.cols is not None:
-            near = v[self.watch_idx] * self.watch_mask
-            watched = np.einsum("ix,ixj->ji", near, self.cols) / (S[:, None] * _SCALE)
+            watched = np.einsum("ix,ixj->ji", v[self.watch_idx], self.cols) / (S[:, None] * _SCALE)
         out = np.empty(hi - lo + 1)
         y = lo  # the first site not yet computed
         for k in range(bisect_left(self.long_ids, i0), bisect_right(self.long_ids, i1)):

@@ -88,8 +88,9 @@ class Field(NamedTuple):
     JSON kind, default, range and flag help.  The flag is the path's last
     part, dashed (``--n-max``).  Only a ``None`` default allows null.  An
     ``OPTIONAL`` field stays out of the config (and its echo) until given,
-    and the subcommand reading it supplies the default.  ``rule`` is a
-    (test, text) range check, applied to each entry of a list."""
+    and the subcommand reading it supplies the default, so an ``OPTIONAL``
+    list may not be given empty.  ``rule`` is a (test, text) range check,
+    applied to each entry of a list."""
 
     key: str
     kind: str
@@ -169,6 +170,8 @@ def _convert(field: Field, value, name: str):
     if not test(value):
         raise ConfigError(f"{name} must be {kind}, got {value!r}")
     value = convert(value)
+    if field.kind == "ints" and field.default is OPTIONAL and not value:
+        raise ConfigError(f"{name} must not be empty")
     if field.rule is not None:
         ok, text = field.rule
         if not all(map(ok, value if field.kind == "ints" else [value])):
@@ -472,7 +475,7 @@ def cmd_invariant(cfg, base, kernel, family, out: Path) -> dict:
 
 def cmd_transform(cfg, base, kernel, family, out: Path) -> dict:
     n = cfg["n"]  # hhat is measured from the reference site 0
-    sites = tuple(cfg.get("sites") or (-3, -2, -1, 0, 1, 2, 3))
+    sites = tuple(cfg.get("sites", (-3, -2, -1, 0, 1, 2, 3)))
     for x in sites:
         if abs(x) > n:
             raise ConfigError(f"site {x} outside the window [{-n}, {n}]")
@@ -497,7 +500,7 @@ def cmd_simulate(cfg, base, kernel, family, out: Path) -> dict:
     x0, seed, n_max = cfg["x0"], cfg["seed"], cfg["budgets"]["n_max"]
     requested = cfg["budgets"]["mc_paths"]
     n_paths = min(requested, MC_PATH_CAP)
-    m_grid = tuple(cfg.get("orey_m_grid") or (64, 256, 1024))
+    m_grid = tuple(cfg.get("orey_m_grid", (64, 256, 1024)))
     # the Orey probe below runs on the two-sided family only
     if isinstance(family, TwoSidedParams) and max(m_grid) > n_max:
         raise BudgetError(f"orey_m_grid entry {max(m_grid)} exceeds budgets.n_max={n_max}")
@@ -576,7 +579,7 @@ def cmd_conditions(cfg, base, kernel, family, out: Path) -> dict:
 
 
 def cmd_kesten(cfg, base, kernel, family, out: Path) -> dict:
-    n_grid = tuple(cfg.get("n_grid") or (512, 4096, 16384))
+    n_grid = tuple(cfg.get("n_grid", (512, 4096, 16384)))
     n_max = cfg["budgets"]["n_max"]
     if max(n_grid) > n_max:
         raise BudgetError(f"n_grid entry {max(n_grid)} exceeds budgets.n_max={n_max}")

@@ -30,8 +30,8 @@ __all__ = [
 # Peak bytes a run holds per window site (rates, law, block tables) and per
 # step of each series (survival factors and log masses as one; values and
 # ratios per tracked site as two), by tracemalloc on lazified two_sided:
-# 164 n bytes at n = 100000 on the full window, 19.5 per step at
-# n = 200000 on 1001 sites, 57 per step with one tracked site.
+# 164 n bytes (plus about 2 KB) at n = 100000 on the full window, 18.2
+# per step at n = 200000 on 1001 sites, 57.2 per step with one tracked site.
 _SITE_BYTES = 72
 _STEP_BYTES = 20
 

@@ -266,12 +266,20 @@ def test_blocks_match_dense_loop_on_random_region_kernels(left, right, overrides
         assert_rel(tr.tracked_values[y], vals[y])
 
 
+def _computed(tables):
+    """The ids whose rows the tables compute, those of the sites
+    m..width-m-1, and the ``G_sites`` rows of those sites."""
+    sites = np.arange(M, tables.width - M)
+    ids = np.arange(tables.ids[M], tables.ids[tables.width - M - 1] + 1)
+    return ids, tables.pos[sites[~tables.long[tables.ids[sites]]]]
+
+
 def test_tables_hold_powers_of_the_window_kernel():
-    """Every site's rows, read through its row id, near rate changes and
-    near the window ends too, against powers of the dense window matrix
-    (rates 0 outside the window, so flow off it is lost).  The band and
-    watch tables are stored times a power of two, so dividing it out is
-    exact."""
+    """The rows of every site a block can read, through its row id, near
+    rate changes and near the window ends too, and the watch columns,
+    against powers of the dense window matrix (rates 0 outside the window,
+    so flow off it is lost).  The band and watch tables are stored times a
+    power of two, so dividing it out is exact."""
     kernel = NNKernel(
         (Region(None, -1, 0.3, 0.2, 0.4), Region(0, None, 0.25, 0.35, 0.3)),
         ((-3, 0.1, 0.5, 0.2), (-2, 0.4, 0.1, 0.4), (30, 0.2, 0.2, 0.2)),
@@ -281,27 +289,27 @@ def test_tables_hold_powers_of_the_window_kernel():
     K = np.diag(stay) + np.diag(up[:-1], 1) + np.diag(down[1:], -1)
     watch = np.array([0, 57, width - 1])
     tables = chain._BlockTables(up, stay, down, watch)
-    assert tables._rows(0, width - 1) == (0, tables.firsts.size - 1)
-    assert tables.done.all()
-    G, C = tables.G_rows[tables.ids] / chain._SCALE, tables.C_rows[tables.ids]
+    ys = np.arange(M, width - M)
+    G, C = tables.G_rows[tables.ids[ys]] / chain._SCALE, tables.C_rows[tables.ids[ys]]
     cols = tables.cols / chain._SCALE
     t = np.arange(-M, M + 1)
     power = np.eye(width)
     for j in range(1, M + 1):
         power = power @ K
-        np.testing.assert_allclose(C[:, j - 1], power.sum(axis=1), rtol=1e-13)
+        np.testing.assert_allclose(C[:, j - 1], power.sum(axis=1)[ys], rtol=1e-13)
         for i, w in enumerate(watch):
             x = w + t
             want = np.where((x >= 0) & (x < width), power[np.clip(x, 0, width - 1), w], 0.0)
             np.testing.assert_allclose(cols[i, :, j - 1], want, rtol=1e-13)
-    for y in range(width):
+    for i, y in enumerate(ys):
         x = y + t
         want = np.where((x >= 0) & (x < width), power[np.clip(x, 0, width - 1), y], 0.0)
-        np.testing.assert_allclose(G[y], want, rtol=1e-13)
+        np.testing.assert_allclose(G[i], want, rtol=1e-13)
     # the sites off the long runs hold their own rows, in site order
     short = np.flatnonzero(~tables.long[tables.ids])
     assert short.size and np.array_equal(tables.pos[short], np.arange(short.size))
-    np.testing.assert_array_equal(tables.G_sites / chain._SCALE, G[short])
+    inner = ~tables.long[tables.ids[ys]]
+    np.testing.assert_array_equal(tables.G_sites[_computed(tables)[1]] / chain._SCALE, G[inner])
 
 
 def _assert_no_subnormals(tr):
@@ -452,25 +460,32 @@ def test_correlation_serves_most_band_product_sites(modes):
     assert sum(modes["runs"]) > 0.8 * modes["band_sites"]
 
 
-def test_rows_fill_in_few_batches_without_long_runs(modes, monkeypatch):
-    """A new rate at every site leaves no long run, so every site needs
-    its own rows as the hull grows; they come in a few batches, not a
-    batch per block."""
-    batches = []
-    near = chain._BlockTables._near
+def test_tables_take_one_backward_run_without_long_runs(modes, monkeypatch):
+    """A new rate at every site leaves no long run, so every site has its
+    own rows.  Building the tables steps m times, once per step of the one
+    run that gives every row and the watch columns, and a run with watch
+    sites builds them once."""
+    calls, made = {"backward": 0}, []
+    backward, init = chain._backward, chain._BlockTables.__init__
 
-    def counting_near(self, sites):
-        batches.append(sites.size)
-        return near(self, sites)
+    def counting_backward(*args):
+        calls["backward"] += 1
+        return backward(*args)
 
-    monkeypatch.setattr(chain._BlockTables, "_near", counting_near)
+    def counting_init(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(chain, "_backward", counting_backward)
+    monkeypatch.setattr(chain._BlockTables, "__init__", counting_init)
     kernel = NNKernel(
         (Region(None, None, 0.25, 0.4, 0.25),),
         tuple((t, 0.2 + 0.1 * (7 * t % 11) / 11, 0.4, 0.25) for t in range(-3100, 3101)),
     )
-    evolve_trace(kernel, 0, 3000)
+    evolve_trace(kernel, 0, 3000, tracked=(0, 7, -3000, 3000))
     assert modes["blocks"] == 3000 // M and modes["runs"] == []
-    assert len(batches) <= 12 and sum(batches) > 2900
+    [tables] = made
+    assert calls["backward"] == M and tables.cols.shape == (4, 2 * M + 1, M)
 
 
 def test_correlation_threshold_against_dense_loop(modes):
@@ -565,9 +580,10 @@ def test_every_stored_tap_is_at_least_one(name, lazy):
     up, stay, down = kernel.rows(-400, 400)
     width = len(up)
     tables = chain._BlockTables(up, stay, down, np.array([0, 5, 400, 421, width - 1]))
-    tables._rows(0, width - 1)
-    for taps in (tables.G_rows, tables.G_sites, tables.cols):
-        assert taps[taps > 0].min() >= 1.0
+    ids, rows = _computed(tables)
+    taps = np.concatenate([tables.G_rows[ids].ravel(), tables.G_sites[rows].ravel(),
+                           tables.cols.ravel()])
+    assert taps[taps > 0].min() >= 1.0
 
 
 def _adversarial_kernel(case):
@@ -592,8 +608,8 @@ def test_adversarial_taps_match_single_steps(case, modes, monkeypatch):
     x0, n, tracked = 3, 15 * M + 7, (3, 4, -20)
     up, stay, down = kernel.rows(x0 - n, x0 + n)
     tables = chain._BlockTables(up, stay, down, np.array([n]))
-    tables._rows(0, 2 * n)
-    small = tables.G_rows[tables.G_rows > 0].min()
+    taps = tables.G_rows[_computed(tables)[0]]
+    small = taps[taps > 0].min()
     assert small == chain._SCALE if case == "largest-taps" else small < 1.0
     blocked = evolve_trace(kernel, x0, n, tracked=tracked)
     assert modes["blocks"] >= n // M - 1  # the slow left tail reaches the window's end
@@ -650,13 +666,12 @@ def _per_id_tables(tables, watch):
 
 
 def _assert_tables_match_per_id_fill(tables, watch):
-    """Every row filled so far, and the watch columns, to the bit."""
+    """Every computed row, and the watch columns, to the bit."""
     G, C, G_sites, cols = _per_id_tables(tables, watch)
-    done = tables.done
-    assert np.array_equal(tables.G_rows[done], G[done])
-    assert np.array_equal(tables.C_rows[done], C[done])
-    filled = done[tables.ids[~tables.long[tables.ids]]]
-    assert np.array_equal(tables.G_sites[filled], G_sites[filled])
+    ids, rows = _computed(tables)
+    assert np.array_equal(tables.G_rows[ids], G[ids])
+    assert np.array_equal(tables.C_rows[ids], C[ids])
+    assert np.array_equal(tables.G_sites[rows], G_sites[rows])
     assert (tables.cols is None) == (cols is None)
     if cols is not None:
         assert np.array_equal(tables.cols, cols)
@@ -680,13 +695,12 @@ def _made_tables():
 
 
 def _fill_and_run(kernel, x0=2, n=1200):
-    """Fill a window's tables whole, then run on another, and check both."""
+    """Build a window's tables, then run on another, and check both."""
     up, stay, down = kernel.rows(-400, 400)
     with _made_tables() as made:
-        tables = chain._BlockTables(up, stay, down, np.array([0, 5, 400, 421, len(up) - 1]))
-        tables._rows(0, len(up) - 1)
+        chain._BlockTables(up, stay, down, np.array([0, 5, 400, 421, len(up) - 1]))
         evolve_trace(kernel, x0, n, tracked=(x0, x0 + 3, -x0))
-    assert tables.done.all() and len(made) == 2 and made[-1][0].done.any()
+    assert len(made) == 2
     for t, watch in made:
         _assert_tables_match_per_id_fill(t, watch)
 
@@ -722,8 +736,9 @@ def test_tables_match_per_id_fill_on_adversarial_kernels(case):
     cap=st.integers(4 * M + 2, 5 * M),
 )
 def test_tables_match_per_id_fill_on_random_region_kernels(left, right, overrides, x0, n, cap):
-    """A capped window puts its end ids in the batches a growing hull
-    asks for: ids near rate changes and near both window ends."""
+    """Capped windows of 4m + 5 to 10m + 1 sites, where ids near rate
+    changes lie near both window ends and the tracked sites may lie at
+    or past the ends of a watch column."""
     kernel = NNKernel(
         (Region(None, -1, *left), Region(0, None, *right)),
         tuple((site, *row) for site, row in sorted(overrides.items())),
@@ -731,39 +746,73 @@ def test_tables_match_per_id_fill_on_random_region_kernels(left, right, override
     with _made_tables() as made:
         evolve_trace(kernel, x0, n, tracked=(x0, -x0), max_halfwidth=cap)
     [(t, watch)] = made
-    assert t.done[t.ids[[0, -1]]].all()  # the rows of both window ends
     _assert_tables_match_per_id_fill(t, watch)
 
 
 def test_fill_steps_the_ones_vector_near_its_sites_only(monkeypatch):
-    """On an 80 001-site window, rows for sites near 0 and near both ends
-    step a vector of at most 2m + 2 sites per id for the band columns and
-    as many for the ones vector, never the whole window: batch by batch,
-    and when one call asks for every site's rows."""
-    sizes, batches = [], []
+    """On an 80 001-site window, the one run that builds the tables steps
+    a vector of 2m + 2 sites per computed id for the band columns and at
+    most as many for the ones vector, never the whole window."""
+    sizes, fills = [], []
     backward, fill = chain._backward, chain._BlockTables._fill
 
     def counting_backward(h, *rates):
         sizes.append(h.size)
         return backward(h, *rates)
 
-    def counting_fill(self, need):
-        start = len(sizes)
-        fill(self, need)
-        batches.append((need.size, sizes[start:]))
+    def counting_fill(self, need, watch):
+        fills.append(need.size)
+        fill(self, need, watch)
 
     monkeypatch.setattr(chain, "_backward", counting_backward)
     monkeypatch.setattr(chain._BlockTables, "_fill", counting_fill)
     width = 80001
     up, stay, down = lazify(preset_kernel("two_sided"), 0.5).rows(-(width // 2), width // 2)
     tables = chain._BlockTables(up, stay, down, np.array([], dtype=np.intp))
-    for lo, hi in ((width // 2 - 100, width // 2 + 100), (0, 300), (width - 301, width - 1)):
-        tables._rows(lo, hi)
-    assert len(batches) == 3
-    whole = chain._BlockTables(up, stay, down, np.array([], dtype=np.intp))
-    whole._rows(0, width - 1)
-    assert len(batches) == 4 and whole.done.all() and batches[-1][0] == whole.firsts.size
-    for ids, stepped in batches:
-        ones = max(stepped) - (2 * M + 2) * ids  # past the band columns
-        assert len(stepped) == M and 0 < ids < 300
-        assert 0 < ones <= (2 * M + 2) * ids and ones < width // 50
+    [ids] = fills
+    assert ids == _computed(tables)[0].size == tables.firsts.size - 2 * M
+    ones = sizes[0] - (2 * M + 2) * ids  # past the band columns
+    assert len(sizes) == M and len(set(sizes)) == 1
+    assert 0 < ones <= (2 * M + 2) * ids and ones < width // 50
+
+
+@pytest.mark.parametrize("lazy", [0.5, None], ids=["lazy", "raw"])
+@pytest.mark.parametrize("name", PRESETS)
+def test_window_end_rows_are_never_read(name, lazy, monkeypatch):
+    """The tables leave the rows of the 2m sites nearest the window ends
+    uncomputed.  Set to NaN, they change no value of a run: on the growing
+    window, with tracked sites at both ends of a capped one, and clipped."""
+    kernel = preset_kernel(name)
+    if lazy is not None:
+        kernel = lazify(kernel, lazy)
+    runs = [
+        dict(tracked=(2, 5, -20)),
+        dict(tracked=(2, -198, 202, 201), max_halfwidth=200),
+        dict(tracked=(2, -598, 602), clip=1e-20, max_halfwidth=600),
+    ]
+
+    def outputs():
+        out = []
+        for kw in runs:
+            tr = evolve_trace(kernel, 2, 2000, **kw)
+            out += [tr.survival_factors, tr.log_mass, tr.distribution.values,
+                    np.array([tr.clip_lost, tr.edge_lost])]
+            out += [tr.tracked_values[y] for y in kw["tracked"]]
+        return out
+
+    plain = outputs()
+    init, poisoned = chain._BlockTables.__init__, []
+
+    def poisoning_init(self, *args):
+        init(self, *args)
+        ends = np.r_[0:M, self.width - M : self.width]
+        self.G_rows[self.ids[ends]] = np.nan
+        self.C_rows[self.ids[ends]] = np.nan
+        self.G_sites[self.pos[ends]] = np.nan  # every end site has its own short id
+        poisoned.append(self)
+
+    monkeypatch.setattr(chain._BlockTables, "__init__", poisoning_init)
+    assert len(poisoned) == 0
+    for want, got in zip(plain, outputs(), strict=True):
+        assert np.array_equal(want, got)
+    assert len(poisoned) == len(runs)

@@ -331,6 +331,10 @@ def test_missing_chain_keys_is_schema_error(tmp_path):
         ("kesten", {"chain": {"preset": "alpha_walk"}, "clip": 0.5, "n_grid": [200, 400]}),
         # p/exit_prob overflows
         ("yaglom", {"chain": {"preset": "symmetric", "params": {"exit_prob": 5e-324}}}),
+        # an empty list stands for no grid, not for the subcommand's default
+        ("kesten", {"chain": {"preset": "kesten"}, "n_grid": []}),
+        ("simulate", {"orey_m_grid": []}),
+        ("transform", {"sites": []}),
     ],
 )
 def test_malformed_config_is_one_line_config_error(tmp_path, capsys, command, cfg):
@@ -339,6 +343,28 @@ def test_malformed_config_is_one_line_config_error(tmp_path, capsys, command, cf
     assert run([command, "--config", path, "--out-dir", tmp_path / "o"]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, flag, key",
+    [("kesten", "--n-grid", "n_grid"), ("simulate", "--orey-m-grid", "orey_m_grid"),
+     ("transform", "--sites", "sites")],
+)
+def test_empty_list_flag_is_config_error(tmp_path, capsys, command, flag, key):
+    """A flag with no entries used to run the default grid while the config
+    echo read ``[]``; it now names the key and writes nothing."""
+    out = tmp_path / "o"
+    assert run([command, "--preset", "kesten", flag, ",", "--n", "50", "--out-dir", out]) == 2
+    assert capsys.readouterr().err.strip() == f"config error: {key} must not be empty"
+    assert not out.exists()
+
+
+def test_empty_tracked_sites_tracks_nothing(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 50, "tracked_sites": []}))
+    assert run(["yaglom", "--config", path, "--out-dir", tmp_path / "o"]) == 0
+    report = read_report(tmp_path / "o" / "yaglom_report.json")
+    assert report["config"]["tracked_sites"] == []
 
 
 def test_negative_seed_flag_is_config_error(tmp_path, capsys):
@@ -624,10 +650,10 @@ VALID = st.fixed_dictionaries(
         "square_even": st.booleans(),
         "tracked_sites": st.lists(st.integers(-5, 5), max_size=3),
         "seed": st.integers(0, 2**40),
-        "n_grid": st.lists(st.integers(1, 600), max_size=3),
-        "orey_m_grid": st.lists(st.integers(1, 128), max_size=3),
+        "n_grid": st.lists(st.integers(1, 600), min_size=1, max_size=3),
+        "orey_m_grid": st.lists(st.integers(1, 128), min_size=1, max_size=3),
         "clip": st.none() | st.floats(0.0, 0.5),
-        "sites": st.lists(st.integers(-5, 5), max_size=3),
+        "sites": st.lists(st.integers(-5, 5), min_size=1, max_size=3),
     },
 )
 # wrong types, and values that, when well typed, stay small enough to run fast
