@@ -440,21 +440,21 @@ class _BlockTables:
         self.rates = (up, stay, down)
         self.width = width = len(up)
         change = (up[1:] != up[:-1]) | (stay[1:] != stay[:-1]) | (down[1:] != down[:-1])
-        changes = np.concatenate(([0], np.cumsum(change)))  # rate changes at sites 1..i
-        ys = np.arange(width)
-        special = (ys < m) | (ys >= width - m)  # near a window end
-        inner = ys[m : width - m]
-        special[m : width - m] = changes[inner + m] > changes[inner - m]
+        changes = np.concatenate(([0], np.cumsum(change, dtype=np.int32)))  # at sites 1..i
+        special = np.ones(width, dtype=bool)  # near a window end, or within m of a change
+        inner = max(width - 2 * m, 0)
+        special[m : m + inner] = changes[2 * m :] > changes[:inner]
         fresh = special.copy()
         fresh[0] = True
         fresh[1:] |= special[:-1]
         self.ids = np.cumsum(fresh, dtype=np.int32) - 1
-        self.firsts = ys[fresh]  # the first site with each id
+        self.firsts = np.flatnonzero(fresh)  # the first site with each id
         self.lasts = np.append(self.firsts[1:], width) - 1
         self.long = self.lasts - self.firsts >= 4 * m - 1
         self.long_ids = np.flatnonzero(self.long).tolist()
         self.long_firsts = self.firsts[self.long].tolist()
         self.long_lasts = self.lasts[self.long].tolist()
+        del change, changes, special, fresh  # width-sized; the fill needs none
         self.G_rows = np.empty((self.firsts.size, 2 * m + 1))
         self.C_rows = np.empty((self.firsts.size, m))
         self.cols = None
@@ -462,7 +462,7 @@ class _BlockTables:
             self.watch_idx = np.clip(watch[:, None] + np.arange(-m, m + 1), 0, width - 1)
         self._fill(np.arange(self.ids[m], self.ids[width - m - 1] + 1), watch)
         short = ~self.long[self.ids]
-        self.pos = np.cumsum(short) - 1
+        self.pos = np.cumsum(short, dtype=np.int32) - 1  # int32, as ids
         self.G_sites = self.G_rows[self.ids[short]]
 
     def _near(self, sites):

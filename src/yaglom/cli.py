@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -22,6 +21,7 @@ import numpy as np
 from . import __version__
 from .chain import DegenerateKernelError, NNKernel, Region, Window, lazify, square_even, validate
 from .conditions import check_conditions
+from .csvtext import write_rows
 from .evolve import evolve_trace
 from .measures import (
     TwoSidedParams,
@@ -52,10 +52,6 @@ EXIT_VALIDATION = 3
 EXIT_BUDGET = 4
 
 MC_PATH_CAP = 200000
-_CSV_CHUNK = 4096  # rows formatted per write
-# a shorter run of all-zero rows is written row by row: below this, setting
-# up _int_chunks costs more than the float formatting it saves
-_ZERO_RUN = 256
 MAX_SITE = 10**9  # keeps every site index the subcommands form inside int64
 
 
@@ -89,8 +85,8 @@ class Field(NamedTuple):
     part, dashed (``--n-max``).  Only a ``None`` default allows null.  An
     ``OPTIONAL`` field stays out of the config (and its echo) until given,
     and the subcommand reading it supplies the default, so an ``OPTIONAL``
-    list may not be given empty.  ``rule`` is a (test, text) range check,
-    applied to each entry of a list."""
+    list may not be given empty.  No list may repeat an entry.  ``rule`` is
+    a (test, text) range check, applied to each entry of a list."""
 
     key: str
     kind: str
@@ -172,6 +168,8 @@ def _convert(field: Field, value, name: str):
     value = convert(value)
     if field.kind == "ints" and field.default is OPTIONAL and not value:
         raise ConfigError(f"{name} must not be empty")
+    if field.kind == "ints" and len(set(value)) < len(value):
+        raise ConfigError(f"{name} must not repeat an entry, got {value!r}")
     if field.rule is not None:
         ok, text = field.rule
         if not all(map(ok, value if field.kind == "ints" else [value])):
@@ -240,91 +238,12 @@ def kernel_from_config(cfg: dict):
 
 def _write_csv(path: Path, cfg: dict, header: list[str], columns: list) -> None:
     """The config echo as a comment line, then the header and the rows,
-    written as ``csv.writer`` writes them.  ``columns`` holds one numpy
-    array or list per header name.  Cells are numbers, bools or "" only:
-    none needs quoting, and each is written as its ``str``.  Rows are
-    written in chunks of _CSV_CHUNK, so the whole file is never held as
-    one string.  A table of numpy integer arrays only is formatted in
-    numpy (``_int_chunks``).  So is each run of at least _ZERO_RUN rows
-    whose cells after an integer first column are all +0.0 in float
-    arrays (a conditioned law's dead tails): its first column goes through
-    ``_int_chunks``, and ``,0.0`` per other column is put before each line
-    end.  Any other row is written with one ``%s`` line, as its cost is
-    float ``repr``, which numpy does no faster."""
+    written as ``csv.writer`` writes them (``csvtext.write_rows``).
+    ``columns`` holds one numpy array or list per header name."""
     with open(path, "w", newline="") as fh:
         fh.write("# " + _json(cfg) + "\n")
         fh.write(",".join(header) + "\r\n")
-        if all(_is_int(c) for c in columns):
-            fh.writelines(_int_chunks(columns))
-            return
-        line = ",".join(["%s"] * len(header)) + "\r\n"
-        zeros = ",0.0" * (len(columns) - 1) + "\r\n"
-        n = len(columns[0])
-        start = 0
-        for lo, hi in _zero_runs(columns) + [(n, n)]:  # (n, n): the rows after the last run
-            cells = [c[start:lo] for c in columns]
-            rows = zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in cells])
-            while chunk := "".join([line % row for row in islice(rows, _CSV_CHUNK)]):
-                fh.write(chunk)
-            fh.writelines(c.replace("\r\n", zeros) for c in _int_chunks([columns[0][lo:hi]]))
-            start = hi
-
-
-def _is_int(column) -> bool:
-    return isinstance(column, np.ndarray) and column.dtype.kind in "iu"
-
-
-def _zero_runs(columns: list) -> list[tuple[int, int]]:
-    """The [lo, hi) row ranges of at least _ZERO_RUN rows whose cells
-    after an integer first column are all +0.0; none unless every other
-    column is a float array."""
-    first, rest = columns[0], columns[1:]
-    if not (rest and _is_int(first)
-            and all(isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in rest)):
-        return []
-    zero = np.logical_and.reduce([(c == 0.0) & ~np.signbit(c) for c in rest])
-    edges = np.flatnonzero(np.diff(zero, prepend=False, append=False))
-    lo, hi = edges[::2], edges[1::2]
-    long = hi - lo >= _ZERO_RUN
-    return list(zip(lo[long].tolist(), hi[long].tolist()))
-
-
-def _int_chunks(columns: list[np.ndarray]):
-    """CSV rows of equal-length integer columns, _CSV_CHUNK rows at a time.
-    Each cell has a field as wide as the widest cell, sign included, in one
-    uint8 table: its digits right-aligned and padded with 0 bytes, then
-    ``,`` or ``\\r\\n``.  The digits come from the cell's magnitude by
-    ``x // 10`` and ``x - 10 q``; a ``-`` goes left of them.  The 0 bytes
-    are dropped on output, as text."""
-    n = len(columns[0])
-    if n == 0:
-        return
-    width = max(len(str(x)) for c in columns for x in (c.min(), c.max()))
-    # a uint64 holds |int64 min| = 2**63; a magnitude below 10**9 fits, faster, in a uint32
-    mag = np.empty((min(n, _CSV_CHUNK), len(columns)), dtype=np.uint32 if width < 10 else np.uint64)
-    neg = np.zeros(mag.shape, dtype=bool)
-    table = np.zeros(mag.shape + (width + 2,), dtype=np.uint8)
-    table[:, :-1, width] = ord(",")
-    table[:, -1, width:] = (ord("\r"), ord("\n"))
-    for start in range(0, n, _CSV_CHUNK):
-        k = min(n - start, _CSV_CHUNK)
-        for j, col in enumerate(columns):
-            col = col[start:start + k]
-            if col.dtype.kind == "i":
-                col = col.astype(np.int64, copy=False)  # so |int32 min| is positive
-                np.less(col, 0, out=neg[:k, j])
-            mag[:k, j] = np.abs(col)
-        x = mag[:k]
-        for d in range(width):  # every position, so none keeps a byte of the chunk before
-            q = x // 10
-            byte = (x - q * 10).astype(np.uint8) + ord("0")
-            table[:k, :, width - 1 - d] = byte if d == 0 else byte * (x > 0)
-            x = q
-        if neg[:k].any():
-            rows, cols = np.nonzero(neg[:k])
-            digits = np.count_nonzero(table[rows, cols, :width], axis=1)
-            table[rows, cols, width - 1 - digits] = ord("-")
-        yield table[:k].tobytes().translate(None, b"\0").decode()
+        write_rows(fh, columns)
 
 
 def _write_json(path: Path, cfg: dict, results: dict) -> None:

@@ -1,7 +1,9 @@
+import builtins
 import csv
 import hashlib
 import json
 import math
+import tracemalloc
 from itertools import takewhile
 from pathlib import Path
 
@@ -10,7 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from yaglom.cli import _CSV_CHUNK, _ZERO_RUN, COMMANDS, FIELDS, MAX_SITE, _write_csv, main
+import yaglom.csvtext
+from yaglom.cli import COMMANDS, FIELDS, MAX_SITE, _write_csv, main
+from yaglom.csvtext import _CSV_CHUNK
 from yaglom.scenarios import PRESETS
 
 CUSTOM_CHAIN = {
@@ -111,13 +115,25 @@ def _int_column(rng, dtype, size):
     return col
 
 
+def _assert_written_as_csv_writer(tmp_path, columns, name=""):
+    """``_write_csv`` writes ``columns`` with ``csv.writer``'s bytes."""
+    cfg = {"seed": 3, "chain": {"preset": "two_sided"}}
+    header = [f"c{j}" for j in range(len(columns))]
+    _write_csv(tmp_path / "new.csv", cfg, header, columns)
+    with open(tmp_path / "old.csv", "w", newline="") as fh:
+        fh.write("# " + json.dumps(cfg, sort_keys=True) + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes(), name
+
+
 def test_write_csv_matches_csv_writer(tmp_path):
     # every kind of cell the subcommands write, in list columns longer than
-    # one chunk beside an integer array; float and bool arrays; and tables
-    # of integer arrays only, which take the numpy path: longer than one
-    # chunk with int64, uint64 and int32 extremes or with small integer
-    # types, cells of 10 characters, one row, no rows; and (site, mass)
-    # tables with runs of +0.0 rows
+    # one chunk beside an integer array; float and bool arrays; tables of
+    # integer arrays only: longer than one chunk with int64, uint64 and
+    # int32 extremes or with small integer types, cells of 10 characters,
+    # one row, no rows; and (site, mass) tables with runs of +0.0 rows
     cells = [0, -7, 2**70, 0.1, -2.5e-8, math.nan, math.inf, -math.inf, -0.0,
              5e-324, 1e300, True, False, ""]
     n = 10_001
@@ -125,10 +141,9 @@ def test_write_csv_matches_csv_writer(tmp_path):
     rng = np.random.default_rng(5)
     m = 3 * _CSV_CHUNK + 5
     # runs of +0.0 longer than one chunk at both ends and in the middle,
-    # runs just below and at _ZERO_RUN, single zeros, and a run broken by
-    # -0.0, nan and 5e-324
-    gaps = [2 * _CSV_CHUNK + 3, 7, 0, 1, 0, _ZERO_RUN - 1, 0, 0, _ZERO_RUN, 3, 1200, 0,
-            _CSV_CHUNK + 1, 2, 0]
+    # runs of 255 and 256 rows, single zeros, and a run broken by -0.0,
+    # nan and 5e-324
+    gaps = [2 * _CSV_CHUNK + 3, 7, 0, 1, 0, 255, 0, 0, 256, 3, 1200, 0, _CSV_CHUNK + 1, 2, 0]
     law = np.concatenate([np.r_[np.zeros(g), rng.random(3) * 10.0 ** -rng.integers(0, 320, 3)]
                           for g in gaps] + [np.zeros(3 * _CSV_CHUNK)])
     z = law.size
@@ -147,27 +162,104 @@ def test_write_csv_matches_csv_writer(tmp_path):
         "ten_chars": [np.array([2**32 - 1, 2**32, 9_999_999_999, -999_999_999])],
         "one_row": [np.array([-7]), np.array([2**64 - 1], dtype=np.uint64)],
         "no_rows": [np.arange(0), np.arange(0)],
-        # (site, mass) tables, whose runs of +0.0 rows take the numpy path
         "zero_runs": [np.arange(-20_000, -20_000 + z), law],
         "zero_runs_f32": [np.arange(z), law.astype(np.float32)],
         "all_zero": [np.arange(-5, 3 * _CSV_CHUNK), np.zeros(3 * _CSV_CHUNK + 5)],
         "one_zero_row": [np.array([-3]), np.zeros(1)],
         "some_zero": [np.arange(z), law, np.r_[law[100:], law[:100]], np.zeros(z)],
         "negative_zeros": [np.arange(z), -law],
-        "zeros_and_false": [np.arange(2 * _ZERO_RUN), np.zeros(2 * _ZERO_RUN),
-                            np.zeros(2 * _ZERO_RUN, dtype=bool)],
+        "zeros_and_false": [np.arange(512), np.zeros(512), np.zeros(512, dtype=bool)],
+        # float arrays only, and integers after and between them: chunks
+        # whose cells need at most 9, 12 or 16 digits, or 17
+        "floats_first": [np.round(rng.random(m), 12), np.arange(m, dtype=np.uint64),
+                         rng.random(m) * 1e-3, np.round(rng.random(m) * 100, 7), -np.arange(m)],
+        "short_digits": [np.round(rng.normal(0, 1e6, m), 2), np.round(rng.random(m), 5)],
     }
     assert tables["ints"][2].max() >= 2**63
-    cfg = {"seed": 3, "chain": {"preset": "two_sided"}}
     for name, columns in tables.items():
-        header = [f"c{j}" for j in range(len(columns))]
-        _write_csv(tmp_path / "new.csv", cfg, header, columns)
-        with open(tmp_path / "old.csv", "w", newline="") as fh:
-            fh.write("# " + json.dumps(cfg, sort_keys=True) + "\n")
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes(), name
+        _assert_written_as_csv_writer(tmp_path, columns, name)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=400))
+def test_float_cells_of_any_bit_pattern_match_csv_writer(tmp_path, bits):
+    """Every float64 and float32, nan payloads, infinities, zeros and
+    subnormals included, is written as ``repr`` writes it."""
+    raw = np.array(bits, dtype=np.uint64)
+    low = (raw & np.uint64(2**32 - 1)).astype(np.uint32)
+    _assert_written_as_csv_writer(tmp_path, [raw.view(np.float64), low.view(np.float32)])
+
+
+def _tie_list():
+    """Floats whose digits lie near a rounding or round-trip threshold:
+    odd * 2**e for every e, 10**k, 5 10**k and 1.5 10**k, 1e23 and 2**53 + 2,
+    each with its two neighbours."""
+    odd = np.r_[np.arange(1, 64, 2), 125, 375, 625, 1875, 3125, 3123, 2187, 999].astype(float)
+    with np.errstate(over="ignore"):
+        x = np.concatenate([np.ldexp(odd, e) for e in range(-1074, 1024)])
+    decimal = [float(f"{c}e{k}") for k in range(-323, 309) for c in (1, 5, 1.5)]
+    x = np.concatenate([x[np.isfinite(x)], decimal, [1e23, 2.0**53 + 2]])
+    return np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, np.inf)])
+
+
+def test_float_cells_near_their_thresholds_match_csv_writer(tmp_path, monkeypatch):
+    """The tie list, the layout boundaries, three-digit exponents and nan
+    with its sign bit set; the cells whose digits are too close to call
+    go to ``repr``."""
+    undecided = []
+
+    def counting(m, e):
+        out = shortest(m, e)
+        undecided.append(int(out[3].sum()))
+        return out
+
+    shortest = yaglom.csvtext._shortest
+    monkeypatch.setattr(yaglom.csvtext, "_shortest", counting)
+    ties = _tie_list()
+    _assert_written_as_csv_writer(tmp_path, [np.arange(ties.size), ties, -ties[::-1]], "ties")
+    assert sum(undecided) > 0
+    edges = np.array([1e16, 9999999999999998.0, 1e-4, 1e-5, 1e100, 1.5e-300, 1.7976931348623157e308,
+                      2.2250738585072014e-308, 4.9406564584124654e-324, 123456789012345680.0,
+                      0.1, 0.30000000000000004, np.copysign(math.nan, -1),
+                      np.uint64(0xFFF8000000000001).view(np.float64), -math.inf])
+    with np.errstate(over="ignore"):  # past the largest float, and of float32
+        edges = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+        narrow = edges.astype(np.float32)
+    _assert_written_as_csv_writer(tmp_path, [edges, -edges, narrow], "edges")
+
+
+def test_repr_writes_few_cells_of_a_trace(tmp_path, monkeypatch):
+    """At most 0.1% of the float cells of a lazified ``two_sided`` trace.csv
+    are written by ``repr``, its distribution.csv included; inf is a
+    constant cell."""
+    calls = []
+
+    def counting(value):
+        calls.append(value)
+        return builtins.repr(value)
+
+    monkeypatch.setattr(yaglom.csvtext, "repr", counting, raising=False)
+    _write_csv(tmp_path / "slow.csv", {}, ["x"], [np.array([0.5, 5e-324, math.inf, 0.1])])
+    assert calls == [0.5, 5e-324]  # a power of two and a subnormal
+    calls.clear()
+    assert run(["yaglom", "--lazify", "0.5", "--n", "4000", "--tracked-sites=-1,2",
+                "--out-dir", tmp_path]) == 0
+    assert len(calls) <= 0.001 * 4000 * 4
+
+
+def test_large_float_table_is_written_chunk_by_chunk(tmp_path):
+    """A 200 000-row table of 5 float columns is formatted _CSV_CHUNK rows
+    at a time: the traced peak stays below a third of the file."""
+    rng = np.random.default_rng(3)
+    columns = [rng.random(200_000) * 10.0 ** rng.integers(-300, 300, 200_000) for _ in range(5)]
+    tracemalloc.start()
+    try:
+        _write_csv(tmp_path / "big.csv", {}, list("abcde"), columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "big.csv").stat().st_size
+    assert size > 20e6 and peak < size / 3
 
 
 def test_out_dir_that_cannot_be_made_is_config_error(tmp_path, capsys):
@@ -201,26 +293,53 @@ def test_window_beyond_physical_memory_is_budget_error(tmp_path, capsys, monkeyp
     assert run(["yaglom", "--n", "1000", "--out-dir", tmp_path]) == 0
 
 
-# sha256 of trace.csv after its config line, and of yaglom_report.json's
-# results as sorted JSON, from ``yaglom --x0 2 --n 2000``; recorded before
-# the band tables were scaled, which must move neither
+# sha256 of trace.csv and distribution.csv after their config lines, and of
+# yaglom_report.json's results as sorted JSON, from ``yaglom --x0 2 --n
+# 2000``; trace.csv and the report were recorded before the band tables
+# were scaled, distribution.csv before float cells were formatted in numpy
 PINNED = {
     ("two_sided", "0.5"): ("3ade2321ca0bb1b94a876c6a9220b470ea4712d9ae6b810ecb770f91c209f2b3",
+                           "0d01fd51d2c9fc849d137cc2793417552d8e613962610422460b50b1e5d69bee",
                            "cad6e977714a33051864a4682c7c0529b307eace075e1a6da21438bdf4e0a305"),
     ("symmetric", None): ("e437e4e487760aba8d8646d74da7c47a3a473c8ad943bf31ca1298e2b37849ff",
+                          "c66772199f933bbad984ff769ffb926fd5cfecb4b5f69d5e193e14e8973d1eb3",
                           "bf1833054907d94e29a7ccad81706a9d24f2a3a80a721c45e3c1227fc8489dfd"),
 }
+
+
+def _table_sha256(path):
+    """sha256 of a CSV file after its config line."""
+    return hashlib.sha256(path.read_bytes().split(b"\n", 1)[1]).hexdigest()
 
 
 @pytest.mark.parametrize("preset, lazify", list(PINNED))
 def test_yaglom_trace_and_report_are_pinned(preset, lazify, tmp_path):
     args = ["yaglom", "--preset", preset, "--x0", "2", "--n", "2000", "--out-dir", tmp_path]
     assert run(args + (["--lazify", lazify] if lazify else [])) == 0
-    trace = (tmp_path / "trace.csv").read_bytes().split(b"\n", 1)[1]
     results = read_report(tmp_path / "yaglom_report.json")["results"]
-    got = (hashlib.sha256(trace).hexdigest(),
+    got = (_table_sha256(tmp_path / "trace.csv"), _table_sha256(tmp_path / "distribution.csv"),
            hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest())
     assert got == PINNED[preset, lazify]
+
+
+# sha256 of each table after its config line, recorded before float cells
+# were formatted in numpy
+PINNED_TABLES = {
+    ("spectral", "--lazify", "0.5", "--x0", "2", "--n", "2000"): {
+        "survival.csv": "f55fd8f4ca8e4e33a2522c155a8085654a9bbbb70fd64f9ff9d92edde46ae856"},
+    ("invariant",): {
+        "measures.csv": "c7b1e9b1960696ec9fa04f6e9ddba66d0b2984773557640759af7a7126446959",
+        "family.csv": "930e3a6a94c875f289574cfc619c132ea198dab3fdfc15b9c1705d0f82916fb8"},
+    ("simulate", "--mc-paths", "2000", "--n", "200"): {
+        "zeta.csv": "a827a9316de86ce1d7e7652a6ac4b5f5e0dd6ac1d41f8c656d72dcf9f9f54f17"},
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED_TABLES), ids=lambda args: args[0])
+def test_tables_are_pinned(args, tmp_path):
+    """survival.csv, measures.csv, family.csv and zeta.csv on two_sided."""
+    assert run([*args, "--preset", "two_sided", "--out-dir", tmp_path]) == 0
+    assert {name: _table_sha256(tmp_path / name) for name in PINNED_TABLES[args]} == PINNED_TABLES[args]
 
 
 def _results_sha256(path):
@@ -253,10 +372,9 @@ def test_transform_report_and_hhat_table_are_pinned(tmp_path):
     config line, on lazified symmetric from x0 = 3 at n = 3000."""
     assert run(["transform", "--preset", "symmetric", "--lazify", "0.5", "--x0", "3",
                 "--n", "3000", "--out-dir", tmp_path]) == 0
-    table = (tmp_path / "hhat.csv").read_bytes().split(b"\n", 1)[1]
     assert _results_sha256(tmp_path / "transform_report.json") == (
         "7fa034acd3c8a634033cab17b090245725e77c0854c3bf9e148fda5c17b9389d")
-    assert hashlib.sha256(table).hexdigest() == (
+    assert _table_sha256(tmp_path / "hhat.csv") == (
         "d61595adc754adaa1ef35df1658ce0e3ead5f7d7ec4e08df3d4e1cd055971580")
 
 
@@ -335,6 +453,11 @@ def test_missing_chain_keys_is_schema_error(tmp_path):
         ("kesten", {"chain": {"preset": "kesten"}, "n_grid": []}),
         ("simulate", {"orey_m_grid": []}),
         ("transform", {"sites": []}),
+        # a list that repeats an entry
+        ("yaglom", {"tracked_sites": [1, 1]}),
+        ("transform", {"sites": [0, 2, 0]}),
+        ("simulate", {"orey_m_grid": [16, 16]}),
+        ("kesten", {"chain": {"preset": "kesten"}, "n_grid": [32, 32]}),
     ],
 )
 def test_malformed_config_is_one_line_config_error(tmp_path, capsys, command, cfg):
@@ -356,6 +479,26 @@ def test_empty_list_flag_is_config_error(tmp_path, capsys, command, flag, key):
     out = tmp_path / "o"
     assert run([command, "--preset", "kesten", flag, ",", "--n", "50", "--out-dir", out]) == 2
     assert capsys.readouterr().err.strip() == f"config error: {key} must not be empty"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, key, value",
+    [("yaglom", "--tracked-sites", "tracked_sites", "1,1"),
+     ("transform", "--sites", "sites", "1,1"),
+     ("simulate", "--orey-m-grid", "orey_m_grid", "64,64"),
+     ("kesten", "--n-grid", "n_grid", "512,512")],
+)
+def test_repeated_list_entry_is_config_error(tmp_path, capsys, command, flag, key, value):
+    """A repeated entry used to write a repeated ``ratio_1`` column, two
+    equal ``hhat.csv`` rows, two ``orey.csv`` rows for one grid point, or
+    an ``oscillation.csv`` without rows; it now names the key and writes
+    nothing."""
+    out = tmp_path / "o"
+    args = [command, "--preset", "two_sided", flag, value, "--n", "512", "--mc-paths", "100"]
+    assert run(args + ["--out-dir", out]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == f"config error: {key} must not repeat an entry, got [{value.replace(',', ', ')}]"
     assert not out.exists()
 
 
@@ -648,12 +791,12 @@ VALID = st.fixed_dictionaries(
     optional={
         "lazify": st.none() | st.floats(0.0, 0.9),
         "square_even": st.booleans(),
-        "tracked_sites": st.lists(st.integers(-5, 5), max_size=3),
+        "tracked_sites": st.lists(st.integers(-5, 5), max_size=3, unique=True),
         "seed": st.integers(0, 2**40),
-        "n_grid": st.lists(st.integers(1, 600), min_size=1, max_size=3),
-        "orey_m_grid": st.lists(st.integers(1, 128), min_size=1, max_size=3),
+        "n_grid": st.lists(st.integers(1, 600), min_size=1, max_size=3, unique=True),
+        "orey_m_grid": st.lists(st.integers(1, 128), min_size=1, max_size=3, unique=True),
         "clip": st.none() | st.floats(0.0, 0.5),
-        "sites": st.lists(st.integers(-5, 5), min_size=1, max_size=3),
+        "sites": st.lists(st.integers(-5, 5), min_size=1, max_size=3, unique=True),
     },
 )
 # wrong types, and values that, when well typed, stay small enough to run fast
