@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -447,7 +448,7 @@ def cmd_simulate(cfg, base, kernel, family, out: Path) -> dict:
         # 1/(r + (1-r) rho) while E_0 R^zeta keeps its base value
         r_lazy = cfg["lazify"] or 0.0
         R = 1.0 / (r_lazy + (1.0 - r_lazy) * family.rho)
-        vals = R ** zeta.astype(float)
+        vals = (R ** np.arange(zeta.max() + 1.0))[zeta]  # the pow calls of R ** zeta, once each
         results["E0_R_zeta_mc_naive"] = float(vals.mean())
         results["E0_R_zeta_mc_naive_stderr"] = float(
             vals.std(ddof=1) / math.sqrt(len(vals))
@@ -542,6 +543,24 @@ COMMANDS = {
 }
 
 
+def _flag(f: Field) -> str:
+    return f.flag or "--" + f.key.rpartition(".")[2].replace("_", "-")
+
+
+def _joined_lists(argv: list[str]) -> list[str]:
+    """``argv`` with a comma list that starts with a negative entry joined
+    to its flag, ``--sites -3,3`` as ``--sites=-3,3``: argparse takes a
+    separate ``-3,3`` for an option."""
+    lists = {_flag(f) for f in FIELDS if f.kind == "ints"}
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in lists and re.match("-[0-9]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="yaglom",
@@ -550,7 +569,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON config file")
     for f in FIELDS:
-        flag = f.flag or "--" + f.key.rpartition(".")[2].replace("_", "-")
+        flag = _flag(f)
         parse = _KINDS[f.kind][3]
         if parse is None:
             parser.add_argument(flag, dest=f.key, action="store_true", default=None, help=f.help)
@@ -561,7 +580,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = make_parser().parse_args(_joined_lists(sys.argv[1:] if argv is None else argv))
     try:
         overrides = {f.key: getattr(args, f.key) for f in FIELDS}
         cfg = resolve_config(load_config(args.config), overrides)

@@ -10,6 +10,7 @@ by row with one ``%s`` line.
 from __future__ import annotations
 
 import functools
+import math
 from itertools import islice
 
 import numpy as np
@@ -99,13 +100,16 @@ def _float_cells(x: np.ndarray, end: str) -> np.ndarray:
     that is finite, at least 2**-1021 in magnitude and not a power of two
     (whose neighbours lie at unequal distances) is laid out by ``_layout``.
     Zeros, infinities and nan are constant cells: ``0.0``, ``-0.0``,
-    ``inf``, ``-inf`` and ``nan`` (whatever its sign bit).  Every other
-    cell, and every cell whose digits ``_shortest`` leaves undecided, is
-    written by ``repr`` itself."""
-    x = x.astype(np.float64, copy=False)
+    ``inf``, ``-inf`` and ``nan`` (whatever its sign bit), and so is a
+    power of two, with the text ``_power_of_two`` keeps for its sign and
+    exponent.  Every other cell, and every cell whose digits ``_shortest``
+    leaves undecided, is written by ``repr`` itself."""
+    with np.errstate(invalid="ignore"):  # a float32 signalling nan widens to a quiet one
+        x = x.astype(np.float64, copy=False)
     a = np.abs(x)
     m, e = np.frexp(a)
-    fast = (a > 0) & (a < np.inf) & (e > -1021) & (m != 0.5)
+    two = m == 0.5  # a power of two: frexp gives 0, inf or nan for the others
+    fast = (a > 0) & (a < np.inf) & (e > -1021) & ~two
     i = np.flatnonzero(fast)
     body, slow, constants = np.zeros((0, i.size), np.uint8), i[:0], {}
     if i.size:
@@ -115,7 +119,13 @@ def _float_cells(x: np.ndarray, end: str) -> np.ndarray:
         masks = {b"-0.0": (a == 0) & np.signbit(x), b"nan": np.isnan(x),
                  b"inf": x == np.inf, b"-inf": x == -np.inf}
         constants = {t: np.flatnonzero(where) for t, where in masks.items() if where.any()}
-        slow = np.concatenate([slow, np.flatnonzero(~fast & (a > 0) & (a < np.inf))])
+        if two.any():
+            j = np.flatnonzero(two)
+            key = 2 * e[j].astype(np.int64) + np.signbit(x[j])
+            order = np.argsort(key, kind="stable")
+            keys, first = np.unique(key[order], return_index=True)
+            constants.update(zip(map(_power_of_two, keys.tolist()), np.split(j[order], first[1:])))
+        slow = np.concatenate([slow, np.flatnonzero(~fast & ~two & (a > 0) & (a < np.inf))])
     text = [repr(v) for v in x[slow].tolist()]
     width = max(len(body), 3, *map(len, constants), *map(len, text))
     table = np.zeros((width + len(end), x.size), np.uint8)
@@ -247,6 +257,13 @@ def _shortest(m: np.ndarray, e: np.ndarray):
         rest = best[live] // 1000
         cut[live] += np.count_nonzero(rest[:, None] % 10 ** np.arange(1, 16) == 0, axis=1)
     return best // 10, decpt + carry, 18 - cut, undecided
+
+
+@functools.cache
+def _power_of_two(key: int) -> bytes:
+    """``repr`` of the power of two ``(-1)**sign * 2**(e - 1)``, key = 2e +
+    sign, as bytes; made the first time the key is seen."""
+    return repr(math.ldexp(-0.5 if key & 1 else 0.5, key >> 1)).encode()
 
 
 @functools.cache

@@ -39,9 +39,11 @@ class TrajectorySample:
 
 
 # Limits no caller tunes: the batch samplers' first window half-width
-# (doubled as paths walk out), step caps, the reversal's site bound, and
-# the tabulation of initial laws.
+# (doubled as paths walk out), the paths ``absorption_times`` moves at a
+# time, step caps, the reversal's site bound, and the tabulation of
+# initial laws.
 _HALFWIDTH = 256
+_SLICE = 2**14
 _HITTING_MAX_STEPS = 2_000_000
 _OREY_SITE_BOUND = 20000
 _INIT_TRUNCATION = 1e-9
@@ -111,7 +113,9 @@ def absorption_times(
 
     Paths still alive at the current horizon keep running with a doubled
     window until absorbed, so every returned time is finite.  Raises if a
-    path exceeds ``max_steps`` (chain not absorbing enough).
+    path exceeds ``max_steps`` (chain not absorbing enough).  Each step
+    draws and moves the live paths _SLICE at a time, so no temporary of a
+    step spans them all; the draws continue one stream, in draw order.
     """
     rng = np.random.default_rng(seed)
     zeta = np.zeros(n_paths, dtype=np.int64)
@@ -127,9 +131,12 @@ def absorption_times(
             H += grow
             row += grow
             table = _thresholds(*kernel.rows(x0 - H, x0 + H))
-        move = _move(rng.random(live.size), row, *table)
-        row += move
-        died = move == -2
+        died = np.empty(live.size, dtype=bool)
+        for s in range(0, live.size, _SLICE):  # one stream: each path keeps its uniform
+            r = row[s:s + _SLICE]
+            move = _move(rng.random(r.size), r, *table)
+            r += move
+            np.equal(move, -2, out=died[s:s + _SLICE])
         if died.any():
             zeta[live[died]] = n
             keep = ~died

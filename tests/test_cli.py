@@ -190,6 +190,13 @@ def test_float_cells_of_any_bit_pattern_match_csv_writer(tmp_path, bits):
     _assert_written_as_csv_writer(tmp_path, [raw.view(np.float64), low.view(np.float32)])
 
 
+def test_float32_signalling_nan_is_written_without_a_warning(tmp_path):
+    # widening a signalling nan (quiet bit clear) raised numpy's invalid-value
+    # warning, which this suite turns into an error; found by the test above
+    snan = np.array([0x7F800001, 0xFFBFFFFF, 0x3F800000], dtype=np.uint32).view(np.float32)
+    _assert_written_as_csv_writer(tmp_path, [snan, np.arange(3)])
+
+
 def _tie_list():
     """Floats whose digits lie near a rounding or round-trip threshold:
     odd * 2**e for every e, 10**k, 5 10**k and 1.5 10**k, 1e23 and 2**53 + 2,
@@ -229,9 +236,10 @@ def test_float_cells_near_their_thresholds_match_csv_writer(tmp_path, monkeypatc
 
 
 def test_repr_writes_few_cells_of_a_trace(tmp_path, monkeypatch):
-    """At most 0.1% of the float cells of a lazified ``two_sided`` trace.csv
-    are written by ``repr``, its distribution.csv included; inf is a
-    constant cell."""
+    """At most 0.1% of the float cells of a ``two_sided`` trace.csv, raw
+    or lazified, are written by ``repr``, its distribution.csv included;
+    inf is a constant cell, and a power of two is written by ``repr`` only
+    the first time its sign and exponent are seen."""
     calls = []
 
     def counting(value):
@@ -239,12 +247,18 @@ def test_repr_writes_few_cells_of_a_trace(tmp_path, monkeypatch):
         return builtins.repr(value)
 
     monkeypatch.setattr(yaglom.csvtext, "repr", counting, raising=False)
+    yaglom.csvtext._power_of_two.cache_clear()
     _write_csv(tmp_path / "slow.csv", {}, ["x"], [np.array([0.5, 5e-324, math.inf, 0.1])])
-    assert calls == [0.5, 5e-324]  # a power of two and a subnormal
+    assert sorted(calls) == [5e-324, 0.5]  # two powers of two, the first time each is seen
     calls.clear()
-    assert run(["yaglom", "--lazify", "0.5", "--n", "4000", "--tracked-sites=-1,2",
-                "--out-dir", tmp_path]) == 0
-    assert len(calls) <= 0.001 * 4000 * 4
+    _write_csv(tmp_path / "slow.csv", {}, ["x"], [np.array([0.5, -0.5, 0.5, 5e-324])])
+    assert calls == [-0.5]
+    # raw two_sided has period 2: every other survival factor is 1.0
+    for lazify in (["--lazify", "0.5"], []):
+        calls.clear()
+        assert run(["yaglom", *lazify, "--n", "4000", "--tracked-sites=-1,2",
+                    "--out-dir", tmp_path]) == 0
+        assert len(calls) <= 0.001 * 4000 * 4
 
 
 def test_large_float_table_is_written_chunk_by_chunk(tmp_path):
@@ -514,6 +528,28 @@ def test_negative_seed_flag_is_config_error(tmp_path, capsys):
     assert run(["simulate", "--seed", "-1", "--out-dir", tmp_path / "o"]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, report",
+    [("transform", "--sites", "-3,3", "transform_report.json"),
+     ("yaglom", "--tracked-sites", "-2,3", "yaglom_report.json")],
+)
+def test_list_flag_may_start_with_a_negative_entry(tmp_path, command, flag, value, report):
+    """argparse takes a separate ``-3,3`` for an option; the CLI joins it
+    to its flag, as ``--sites=-3,3`` is read."""
+    out = tmp_path / "o"
+    assert run([command, flag, value, "--n", "200", "--out-dir", out]) == 0
+    key = flag[2:].replace("-", "_")
+    assert read_report(out / report)["config"][key] == [int(v) for v in value.split(",")]
+
+
+def test_negative_n_grid_entry_is_config_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(["kesten", "--n-grid", "-5,3", "--out-dir", out]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error: n_grid must be at least 1") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_invalid_kernel_is_validation_error(tmp_path):

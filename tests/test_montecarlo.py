@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy import stats
 from yaglom import (
     MirrorParams,
     TwoSidedParams,
+    build_alpha_walk,
     build_symmetric,
     build_two_sided,
     e0_r_zeta,
@@ -22,7 +24,9 @@ from yaglom import (
 )
 from yaglom.chain import NNKernel, Region, Window
 from yaglom.measures import DualHarmonic
+import yaglom.montecarlo
 from yaglom.montecarlo import (
+    _HALFWIDTH,
     _move,
     _renormalised,
     _stochastic_rows,
@@ -182,6 +186,64 @@ def test_samplers_pinned_at_benchmark_scale():
     assert hashlib.sha256(zeta.tobytes()).hexdigest() == (
         "aaa90e50059ebdda5f482fffd33833b957f22215e23b302972eadb4abb9ed926"
     )
+
+
+def _absorption_times_full_width(kernel, x0, n_paths, seed):
+    """``absorption_times`` as it stepped before slicing: each step draws
+    and moves every live path at once."""
+    rng = np.random.default_rng(seed)
+    zeta = np.zeros(n_paths, dtype=np.int64)
+    live = np.arange(n_paths)
+    row = np.zeros(n_paths, dtype=np.int64)
+    n = H = 0
+    while live.size:
+        n += 1
+        if n >= H:
+            grow = max(H, _HALFWIDTH)
+            H += grow
+            row += grow
+            table = _thresholds(*kernel.rows(x0 - H, x0 + H))
+        move = _move(rng.random(live.size), row, *table)
+        row += move
+        died = move == -2
+        if died.any():
+            zeta[live[died]] = n
+            keep = ~died
+            live, row = live[keep], row[keep]
+    return zeta
+
+
+@pytest.mark.parametrize(
+    "kernel, x0",
+    [(KERNEL, 0), (lazify(build_alpha_walk(0.9, 0.6, 0.4), 0.5), 0),
+     (lazify(KERNEL, 0.5), 300), (lazify(KERNEL, 0.5), -300)],
+    ids=["two_sided", "lazy_alpha_walk", "lazy_two_sided_+300", "lazy_two_sided_-300"],
+)
+def test_sliced_steps_match_full_width_steps(monkeypatch, kernel, x0):
+    # slices of 7 paths: path counts below, at and across a slice end;
+    # from +-300 the window grows at step 256 while paths are live
+    monkeypatch.setattr(yaglom.montecarlo, "_SLICE", 7)
+    for n_paths in (1, 6, 7, 8, 23):
+        zeta = absorption_times(kernel, x0, n_paths, seed=40 + n_paths)
+        assert np.array_equal(zeta, _absorption_times_full_width(kernel, x0, n_paths, 40 + n_paths))
+        if x0:
+            assert zeta.max() > _HALFWIDTH
+
+
+@pytest.mark.parametrize(
+    "kernel", [KERNEL, lazify(build_alpha_walk(0.9, 0.6, 0.4), 0.5)], ids=["two_sided", "lazy_alpha_walk"]
+)
+def test_absorption_times_memory_per_path(kernel):
+    # the exit times, path ids and rows take 24 bytes per path; a step
+    # over all 200 000 paths at once peaked at 49-55
+    n_paths = 200_000
+    tracemalloc.start()
+    try:
+        absorption_times(kernel, 0, n_paths, seed=1204)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 45 * n_paths
 
 
 def test_hitting_split_needs_a_path():
