@@ -430,6 +430,8 @@ def cmd_simulate(cfg, base, kernel, family, out: Path) -> dict:
         raise BudgetError(
             f"simulate from x0={x0}: paths not absorbed within budgets.n_max={n_max} steps"
         ) from None
+    except ValueError as exc:  # a step cap whose rows the sampler cannot pack
+        raise ConfigError(f"simulate: budgets.n_max={n_max} too large: {exc}") from None
     _write_csv(out / "zeta.csv", cfg, ["path", "zeta"], [np.arange(zeta.size), zeta])
     sample = simulate_absorbed(kernel, x0, min(cfg["n"], 5000), seed + 7)
     columns = [np.arange(sample.path.size), sample.path]
@@ -547,14 +549,24 @@ def _flag(f: Field) -> str:
     return f.flag or "--" + f.key.rpartition(".")[2].replace("_", "-")
 
 
-def _joined_lists(argv: list[str]) -> list[str]:
+def _joined_lists(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """``argv`` with a comma list that starts with a negative entry joined
     to its flag, ``--sites -3,3`` as ``--sites=-3,3``: argparse takes a
-    separate ``-3,3`` for an option."""
+    separate ``-3,3`` for an option.  As in argparse, a flag may be cut to
+    a prefix that names one of the parser's options alone (``--site``); an
+    ambiguous prefix is left for argparse to reject."""
     lists = {_flag(f) for f in FIELDS if f.kind == "ints"}
+    options = parser._option_string_actions  # every option string argparse matches
+
+    def named(tok: str) -> str:
+        if tok in options or not tok.startswith("--"):
+            return tok
+        hits = [o for o in options if o.startswith(tok)]
+        return hits[0] if len(hits) == 1 else tok
+
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in lists and re.match("-[0-9]", tok):
+        if out and named(out[-1]) in lists and re.match("-[0-9]", tok):
             out[-1] += "=" + tok
         else:
             out.append(tok)
@@ -580,7 +592,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(_joined_lists(sys.argv[1:] if argv is None else argv))
+    parser = make_parser()
+    args = parser.parse_args(_joined_lists(parser, sys.argv[1:] if argv is None else argv))
     try:
         overrides = {f.key: getattr(args, f.key) for f in FIELDS}
         cfg = resolve_config(load_config(args.config), overrides)

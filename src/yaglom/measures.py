@@ -116,6 +116,11 @@ def c_max(params: TwoSidedParams) -> float:
     return math.sqrt(1.0 - params.a * params.b / (params.p * params.q))
 
 
+def _value_side(pieces, x):
+    """sum (alpha + beta x) t^x over one side's pieces."""
+    return sum((a + b * x) * t**x for a, b, t in pieces)
+
+
 def _log_side(pieces, x):
     """log sum (alpha + beta x) t^x over one side's pieces, each alpha > 0."""
     logs = [math.log(a) + np.log1p(b / a * x) + x * math.log(t) for a, b, t in pieces]
@@ -140,23 +145,28 @@ class _ClosedForm:
         # a zero piece adds nothing to value or T, and log(0) to log_value
         return [[pc for pc in side if pc[0] or pc[1]] for side in self._pieces()]
 
-    def value(self, x):
+    def _by_side(self, x, side, at_zero: float):
+        """``side(pieces, x)`` with each side's pieces on that side's sites
+        only, and ``at_zero`` at site 0.  A single site is evaluated as a
+        numpy scalar, whose ``**`` (C ``pow``) can differ from the array
+        loop's in the last bit."""
         x = np.asarray(x, dtype=float)
         right, left = self._sides()
-        xp, xn = np.maximum(x, 0.0), np.minimum(x, 0.0)
+        if not x.ndim:
+            x = x[()]
+            return float(side(right, x) if x > 0 else side(left, x) if x < 0 else at_zero)
+        out = np.full(x.shape, at_zero)
+        pos, neg = x > 0, x < 0
+        out[pos] = side(right, x[pos])
+        out[neg] = side(left, x[neg])
+        return out
+
+    def value(self, x):
         with np.errstate(over="ignore"):  # a growing piece is inf far out
-            pos = sum((a + b * xp) * t**xp for a, b, t in right)
-            neg = sum((a + b * xn) * t**xn for a, b, t in left)
-        out = np.where(x > 0, pos, np.where(x < 0, neg, 1.0))
-        return out if out.ndim else float(out)
+            return self._by_side(x, _value_side, 1.0)
 
     def log_value(self, x):
-        x = np.asarray(x, dtype=float)
-        right, left = self._sides()
-        pos = _log_side(right, np.maximum(x, 0.0))
-        neg = _log_side(left, np.minimum(x, 0.0))
-        out = np.where(x > 0, pos, np.where(x < 0, neg, 0.0))
-        return out if out.ndim else float(out)
+        return self._by_side(x, _log_side, 0.0)
 
     @property
     def T(self) -> float:

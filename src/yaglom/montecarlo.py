@@ -3,7 +3,8 @@
 All samplers take an explicit seed and are deterministic given it.  Batch
 helpers vectorize over paths with a shared generator, so identical seeds
 reproduce identical outputs byte for byte.  Every sampler moves its paths
-by one step rule, ``_move``.
+by one step rule, ``_move``; the batch samplers apply it in place, on
+reused buffers, with ``_step``.
 """
 
 from __future__ import annotations
@@ -41,9 +42,11 @@ class TrajectorySample:
 # Limits no caller tunes: the batch samplers' first window half-width
 # (doubled as paths walk out), the paths ``absorption_times`` moves at a
 # time, step caps, the reversal's site bound, and the tabulation of
-# initial laws.
+# initial laws.  ``absorption_times`` packs a path's row into the low
+# _ROW_BITS bits of an int64 and its id above them.
 _HALFWIDTH = 256
 _SLICE = 2**14
+_ROW_BITS = 32
 _HITTING_MAX_STEPS = 2_000_000
 _OREY_SITE_BOUND = 20000
 _INIT_TRUNCATION = 1e-9
@@ -66,6 +69,23 @@ def _move(u, i, up, upstay, total=None):
     if total is not None:
         move -= u >= total[i]
     return move
+
+
+def _step(p, u, i, table, t, hit):
+    """``p += _move(u, i, *table)`` in place, with no temporary: ``1 - [u
+    >= up]`` is ``[u < up]``, and each further threshold subtracts its test
+    as a uint8 view.  ``t`` (float) and ``hit`` (bool) are buffers of the
+    size of ``p``; ``hit`` is left holding ``u >= `` the last threshold,
+    which for a killing table marks the killed paths (thresholds ascend,
+    since rates are nonnegative).  Rows ``i`` must index the table."""
+    step = hit.view(np.uint8)
+    table[0].take(i, out=t, mode="clip")  # mode="raise" would copy ``t``
+    np.less(u, t, out=hit)
+    p += step
+    for threshold in table[1:]:
+        threshold.take(i, out=t, mode="clip")
+        np.greater_equal(u, t, out=hit)
+        p -= step
 
 
 def _renormalised(up, stay, down):
@@ -113,14 +133,26 @@ def absorption_times(
 
     Paths still alive at the current horizon keep running with a doubled
     window until absorbed, so every returned time is finite.  Raises if a
-    path exceeds ``max_steps`` (chain not absorbing enough).  Each step
-    draws and moves the live paths _SLICE at a time, so no temporary of a
-    step spans them all; the draws continue one stream, in draw order.
+    path exceeds ``max_steps`` (chain not absorbing enough).  Each live
+    path is one int64, ``id << 32 | row``, so the exit times and the live
+    paths hold 16 bytes per path.  Each step draws and moves the live
+    paths _SLICE at a time, in place, so no temporary of a step spans them
+    all; the draws continue one stream, in draw order.
     """
+    if n_paths >= 1 << (63 - _ROW_BITS):
+        raise ValueError(f"need n_paths < 2^{63 - _ROW_BITS}")
+    reach = 0  # the widest half-width the window grows to, in at most max_steps
+    while reach <= max_steps:
+        reach += max(reach, _HALFWIDTH)
+    if 2 * reach >= 1 << _ROW_BITS:
+        raise ValueError(f"max_steps {max_steps} lets a row pass 2^{_ROW_BITS} - 1")
     rng = np.random.default_rng(seed)
     zeta = np.zeros(n_paths, dtype=np.int64)
-    live = np.arange(n_paths)  # live paths, in draw order
-    row = np.zeros(n_paths, dtype=np.int64)  # their rows; x0 is row H
+    live = np.arange(n_paths, dtype=np.int64)  # live paths, in draw order
+    live <<= _ROW_BITS  # x0 is row H, added below
+    rows = (1 << _ROW_BITS) - 1
+    size = min(n_paths, _SLICE)
+    buffers = np.empty(size), np.empty(size, dtype=np.intp), np.empty(size)
     n = H = 0
     while live.size:
         n += 1
@@ -129,18 +161,22 @@ def absorption_times(
         if n >= H:
             grow = max(H, _HALFWIDTH)
             H += grow
-            row += grow
+            live += grow
             table = _thresholds(*kernel.rows(x0 - H, x0 + H))
+        # n < H, so every live row lies in [H - n + 1, H + n - 1]: the
+        # "clip" gathers of _step never clamp a row of the 2H + 1 in the
+        # table, and a kill (-2) leaves a row >= 0, so no row borrows from
+        # the id above it
         died = np.empty(live.size, dtype=bool)
         for s in range(0, live.size, _SLICE):  # one stream: each path keeps its uniform
-            r = row[s:s + _SLICE]
-            move = _move(rng.random(r.size), r, *table)
-            r += move
-            np.equal(move, -2, out=died[s:s + _SLICE])
-        if died.any():
-            zeta[live[died]] = n
-            keep = ~died
-            live, row = live[keep], row[keep]
+            p = live[s:s + _SLICE]
+            u, i, t = (b[:p.size] for b in buffers)
+            rng.random(out=u)
+            np.bitwise_and(p, rows, out=i)
+            _step(p, u, i, table, t, died[s:s + _SLICE])
+        if died.any():  # np.compress: a mask index branches on every entry
+            zeta[np.compress(died, live) >> _ROW_BITS] = n
+            live = np.compress(np.logical_not(died, out=died), live)
     return zeta
 
 
@@ -155,19 +191,31 @@ def empirical_hitting_split(tk, x: int, M: int, n_paths: int, seed: int) -> floa
     if n_paths < 1:
         raise ValueError("need n_paths >= 1")
     table = _stochastic_rows(tk, Window(x - 8, x + 8), 1e-9, -M, M)
+    # rows are stored offset by one (site -M + 1 is row 0), in the
+    # narrowest unsigned type that holds 2M: live rows lie in [0, 2M - 2],
+    # which the "clip" gathers of _step never clamp, +M is row 2M - 1 and
+    # -M wraps to the type's maximum, so one max tests both exits
+    table = tuple(t[1:] for t in table)
+    edge = 2 * M - 1
+    row = np.full(n_paths, x + M - 1, dtype=np.min_scalar_type(2 * M))  # in draw order
+    buffers = (np.empty(n_paths), np.empty(n_paths, dtype=np.intp), np.empty(n_paths),
+               np.empty(n_paths, dtype=bool))
+    u, i, t, b = buffers
     rng = np.random.default_rng(seed)
-    top = 2 * M  # the row of +M; -M is row 0
-    row = np.full(n_paths, x + M, dtype=np.int64)  # live paths, in draw order
     plus = 0
     steps = 0
     while row.size:
         steps += 1
         if steps > _HITTING_MAX_STEPS:
             raise RuntimeError(f"hitting simulation exceeded {_HITTING_MAX_STEPS} steps")
-        row += _move(rng.random(row.size), row, *table)
-        if row.min() == 0 or row.max() == top:
-            plus += int(np.count_nonzero(row == top))
-            row = row[(row > 0) & (row < top)]
+        if u.size != row.size:
+            u, i, t, b = (buf[:row.size] for buf in buffers)
+        rng.random(out=u)
+        i[...] = row
+        _step(row, u, i, table, t, b)
+        if np.maximum.reduce(row) >= edge:
+            plus += int(np.count_nonzero(row == edge))
+            row = row[row < edge]
     return plus / n_paths
 
 

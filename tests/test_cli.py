@@ -544,6 +544,39 @@ def test_list_flag_may_start_with_a_negative_entry(tmp_path, command, flag, valu
     assert read_report(out / report)["config"][key] == [int(v) for v in value.split(",")]
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, key, report",
+    [("transform", "--site", "-3,3", "sites", "transform_report.json"),
+     ("transform", "--si", "-3,3", "sites", "transform_report.json"),
+     ("yaglom", "--tracked", "-2,3", "tracked_sites", "yaglom_report.json")],
+)
+def test_list_flag_prefix_may_start_with_a_negative_entry(tmp_path, command, flag, value, key, report):
+    """argparse takes a prefix that names one option alone for that option;
+    the join reads the prefix the same way."""
+    out = tmp_path / "o"
+    assert run([command, flag, value, "--n", "200", "--out-dir", out]) == 0
+    assert read_report(out / report)["config"][key] == [int(v) for v in value.split(",")]
+
+
+def test_ambiguous_list_flag_prefix_keeps_argparse_error(tmp_path, capsys):
+    # --s names --seed, --sites and --square-even
+    with pytest.raises(SystemExit) as exc:
+        run(["transform", "--s", "-3,3", "--out-dir", tmp_path / "o"])
+    assert exc.value.code == 2
+    assert "ambiguous option: --s could match" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_step_cap_past_packed_rows_is_config_error(tmp_path, capsys):
+    # a window grown for 2^30 steps would pass 2^32 rows; 2^30 - 1 steps fit
+    out = tmp_path / "o"
+    assert run(["simulate", "--n-max", 2**30, "--mc-paths", "2", "--out-dir", out]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error: simulate: budgets.n_max=1073741824 too large")
+    assert len(err.splitlines()) == 1
+    assert run(["simulate", "--n-max", 2**30 - 1, "--mc-paths", "2", "--out-dir", out]) == 0
+
+
 def test_negative_n_grid_entry_is_config_error(tmp_path, capsys):
     out = tmp_path / "o"
     assert run(["kesten", "--n-grid", "-5,3", "--out-dir", out]) == 2

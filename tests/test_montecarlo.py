@@ -29,6 +29,7 @@ from yaglom.montecarlo import (
     _HALFWIDTH,
     _move,
     _renormalised,
+    _step,
     _stochastic_rows,
     _thresholds,
     absorption_times,
@@ -244,6 +245,106 @@ def test_absorption_times_memory_per_path(kernel):
     finally:
         tracemalloc.stop()
     assert peak < 45 * n_paths
+
+
+def test_packed_layout_guards(monkeypatch):
+    # ids sit above _ROW_BITS bits of an int64 and rows below them; each
+    # guard raises before a path is allocated
+    zeta = absorption_times(KERNEL, 0, 7, seed=3)
+
+    def traced_peak(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                absorption_times(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(yaglom.montecarlo, "_ROW_BITS", 60)  # ids below 2^3
+    assert np.array_equal(absorption_times(KERNEL, 0, 7, seed=3), zeta)
+    assert traced_peak(KERNEL, 0, 8, seed=3) < 2**16
+    assert traced_peak(KERNEL, 0, 10**6, seed=3) < 2**16
+    # rows below 2^12: the window may grow to half-width 1024 (1023 steps),
+    # not to 2048, whose rows reach 4096
+    monkeypatch.setattr(yaglom.montecarlo, "_ROW_BITS", 12)
+    assert np.array_equal(absorption_times(KERNEL, 0, 7, seed=3, max_steps=1023), zeta)
+    assert traced_peak(KERNEL, 0, 10**6, seed=3, max_steps=1024) < 2**16
+
+
+@pytest.mark.parametrize("killing", [True, False], ids=["killing", "stochastic"])
+def test_in_place_step_matches_move(killing):
+    # random rows and uniforms, plus a u exactly at each threshold, zero
+    # stay rates (up == up + stay) and, for a killing table, a u at or
+    # above the row total
+    rng = np.random.default_rng(17)
+    up, stay, down = rng.random((3, 40)) / 3
+    stay[::5] = 0.0
+    table = _thresholds(up, stay, down) if killing else _renormalised(up, stay, down)
+    n = 5000
+    rows = rng.integers(1, 40, n)  # row 0 wraps in a narrow type on a -1 move
+    u = rng.random(n)
+    for k, threshold in enumerate(table):
+        u[100 * k:100 * k + 100] = threshold[rows[100 * k:100 * k + 100]]
+    if killing:
+        u[300:400] = rng.uniform(table[-1][rows[300:400]], 1.0)
+    move = _move(u, rows, *table)
+    assert {1, 0, -1} <= set(move.tolist())
+    packed = (np.arange(n, dtype=np.int64) << 32) | (rows + 1)  # kills keep rows >= 0
+    for p, want in ((packed, packed + move), ((rows + 1).astype(np.uint8), rows + 1 + move)):
+        hit = np.empty(n, dtype=bool)
+        _step(p, u, rows.astype(np.intp), table, np.empty(n), hit)
+        assert np.array_equal(p, want)
+        if killing:
+            assert np.array_equal(hit, move == -2) and hit.any()
+
+
+def _hitting_split_one_move(tk, x, M, n_paths, seed):
+    """``empirical_hitting_split`` as it stepped before the in-place step:
+    int64 rows from -M (row 0), moved by one ``_move`` a step."""
+    table = _stochastic_rows(tk, Window(x - 8, x + 8), 1e-9, -M, M)
+    rng = np.random.default_rng(seed)
+    top = 2 * M
+    row = np.full(n_paths, x + M, dtype=np.int64)
+    plus = 0
+    while row.size:
+        row += _move(rng.random(row.size), row, *table)
+        if row.min() == 0 or row.max() == top:
+            plus += int(np.count_nonzero(row == top))
+            row = row[(row > 0) & (row < top)]
+    return plus / n_paths
+
+
+_LAZY_MIRROR = 1.0 / (0.5 + 0.5 * MIRROR.rho)
+_SPLIT_KERNELS = {
+    "mirror": lambda: h_transform(build_symmetric(0.25), mirror_hhat(MIRROR), MIRROR.R),
+    "lazy_mirror": lambda: h_transform(lazify(build_symmetric(0.25), 0.5), mirror_hhat(MIRROR), _LAZY_MIRROR),
+    "two_sided_h_plus": lambda: h_transform(KERNEL, DualHarmonic(extremal_plus(PARAMS)), PARAMS.R),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_SPLIT_KERNELS))
+@pytest.mark.parametrize(
+    "M, x, n_paths",
+    [(8, 2, 20_000), (32, -5, 20_000), (127, 124, 1), (128, -125, 1), (300, 297, 1)],
+)
+def test_hitting_split_matches_one_move_steps(kernel, M, x, n_paths):
+    # rows of 2M <= 254 fit uint8 (M = 127), 256 does not (M = 128)
+    tk = _SPLIT_KERNELS[kernel]()
+    seed = 50 + M
+    assert empirical_hitting_split(tk, x, M, n_paths, seed) == _hitting_split_one_move(tk, x, M, n_paths, seed)
+
+
+@pytest.mark.parametrize("M", [127, 128])
+def test_hitting_split_matches_one_move_steps_across_row_types(M):
+    # both exits, on either side of the uint8 rows: the h_plus chain
+    # drifts up, so from near -M many paths leave at -M at once and the
+    # rest cross to +M
+    tk = _SPLIT_KERNELS["two_sided_h_plus"]()
+    x = 4 - M
+    split = empirical_hitting_split(tk, x, M, 2_000, seed=M)
+    assert 0.0 < split < 1.0
+    assert split == _hitting_split_one_move(tk, x, M, 2_000, seed=M)
 
 
 def test_hitting_split_needs_a_path():
