@@ -16,7 +16,7 @@ from .chain import NNKernel
 from .evolve import evolve_trace
 from .measures import TwoSidedParams
 from .spectral import _green, _GreenPole, e0_r_zeta, estimate_rho
-from .transforms import estimate_hhat
+from .transforms import _hhat_from_trace
 
 __all__ = ["ConditionVerdict", "ConditionReport", "check_conditions"]
 
@@ -69,7 +69,10 @@ def check_conditions(kernel: NNKernel, family=None, n_max: int = 2500) -> Condit
     ``family`` holds the closed forms of the base chain (a TwoSidedParams
     or a MirrorParams); without it the comparison-based checks degrade to
     evidence-only rather than fail.  ``n_max`` is the length of the
-    survival run behind [2] and of the hhat run behind [5] and [8].
+    survival run behind [2] and of the hhat run behind [5] and [8].  When
+    the kill site is 0, [2]'s run from 0 tracks the hhat probe sites too,
+    so one forward run serves [2], [5] and [8]; tracking leaves its
+    survival factors unchanged to the bit.
     """
     out: dict[str, ConditionVerdict] = {}
 
@@ -123,8 +126,17 @@ def check_conditions(kernel: NNKernel, family=None, n_max: int = 2500) -> Condit
             },
         )
 
+    # the hhat probe behind [5] and [8], at the single kill site
+    x0 = probe = None
+    tracked: tuple[int, ...] = ()
+    if out["6"].status == "holds" and uniformly_aperiodic:
+        x0 = int(out["6"].evidence["kill_site"])
+        sites = tuple(x0 + s for s in _HHAT_SITES)
+        probe = tuple(dict.fromkeys(sites + (x0 - 1, x0 + 1)))
+        tracked = tuple(x for x in (*probe, x0) if abs(x - x0) <= n_max)
+
     # --- spectral: rho, R, E_z R^zeta ------------------------------------
-    trace = evolve_trace(kernel, 0, n_max)
+    trace = evolve_trace(kernel, 0, n_max, tracked=tracked if x0 == 0 else ())
     est = estimate_rho(trace)
     ev2: dict = {"rho_hat": est.rho_hat, "rho_error_bound": est.error_bound}
     if family is not None:
@@ -166,11 +178,9 @@ def check_conditions(kernel: NNKernel, family=None, n_max: int = 2500) -> Condit
 
     # --- Jacka-Roberts via the one-point ratio ---------------------------
     est8 = None
-    if out["6"].status == "holds" and uniformly_aperiodic:
-        x0 = int(out["6"].evidence["kill_site"])
-        sites = tuple(x0 + s for s in _HHAT_SITES)
-        probe = tuple(dict.fromkeys(sites + (x0 - 1, x0 + 1)))
-        est8 = estimate_hhat(kernel, x0, probe, n_max)
+    if probe is not None:
+        run = trace if x0 == 0 else evolve_trace(kernel, x0, n_max, tracked=tracked)
+        est8 = _hhat_from_trace(run, kernel, probe)
         ev5 = {f"ratio_at_{x}": est8.table[x] for x in (x0 - 1, x0 + 1)}
         ev5.update({f"spread_at_{x}": est8.spreads[x] for x in (x0 - 1, x0 + 1)})
         # Converging on either side suffices for the full condition.
@@ -190,8 +200,6 @@ def check_conditions(kernel: NNKernel, family=None, n_max: int = 2500) -> Condit
 
     # --- dominant boundary point: hhat against the +inf extremal ---------
     if out["5"].status == "holds" and family is not None:
-        x0 = int(out["6"].evidence["kill_site"])
-        sites = tuple(x0 + s for s in _HHAT_SITES)
         # hhat matches the +inf extremal only when one boundary point
         # dominates: on the two-sided walk, not on the mirror chain
         h_plus = family.h_plus

@@ -225,34 +225,90 @@ def _window_cauchy(series: np.ndarray):
     return spread, spread <= _HHAT_REL_TOL
 
 
-def estimate_hhat(kernel, x0: int, sites, n_max: int) -> HhatEstimate:
-    """Estimate hhat(x)/hhat(x0) from the ratio series K^n(x,x0)/K^n(x0,x0).
+class _RowsOnce:
+    """A kernel whose rows are read once, on the first window asked for;
+    later reads inside that window are slices of that one read."""
 
-    The ratios at step n are entries of one backward vector K^n e_{x0},
-    which is one forward run of the transpose K^T: the time reversal of
-    ``kernel`` with respect to counting measure at theta = 1, whose rows
-    are (down[x+1], stay[x], up[x-1]).  Each step's normalisation cancels
-    in the ratio.  Only sites within ``n_max`` of ``x0`` are tracked; a
-    site out of reach has K^n(x,x0) = 0, so its series is 0 (NaN where
-    K^n(x0,x0) is 0) and it does not widen the window.  Non-convergence
-    (the Kesten case) is a verdict per site, decided by a sliding Cauchy
-    window over the last half of the series, not an exception.
+    def __init__(self, kernel):
+        self.kernel, self.kept = kernel, None
+
+    def rows(self, lo: int, hi: int):
+        if self.kept is None:
+            self.lo, self.kept = lo, self.kernel.rows(lo, hi)
+        return tuple(r[lo - self.lo : hi - self.lo + 1] for r in self.kept)
+
+
+def _hhat_from_trace(trace, kernel, sites) -> HhatEstimate:
+    """``estimate_hhat``'s series from ``trace``, a forward run of ``kernel``
+    from x0 that tracks x0 and every site of ``sites`` within its
+    ``steps`` of x0, by detailed balance: the ratio at step n is
+    (gamma(x0)/gamma(x)) v_n(x)/v_n(x0) for the run's conditioned law v_n.
+
+    log gamma(x0)/gamma(x) is a running sum of log rates outward from x0,
+    so a far site's factor cannot overflow on the way, and a site's factor
+    does not depend on the other sites.  An untracked site is out of
+    reach: its series is 0 (NaN where v_n(x0) is 0).  A site whose entry
+    is 0.0 reads 0 whatever its factor.
     """
-    sites = tuple(sites)
-    tracked = tuple(dict.fromkeys(x for x in (*sites, x0) if abs(x - x0) <= n_max))
-    trace = evolve_trace(time_reversal(kernel, np.ones_like, 1.0), x0, n_max, tracked=tracked)
-    at_x0, zero = trace.tracked_values[x0], np.zeros(n_max + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        series = {
-            x: np.ones(n_max + 1) if x == x0 else trace.tracked_values.get(x, zero) / at_x0
-            for x in sites
-        }
+    x0, vals = trace.start, trace.tracked_values
+    span = [x0, *(x for x in sites if x in vals)]
+    a, b = min(span), max(span)
+    up, _, down = kernel.rows(a, b)
+    up, down = up[:-1], down[1:]  # the rates between y and y + 1, y = a..b-1
+    if not ((up > 0.0).all() and (down > 0.0).all()):
+        raise ValueError(f"detailed balance needs up > 0 and down > 0 between {a} and {b}")
+    step = np.log(up) - np.log(down)  # log gamma(y+1)/gamma(y)
+    i = x0 - a
+    log_factor = np.zeros(b - a + 1)  # log gamma(x0)/gamma(x)
+    log_factor[i + 1 :] = -np.cumsum(step[i:])
+    log_factor[:i] = np.cumsum(step[:i][::-1])[::-1]
+    at_x0, zero = vals[x0], np.zeros(trace.steps + 1)
+    series = {}
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        factor = np.exp(log_factor)
+        for x in sites:
+            if x == x0:
+                series[x] = np.ones(trace.steps + 1)
+            else:
+                series[x] = ratio = vals.get(x, zero) / at_x0
+                if x in vals:
+                    np.multiply(ratio, factor[x - a], out=ratio, where=ratio > 0.0)
     out, conv, spreads = {}, {}, {}
     for x, ratio in series.items():
         ratio[~np.isfinite(ratio)] = np.nan
         out[x] = float(ratio[np.isfinite(ratio)][-1])  # step 0 is always finite
         spreads[x], conv[x] = _window_cauchy(ratio)
     return HhatEstimate(x0, out, conv, spreads, series)
+
+
+def estimate_hhat(kernel, x0: int, sites, n_max: int) -> HhatEstimate:
+    """Estimate hhat(x)/hhat(x0) from the ratio series K^n(x,x0)/K^n(x0,x0).
+
+    The series come from one forward run of ``kernel`` from ``x0`` for
+    ``n_max`` steps, by detailed balance: a kernel with up > 0 and
+    down > 0 at every site, as every valid ``NNKernel`` has, satisfies
+    gamma(x) K^n(x,x0) = gamma(x0) K^n(x0,x) with gamma(x+1)/gamma(x) =
+    up[x]/down[x+1], so the ratio at step n is gamma(x0)/gamma(x) times
+    the ratio of the run's conditioned law at x and at x0, and each
+    step's normalisation cancels.  Where the conditioned law has a limit,
+    the forward law stays concentrated, so the run costs O(n_max) steps
+    over a bounded live hull.  Only sites within ``n_max`` of ``x0`` are
+    tracked; a site out of reach has K^n(x,x0) = 0, so its series is 0
+    (NaN where K^n(x0,x0) is 0) and it does not widen the window.  A site
+    whose forward entry the run flushes below the smallest normal float
+    reads 0 at that step, and a step whose entry at ``x0`` is flushed, as
+    on a chain whose conditioned law escapes, reads NaN.  On a
+    mirror-symmetric chain the ratios at -x and +x agree to rounding, not
+    to the bit.
+    Non-convergence (the Kesten case) is a verdict per site, decided by a
+    sliding Cauchy window over the last half of the series, not an
+    exception.  Raises ValueError if a rate between ``x0`` and a tracked
+    site is not positive.
+    """
+    sites = tuple(sites)
+    tracked = tuple(dict.fromkeys(x for x in (*sites, x0) if abs(x - x0) <= n_max))
+    kernel = _RowsOnce(kernel)
+    return _hhat_from_trace(evolve_trace(kernel, x0, n_max, tracked=tracked), kernel, sites)
 
 
 def mixture_limit(weights: BoundaryWeights, pi_minus, pi_plus) -> Mixture:

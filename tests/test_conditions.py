@@ -3,14 +3,17 @@ import pytest
 from yaglom import (
     MirrorParams,
     NNKernel,
+    Region,
     TwoSidedParams,
     build_alpha_walk,
     build_kesten,
     build_symmetric,
     build_two_sided,
     check_conditions,
+    estimate_hhat,
     lazify,
 )
+from yaglom import conditions
 from yaglom.scenarios import default_kesten_schedule
 
 N_MAX = 2500
@@ -91,3 +94,56 @@ def test_report_is_deterministic():
     a = check_conditions(k, TWO_SIDED, N_MAX).as_dict()
     b = check_conditions(k, TWO_SIDED, N_MAX).as_dict()
     assert a == b
+
+
+# [5] and [8] read hhat at these sites around the kill site
+HHAT_PROBE = (-3, -2, -1, 1, 2, 3)
+
+
+def test_one_forward_run_serves_conditions_2_5_and_8(lazy_two_sided_report, monkeypatch):
+    """With the kill site at 0, [2]'s run from 0 tracks hhat's probe sites
+    and is the only run; its [2] evidence is the one an untracked run
+    gives, to the bit."""
+    k = lazify(build_two_sided(0.25, 0.75, 0.9, 0.1), 0.5)
+    runs, evolve_trace = [], conditions.evolve_trace
+
+    def recording(kernel, x0, n, tracked=()):
+        runs.append((x0, tracked))
+        return evolve_trace(kernel, x0, n, tracked=tracked)
+
+    monkeypatch.setattr(conditions, "evolve_trace", recording)
+    shared = check_conditions(k, TWO_SIDED, N_MAX).verdicts["2"].evidence
+    assert runs == [(0, HHAT_PROBE + (0,))]
+
+    # the same report with an untracked [2] run and a separate hhat run
+    monkeypatch.setattr(conditions, "evolve_trace",
+                        lambda kernel, x0, n, tracked=(): evolve_trace(kernel, x0, n))
+    monkeypatch.setattr(conditions, "_hhat_from_trace",
+                        lambda trace, kernel, probe: estimate_hhat(kernel, 0, probe, N_MAX))
+    alone = check_conditions(k, TWO_SIDED, N_MAX).verdicts["2"].evidence
+    assert repr(shared) == repr(alone)
+    assert shared == lazy_two_sided_report.verdicts["2"].evidence
+
+
+@pytest.mark.parametrize("x0", [0, 4])
+def test_hhat_evidence_is_estimate_hhat_to_the_bit(x0):
+    """[5] and [8] report ``estimate_hhat``'s table and spreads as they are,
+    from [2]'s run at kill site 0 and from a run of their own elsewhere."""
+    k = lazify(build_two_sided(0.25, 0.75, 0.9, 0.1), 0.5)
+    if x0:  # the same chain with its kill site moved to x0
+        (left, right), ((_, p, r, q),) = k.regions, k.overrides
+        k = NNKernel(
+            (Region(None, x0 - 1, left.p, left.r, left.q),
+             Region(x0 + 1, None, right.p, right.r, right.q)),
+            ((x0, p, r, q),),
+        )
+    rep = check_conditions(k, None, N_MAX)
+    probe = tuple(x0 + s for s in HHAT_PROBE)
+    est = estimate_hhat(k, x0, probe, N_MAX)
+    ev5 = rep.verdicts["5"].evidence
+    for x in (x0 - 1, x0 + 1):
+        assert repr(ev5[f"ratio_at_{x}"]) == repr(est.table[x])
+        assert repr(ev5[f"spread_at_{x}"]) == repr(est.spreads[x])
+    if x0 == 0:
+        ev8 = check_conditions(k, TWO_SIDED, N_MAX).verdicts["8"].evidence
+        assert all(repr(ev8[f"hhat_at_{x}"]) == repr(est.table[x]) for x in probe)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from yaglom import (
@@ -23,7 +23,9 @@ from yaglom import (
     green_partial,
     lazify,
     preset_kernel,
+    validate,
 )
+from yaglom import chain
 from yaglom.chain import _forward_step, _hull
 from yaglom.spectral import _green
 
@@ -256,7 +258,8 @@ def test_estimate_hhat_matches_dense_loop():
 
 @pytest.mark.parametrize("name", ("two_sided", "symmetric", "kesten"))
 def test_estimate_hhat_matches_exact_oracle(name):
-    """Every entry of the backward run against exact K^n(x,x0)/K^n(x0,x0)."""
+    """Every entry of the forward run's series, by detailed balance,
+    against exact K^n(x,x0)/K^n(x0,x0)."""
     kernel = lazify(preset_kernel(name), 0.5)
     x0, n_max, sites = 0, 12, (-3, -2, -1, 0, 1, 2, 3)
     est = estimate_hhat(kernel, x0, sites, n_max)
@@ -268,8 +271,9 @@ def test_estimate_hhat_matches_exact_oracle(name):
 
 
 def test_estimate_hhat_is_mirror_symmetric():
-    """Ratios at -x and +x are entries of one backward vector from the
-    mirror point, so they agree to rounding."""
+    """Ratios at -x and +x come from one forward law from the mirror point
+    and detailed-balance factors that agree to the bit, so they agree to
+    rounding."""
     est = estimate_hhat(lazify(preset_kernel("symmetric"), 0.5), 0, (-3, -2, -1, 1, 2, 3), 2500)
     for x in (1, 2, 3):
         assert abs(est.table[-x] - est.table[x]) <= 1e-14 * est.table[x]
@@ -309,12 +313,28 @@ def test_estimate_hhat_reads_rows_once():
 
 
 def test_estimate_hhat_far_site_does_not_widen_the_window():
-    # the run's window is [x0 - n_max, x0 + n_max] and the reversal reads
-    # one site more per side, whatever far site is asked for
+    # the run's window is [x0 - n_max, x0 + n_max], and the rates that
+    # detailed balance needs are read from it, whatever far site is asked for
     counting = CountingKernel(lazify(preset_kernel("two_sided"), 0.5))
     est = estimate_hhat(counting, 0, (0, 10**6), 50)
     assert counting.calls == 1 and counting.widest <= 2 * 50 + 3
     np.testing.assert_array_equal(est.series[10**6], np.zeros(51))
+
+
+@pytest.mark.parametrize("kernel", [preset_kernel("kesten"), lazify(preset_kernel("two_sided"), 0.5)],
+                         ids=["kesten", "lazified two_sided"])
+def test_estimate_hhat_live_hull_stays_bounded(kernel, monkeypatch):
+    """The forward law stays concentrated, so no block of an n = 8192 run
+    steps a hull wider than 3000 sites: the cost is linear in n."""
+    widths, block = [], chain._BlockTables.block
+
+    def recording_block(self, v, a, b):
+        widths.append(b - a + 1)
+        return block(self, v, a, b)
+
+    monkeypatch.setattr(chain._BlockTables, "block", recording_block)
+    estimate_hhat(kernel, 0, (-3, -1, 1, 3), 8192)
+    assert widths and max(widths) <= 3000
 
 
 def test_estimate_hhat_series_does_not_depend_on_the_other_sites():
@@ -339,6 +359,42 @@ def random_kernel(rates):
         (Region(None, -1, p0, r0, q0), Region(1, None, p1, r1, q1)),
         ((0, p2, r2, q2),),
     )
+
+
+def floored(rates):
+    """Each (p, r, q) of ``rate_triples`` as p and q in [0.05, 0.35] and r
+    0.0 or in [0.03, 0.3]: rows that sum to at most 1 and step both ways."""
+    return [(0.05 + 0.6 * p, 0.6 * r if r >= 0.05 else 0.0, 0.05 + 0.6 * q) for p, r, q in rates]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rates=rate_triples, x0=st.integers(-6, 6), n=st.integers(1, 200))
+def test_estimate_hhat_matches_transposed_dense_loop(rates, x0, n):
+    """The forward run read by detailed balance gives the series of the
+    old definition, K^n e_{x0} by dense backward steps on the whole window.
+
+    With rates at least 0.03 where positive, K^n(x0, x) stays far above
+    the smallest normal float for n <= 200, so the forward run flushes no
+    entry that the ratios read."""
+    kernel = random_kernel(floored(rates))
+    assume(not validate(kernel))
+    sites = (x0 - 3, x0 - 1, x0 + 1, x0 + 2)
+    lo = x0 - n - 1
+    up, stay, down = kernel.rows(lo, x0 + n + 1)
+    h = np.zeros(2 * n + 3)
+    h[x0 - lo] = 1.0
+    vals = np.empty((n + 1, h.size))
+    vals[0] = h
+    for k in range(1, n + 1):
+        h = dense_backward(h, up, stay, down)
+        h /= h.sum()
+        vals[k] = h
+    est = estimate_hhat(kernel, x0, sites, n)
+    for x in sites:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = vals[:, x - lo] / vals[:, x0 - lo]
+        want[~np.isfinite(want)] = np.nan
+        assert_rel(est.series[x], want, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,6 +5,8 @@ import pytest
 
 from yaglom import (
     MirrorParams,
+    NNKernel,
+    Region,
     TwoSidedParams,
     Window,
     build_kesten,
@@ -182,6 +184,28 @@ def test_estimate_hhat_kesten_nonconvergent():
     assert not (est.converged[-1] or est.converged[1])
 
 
+def test_estimate_hhat_kesten_does_not_underflow():
+    """kesten's forward law keeps x0 inside it, so past n = 10850 the
+    table stays finite, positive and within 1% of n = 8192's."""
+    k = build_kesten(default_kesten_schedule())
+    sites = (-3, -1, 1, 3)
+    at_8192 = estimate_hhat(k, 0, sites, 8192).table
+    at_12288 = estimate_hhat(k, 0, sites, 12288).table
+    for x in sites:
+        assert math.isfinite(at_12288[x]) and at_12288[x] > 0.0
+        assert at_12288[x] == pytest.approx(at_8192[x], rel=1e-2)
+
+
+def test_estimate_hhat_needs_both_rates_between_the_sites():
+    """Detailed balance takes logs of the up and down rates between x0 and
+    the tracked sites; a zero there is an error."""
+    k = NNKernel((Region(None, -1, 0.3, 0.4, 0.3), Region(1, None, 0.0, 0.5, 0.3)),
+                 ((0, 0.3, 0.3, 0.3),))
+    assert estimate_hhat(k, 0, (-2, 1), 50).table[-2] > 0.0  # up is 0 from site 1 on
+    with pytest.raises(ValueError, match="detailed balance"):
+        estimate_hhat(k, 0, (-2, 2), 50)
+
+
 def test_estimate_hhat_period_two_odd_sites_not_converged():
     """Period 2: K^n(x,0) is 0 at even n and 0/0 at odd n when x is odd, so
     the ratio has no level; an even site's ratio is defined every other step."""
@@ -192,8 +216,9 @@ def test_estimate_hhat_period_two_odd_sites_not_converged():
 
 
 def test_estimate_hhat_far_site_not_converged_before_it_is_reached():
-    # the run reaches site 1500 at step 1500 and flushes its entry below the
-    # smallest normal float until step 1939: 939 of the last half's ratios are 0
+    # the forward run's law at site 1500 lies below the smallest normal
+    # float whenever the site is in reach, so the run flushes it and every
+    # ratio there is 0
     est = estimate_hhat(lazify(KERNEL, 0.5), 0, (1500,), 2000)
     assert not est.converged[1500]
     assert est.spreads[1500] == math.inf
