@@ -365,29 +365,50 @@ _MIN_BLOCK_MASS = 1e-200
 # tap of at least 2^-200 times a law entry of at least the smallest normal
 # float is normal too.
 _SCALE = 2.0**200
-# reduceat's offsets when a block's support lies in one row id
-_ONE_START = np.zeros(1, dtype=np.intp)
 
 
 class _Record(NamedTuple):
     """The steps a normalised run took since its last yield.
 
-    ``surv`` holds the survival factor of each step and ``log_mass`` the
-    log of the total mass after it.  ``edge`` sums, over the steps, the
-    mass that flowed off the window ends as a fraction of its step's sum;
-    ``clipped`` is the fraction of the law the clip removed at the
-    record's end.  Row i of ``watched`` holds the conditioned values at the
-    watch sites after the record's step i + 1 (None without watch sites),
-    and [a, b] is the live hull at the end.
+    The run has written the survival factor, the log of the total mass and
+    the watched values of each of these steps into its caller's arrays, up
+    to step ``steps``, the number of steps taken so far.  ``edge`` sums,
+    over the record's steps, the mass that flowed off the window ends as a
+    fraction of its step's sum; ``clipped`` is the fraction of the law the
+    clip removed at the record's end, and [a, b] is the live hull there.
     """
 
-    surv: np.ndarray
-    log_mass: np.ndarray
+    steps: int
     edge: float
     clipped: float
-    watched: np.ndarray | None
     a: int
     b: int
+
+
+class _Plan(NamedTuple):
+    """What a block reads and writes on one live hull ``hull`` of the law ``v``.
+
+    Row i of ``windows`` is ``v[i : i + 2m + 1]``, the inputs to site
+    i + m, as a strided view of ``v``'s buffer; a plan for the same ``v``
+    takes it over from the last.  ``v`` summed on each id's sites of the
+    support ``support``, from the offsets ``starts``, times those ids'
+    ``C_rows`` ``C`` gives S.  Each entry of ``gathers`` holds rows of
+    ``windows``, their sites' ``G_sites`` rows and the slice of ``out``
+    they fill; each entry of ``correlations`` a slice of ``v``, its long
+    id's ``G_rows`` row and the slice of ``out`` it fills.  ``out`` gets
+    the scaled ``v K^m`` on the sites ``dest`` views in ``v``.
+    """
+
+    hull: tuple[int, int]
+    v: np.ndarray
+    windows: np.ndarray
+    support: np.ndarray
+    starts: np.ndarray
+    C: np.ndarray
+    gathers: list
+    correlations: list
+    out: np.ndarray
+    dest: np.ndarray
 
 
 def _backward(h, up, stay, down):
@@ -433,6 +454,11 @@ class _BlockTables:
     computation formed no subnormal is the same to the bit.  A law sums
     to 1 and a tap K^j(x, y) is at most 1, so no scaled sum
     exceeds 2^200, far from overflow.
+
+    A block keeps its views of the law and its buffers, ``plan`` (see
+    ``_plan``), for the next block on the same live hull, and ``S`` holds
+    the last block's ``[1, S_1, ..., S_m]``, so a record of a block whose
+    hull repeats does only the arithmetic.
     """
 
     def __init__(self, up, stay, down, watch):
@@ -464,6 +490,8 @@ class _BlockTables:
         short = ~self.long[self.ids]
         self.pos = np.cumsum(short, dtype=np.int32) - 1  # int32, as ids
         self.G_sites = self.G_rows[self.ids[short]]
+        self.S = np.ones(m + 1)  # [1, S_1, ..., S_m] of the last block
+        self.plan = None  # the last block's _Plan
 
     def _near(self, sites):
         """Rates at x = y-m..y+m for each site y, 0 off the window, laid end to
@@ -528,13 +556,52 @@ class _BlockTables:
             cols = cols.reshape(m, watch.size, w)[:, :, :-1]
             self.cols = np.ascontiguousarray(cols.transpose(1, 2, 0))
 
-    def _gather(self, v, y: int, z: int):
-        """``(v K^m)(x)`` for the short sites x = y..z-1, from their own rows."""
-        m = _BLOCK
-        # row i is v[y - m + i : y + m + i + 1], the inputs to site y + i
-        windows = np.ndarray((z - y, 2 * m + 1), buffer=v, offset=8 * (y - m), strides=(8, 8))
+    def _gather(self, windows, y: int, z: int):
+        """The operands of the scaled ``(v K^m)(x)`` for the short sites
+        x = y..z-1: their rows of ``windows`` (see ``_Plan``) and their own
+        band rows."""
         p = self.pos[y]
-        return np.einsum("ij,ij->i", windows, self.G_sites[p : p + z - y])
+        return windows[y - _BLOCK : z - _BLOCK], self.G_sites[p : p + z - y]
+
+    def _plan(self, v, a: int, b: int) -> _Plan:
+        """The views and buffers of a block on the live hull [a, b] of ``v``.
+
+        Sites of one id share their rows, so S is the sum over the ids of
+        the support [f, l] = [a + 1, b - 1] of ``v`` summed on the id's
+        sites times its ``C_rows`` row.  ``v K^m`` reaches the sites
+        f-m..l+m: on the sites of a long id it is one correlation of ``v``
+        with the id's ``G_rows`` row, and each stretch of sites between
+        long ids reads its rows as one slice of ``G_sites``.
+        """
+        m = _BLOCK
+        f, l = a + 1, b - 1  # the support
+        lo, hi = f - m, l + m  # the sites v K^m reaches
+        i0, i1 = int(self.ids[lo]), int(self.ids[hi])
+        k0, k1 = int(self.ids[f]), int(self.ids[l])
+        starts = self.firsts[k0 : k1 + 1] - f  # the first id starts at or before f
+        starts[0] = 0
+        last = self.plan
+        if last is not None and last.v is v:
+            windows = last.windows
+        else:  # row i is v[i : i + 2m + 1], the inputs to site i + m
+            windows = np.ndarray((self.width - 2 * m, 2 * m + 1), buffer=v, strides=(8, 8))
+        out = np.empty(hi - lo + 1)
+        gathers, correlations = [], []
+        y = lo  # the first site not yet served
+        for k in range(bisect_left(self.long_ids, i0), bisect_right(self.long_ids, i1)):
+            y0, y1 = max(self.long_firsts[k], lo), min(self.long_lasts[k], hi)
+            if y < y0:
+                gathers.append((*self._gather(windows, y, y0), out[y - lo : y0 - lo]))
+            correlations.append(
+                (v[y0 - m : y1 + m + 1], self.G_rows[self.long_ids[k]], out[y0 - lo : y1 - lo + 1])
+            )
+            y = y1 + 1
+        if y <= hi:
+            gathers.append((*self._gather(windows, y, hi + 1), out[y - lo :]))
+        return _Plan(
+            (a, b), v, windows, v[f : l + 1], starts, self.C_rows[k0 : k1 + 1],
+            gathers, correlations, out, v[lo : hi + 1],
+        )
 
     def block(self, v, a: int, b: int):
         """Replace ``v`` by ``v K^m / S_m`` in place, with S_j = v K^j 1.
@@ -542,54 +609,46 @@ class _BlockTables:
         ``v`` is a contiguous float64 array.  The live hull [a, b] must lie
         at least 2m sites inside both window ends: the product reads ``v``
         on the support widened by 2m sites per side, and no mass leaves
-        the window.  Returns ``(S, watched, a, b)``, with ``watched[j-1]``
-        the values ``(v K^j)(w) / S_j`` at the watch sites and [a, b] =
-        [f - m - 1, l + m + 1] for the old support [f, l], or None, leaving
-        ``v`` untouched, when S_m is below ``_MIN_BLOCK_MASS``.  That [a, b]
-        bounds the new support but is not its live hull: its ends may hold
-        zeros and subnormals, so the caller passes it through ``_flush``
-        before stepping on from it.
+        the window.  Returns ``(S, watched, a - m, b + m)``, with ``S`` =
+        ``[1, S_1, ..., S_m]``, ``watched[j-1]`` the values
+        ``(v K^j)(w) / S_j`` at the watch sites, and [a - m, b + m] =
+        [f - m - 1, l + m + 1] for the old support [f, l]; or None, leaving
+        ``v`` untouched, when S_m is below ``_MIN_BLOCK_MASS``.  ``S`` is a
+        buffer the next block overwrites.  That [a - m, b + m] bounds the
+        new support but is not its live hull: its ends may hold zeros and
+        subnormals, so the caller passes it through ``_flush`` before
+        stepping on from it.
 
-        Sites of one id share their rows, so S is the sum over ids of
-        ``v`` summed on the id's sites times its ``C_rows`` row.  On the
-        sites of a long id, ``v K^m`` is one correlation of ``v`` with the
-        id's ``G_rows`` row; each stretch of sites between long ids reads
-        its rows as one slice of ``G_sites``.  Both tables hold the taps
-        times ``_SCALE``, so the product is divided by ``S_m * _SCALE``.
+        The block's views and buffers (``_plan``) are kept while the live
+        hull, and the law ``v``, stay the same.  The band tables hold the
+        taps times ``_SCALE``, so the product is divided by
+        ``S_m * _SCALE``.
         """
-        m = _BLOCK
-        f, l = a + 1, b - 1  # the support
-        lo, hi = f - m, l + m  # the sites v K^m reaches
-        i0, i1 = int(self.ids[lo]), int(self.ids[hi])
-        k0, k1 = int(self.ids[f]), int(self.ids[l])
-        starts = _ONE_START if k0 == k1 else np.maximum(self.firsts[k0 : k1 + 1], f) - f
-        S = np.add.reduceat(v[f : l + 1], starts) @ self.C_rows[k0 : k1 + 1]
+        plan = self.plan
+        if plan is None or plan.hull != (a, b) or plan.v is not v:
+            plan = self.plan = self._plan(v, a, b)
+        S = self.S
+        # ufuncs take out= positionally, which skips their keyword parsing
+        np.matmul(np.add.reduceat(plan.support, plan.starts), plan.C, S[1:])
         if not S[-1] >= _MIN_BLOCK_MASS:
             return None
         watched = None
         if self.cols is not None:
-            watched = np.einsum("ix,ixj->ji", v[self.watch_idx], self.cols) / (S[:, None] * _SCALE)
-        out = np.empty(hi - lo + 1)
-        y = lo  # the first site not yet computed
-        for k in range(bisect_left(self.long_ids, i0), bisect_right(self.long_ids, i1)):
-            y0, y1 = max(self.long_firsts[k], lo), min(self.long_lasts[k], hi)
-            if y < y0:
-                out[y - lo : y0 - lo] = self._gather(v, y, y0)
-            out[y0 - lo : y1 - lo + 1] = np.correlate(
-                v[y0 - m : y1 + m + 1], self.G_rows[self.long_ids[k]], "valid"
-            )
-            y = y1 + 1
-        if y <= hi:
-            out[y - lo :] = self._gather(v, y, hi + 1)
-        out /= S[-1] * _SCALE
-        v[lo : hi + 1] = out
-        return S, watched, lo - 1, hi + 1
+            watched = np.einsum("ix,ixj->ji", v[self.watch_idx], self.cols) / (S[1:, None] * _SCALE)
+        for windows, rows, dst in plan.gathers:
+            np.einsum("ij,ij->i", windows, rows, out=dst)
+        for stretch, row, dst in plan.correlations:
+            dst[:] = np.correlate(stretch, row, "valid")
+        np.divide(plan.out, S[-1] * _SCALE, plan.dest)
+        return S, watched, a - _BLOCK, b + _BLOCK
 
 
 def _steps(v, up, stay, down, a: int, b: int, count: int, watch):
     """Up to ``count`` single renormalised steps, fewer if all mass dies.
 
-    Returns ``(surv, edge, watched, a, b)`` as in ``_Record``.
+    Returns ``(surv, edge, watched, a, b)``: the survival factors, the
+    edge loss and the hull as in ``_Record``, and the watched values of
+    each step (None without watch sites).
     """
     surv, watched = [], []
     edge_sum = 0.0
@@ -625,10 +684,10 @@ def _clip(v, a: int, b: int, clip: float):
     """
     live = v[a : b + 1]
     small = live < clip
-    lost, kept = float(live[small].sum()), 1.0
+    lost, kept = float(np.add.reduce(live[small])), 1.0
     if lost > 0.0:
         np.copyto(live, 0.0, where=small)
-        kept = float(live.sum())
+        kept = float(np.add.reduce(live))
         if kept > 0.0:
             live /= kept
     if kept == 0.0 or clip / kept < _TINY:  # an entry x >= clip may leave x / kept subnormal
@@ -636,14 +695,19 @@ def _clip(v, a: int, b: int, clip: float):
     return lost, kept, _kept_hull(small, a, len(v))
 
 
-def _normalised_run(v, up, stay, down, n: int, clip: float = 0.0, watch=(), stops=()):
-    """Replace ``v`` by ``v K`` up to ``n`` times in place, renormalising.
+def _normalised_run(
+    v, up, stay, down, surv, log_mass, watched, clip: float = 0.0, watch=(), stops=()
+):
+    """Replace ``v`` by ``v K`` up to n = ``surv.size`` times in place, renormalising.
 
     ``v`` is nonnegative, not all zero, and covers the same window as the
-    rate arrays.  The run yields a ``_Record`` for the steps since its last
-    yield, with ``v`` as the conditioned law after them; ``watch`` holds
-    window indices whose values every step records.  Records end at every
-    step in ``stops`` and after at most ``_BLOCK`` = m steps.
+    rate arrays.  The run writes each step's survival factor into
+    ``surv``, the log of the total mass after it into ``log_mass`` (both
+    of n entries) and the conditioned values after it at the window
+    indices ``watch`` into the row of ``watched`` (n rows of
+    ``len(watch)``), and yields a ``_Record`` for the steps since its last
+    yield, with ``v`` as the conditioned law after them.  Records end at
+    every step in ``stops`` and after at most ``_BLOCK`` = m steps.
 
     Stretches of m steps whose live hull lies at least 2m sites inside
     both window ends go in one block: one band product gives ``v K^m``,
@@ -662,13 +726,14 @@ def _normalised_run(v, up, stay, down, n: int, clip: float = 0.0, watch=(), stop
     threshold pass gives the hull and the record is not flushed.
     ``log_mass`` gains one log per record, through a compensated sum.
     """
+    n = surv.size
     watch = np.asarray(watch, dtype=np.intp).reshape(-1)
     first, last = np.flatnonzero(v)[[0, -1]].tolist()
     a, b = _hull(v, first, last)
     # blocks read v through a strided view of its buffer
     blockable = v.dtype == np.float64 and v.flags.c_contiguous
     tables = None
-    k, log_mass, carry = 0, 0.0, 0.0
+    k, total, carry = 0, 0.0, 0.0
     for end in sorted({int(s) for s in stops if 0 < s < n} | {n}):
         while k < end:
             count = min(_BLOCK, end - k)
@@ -677,44 +742,47 @@ def _normalised_run(v, up, stay, down, n: int, clip: float = 0.0, watch=(), stop
                 tables = tables or _BlockTables(up, stay, down, watch)
                 blocked = tables.block(v, a, b)
             if blocked is not None:
-                S, watched, a, b = blocked
-                surv = S.copy()
-                surv[1:] /= S[:-1]
-                partial = np.log(S)
-                edge = 0.0
+                S, rows, a, b = blocked
+                took, edge = count, 0.0
+                np.divide(S[1:], S[:-1], surv[k : k + count])  # out= positionally, as in block
+                np.log(S[1:], log_mass[k : k + count])
             else:
-                surv, edge, watched, a, b = _steps(v, up, stay, down, a, b, count, watch)
-                if not surv.size:
+                factors, edge, rows, a, b = _steps(v, up, stay, down, a, b, count, watch)
+                took = factors.size
+                if not took:
                     return
-                partial = np.cumsum(np.log(surv))
-            alive = surv.size == count  # else all the mass is gone, and v with it
+                surv[k : k + took] = factors
+                np.cumsum(np.log(factors), out=log_mass[k : k + took])
+            if watch.size:
+                watched[k : k + took] = rows
+            alive = took == count  # else all the mass is gone, and v with it
             clipped, hull = 0.0, None
             if alive and clip > 0.0:
                 clipped, kept, hull = _clip(v, a, b, clip)
                 if kept == 0.0:  # the record's last step left no mass
                     alive = False
-                    surv, partial = surv[:-1], partial[:-1]
-                    watched = None if watched is None else watched[:-1]
-                    if not surv.size:
+                    took -= 1
+                    if not took:
                         return
                 elif clipped > 0.0:
-                    surv[-1] *= kept
-                    partial[-1] += math.log(kept)
+                    surv[k + took - 1] *= kept
+                    log_mass[k + took - 1] += math.log(kept)
                     if watch.size:
-                        watched[-1] = v[watch]
-            log_masses = partial + carry
-            log_masses += log_mass
+                        watched[k + took - 1] = v[watch]
+            logs = log_mass[k : k + took]  # log S_j within the record, then the run's
+            x = float(logs[-1])
+            logs += carry
+            logs += total
             # Neumaier's compensated sum of the per-record logs
-            x = float(partial[-1])
-            total = log_mass + x
-            if abs(log_mass) >= abs(x):
-                carry += (log_mass - total) + x
+            t = total + x
+            if abs(total) >= abs(x):
+                carry += (total - t) + x
             else:
-                carry += (x - total) + log_mass
-            log_mass = total
-            k += surv.size
+                carry += (x - t) + total
+            total = t
+            k += took
             if alive:
                 a, b = hull or _flush(v, a, b)
-            yield _Record(surv, log_masses, edge, clipped, watched, a, b)
+            yield _Record(k, edge, clipped, a, b)
             if not alive:
                 return

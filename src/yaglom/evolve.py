@@ -110,9 +110,11 @@ def evolve_trace(
     64 sites inside both window ends: one band product applies ``K^32``,
     and the survival factors and tracked values of the steps in between
     come from precomputed tables of ``K^j 1`` and of the columns
-    ``K^j(., y)``.  Blocks end at the snapshot steps.  The steps close to
-    a window's ends go one step at a time.  Both modes agree with single
-    dense steps to a few ulps.  The band tables are stored times 2^200, so
+    ``K^j(., y)``.  A block keeps its views of the law and its buffers for
+    the next block while the live hull stays the same, and every step's
+    values go straight into the trace's arrays.  Blocks end at the
+    snapshot steps.  The steps close to a window's ends go one step at a
+    time.  Both modes agree with single dense steps to a few ulps.  The band tables are stored times 2^200, so
     the band product forms no subnormal from the law's tail, and a
     block's entries below 2^-969 keep their digits (unscaled tables lost
     up to 1.6e-13 relative there, on raw ``alpha_walk``).  ``log_mass`` gains one ``log`` per
@@ -154,20 +156,16 @@ def evolve_trace(
     vals[0] = [1.0 if y == x0 else 0.0 for y in tracked]
     watch = [y - lo for y in tracked]
     k = 0  # steps completed
-    for rec in _normalised_run(v, up, stay, down, n, clip, watch, want):
-        k0, k = k, k + rec.surv.size
-        surv[k0:k] = rec.surv
-        logm[k0:k] = rec.log_mass
+    for rec in _normalised_run(v, up, stay, down, surv, logm, vals[1:], clip, watch, want):
+        k = rec.steps
         edge_lost += rec.edge
         clip_lost += rec.clipped
-        if tracked:
-            vals[k0 + 1 : k + 1] = rec.watched
         if k in want:
-            snaps[k] = MassState(Window(lo, hi), v.copy(), rec.log_mass[-1], edge_lost + clip_lost)
+            snaps[k] = MassState(Window(lo, hi), v.copy(), logm[k - 1], edge_lost + clip_lost)
     if k < n:
         cause = f"clip={clip:g} left no mass" if clip else "total extinction"
         raise DegenerateKernelError(f"{cause} at step {k + 1}")
-    dist = MassState(Window(lo, hi), v, rec.log_mass[-1], edge_lost + clip_lost)
+    dist = MassState(Window(lo, hi), v, logm[-1], edge_lost + clip_lost)
     tracked_vals = {y: vals[:, i].copy() for i, y in enumerate(tracked)}
     ratios: dict[int, np.ndarray] = {}
     for y in tracked:

@@ -349,6 +349,11 @@ def test_capped_per_step_run_keeps_no_subnormal_entries(clip, modes):
     assert tr.live_hull.hi == 400 and tr.live_hull.lo > -400
 
 
+def _series(n):
+    """The arrays a run of ``n`` steps without watch sites writes into."""
+    return np.empty(n), np.empty(n), np.empty((n, 0))
+
+
 @pytest.mark.parametrize(
     "stops", [(10, 11, 650), range(1, 700)], ids=["off-grid-stops", "every-step"]
 )
@@ -369,8 +374,9 @@ def test_flush_runs_once_per_record(stops, monkeypatch):
     v = np.zeros(2 * n + 1)
     v[n] = 1.0
     steps, records = 0, 0
-    for rec in chain._normalised_run(v, up, stay, down, n, stops=stops):
-        steps += rec.surv.size
+    for rec in chain._normalised_run(v, up, stay, down, *_series(n), stops=stops):
+        assert rec.steps > steps
+        steps = rec.steps
         records += 1
         assert (rec.a, rec.b) == chain._hull(v, rec.a, rec.b)
     assert steps == n and len(flushes) == records
@@ -409,6 +415,22 @@ def test_clip_edge_cases_are_pinned(clip, cap):
     _assert_no_subnormals(tr)
 
 
+def test_clipped_run_with_tracked_sites_and_snapshots_is_pinned():
+    """A clip that removes mass rewrites the record's last watched row and
+    the log mass a snapshot keeps.  Recorded before blocks kept their plan
+    from one block to the next: the survival factors, log masses and law,
+    then the tracked values, the snapshot laws (both steps off the block
+    grid) and their log masses."""
+    tracked, at = (-3, 0, 5), (650, 2049)
+    tr = evolve_trace(preset_kernel("kesten"), 0, 3000, tracked=tracked, clip=1e-20, snapshot_at=at)
+    arrays = [tr.survival_factors, tr.log_mass, tr.distribution.values]
+    arrays += [tr.tracked_values[y] for y in tracked] + [tr.snapshots[k].values for k in at]
+    arrays.append(np.array([tr.snapshots[k].log_mass for k in at]))
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+    assert digest == "a4afa23c9c657d4d95e0e2f08116fc5873cfd72394a7180d1d8f231a1fc78f57"
+    assert (tr.clip_lost, tr.edge_lost) == (2.2904924715735376e-18, 0.0)
+
+
 @pytest.mark.parametrize("clip", [1e-310, 2.0**-1022, 1e-20], ids=repr)
 def test_clipped_records_end_on_the_tight_hull(clip, monkeypatch):
     """A clip below the smallest normal float leaves subnormal entries,
@@ -438,7 +460,8 @@ def test_clipped_records_end_on_the_tight_hull(clip, monkeypatch):
     v = np.zeros(2 * n + 1)
     v[n] = 1.0
     records = 0
-    for rec in chain._normalised_run(v, up, stay, down, n, clip=clip, stops=(10, 11, 650)):
+    run = chain._normalised_run(v, up, stay, down, *_series(n), clip=clip, stops=(10, 11, 650))
+    for rec in run:
         records += 1
         assert (rec.a, rec.b) == chain._hull(v, rec.a, rec.b)
         assert not np.any((v > 0.0) & (v < chain._TINY))
@@ -450,6 +473,85 @@ def test_clipped_records_end_on_the_tight_hull(clip, monkeypatch):
         assert 0 < calls["flush"] < records
     else:
         assert calls["flush"] == 0
+
+
+def test_block_plan_is_rebuilt_only_when_the_hull_moves(monkeypatch):
+    """The benchmark's clipped probe: kesten from 0 on a 12001-site window
+    clipped at 1e-20, snapshots at 512, 4096 and 24576.  A block builds
+    its plan exactly when its live hull is not the last block's, and at
+    least 90% of the blocks reuse the plan."""
+    hulls, builds = [], []
+    block, plan = chain._BlockTables.block, chain._BlockTables._plan
+
+    def recording_block(self, v, a, b):
+        hulls.append((a, b))
+        return block(self, v, a, b)
+
+    def counting_plan(self, v, a, b):
+        builds.append((a, b))
+        return plan(self, v, a, b)
+
+    monkeypatch.setattr(chain._BlockTables, "block", recording_block)
+    monkeypatch.setattr(chain._BlockTables, "_plan", counting_plan)
+    grid = (512, 4096, 24576)
+    evolve_trace(preset_kernel("kesten"), 0, grid[-1], clip=1e-20, snapshot_at=grid,
+                 max_halfwidth=6000)
+    moved = [h for i, h in enumerate(hulls) if i == 0 or h != hulls[i - 1]]
+    assert len(hulls) > 700 and builds == moved
+    assert len(hulls) - len(builds) >= 0.9 * len(hulls)
+
+
+def _outputs(tr):
+    """Every array and number of a trace, as bytes."""
+    arrays = [tr.survival_factors, tr.log_mass, tr.distribution.values,
+              np.array([tr.distribution.log_mass, tr.clip_lost, tr.edge_lost])]
+    arrays += [tr.tracked_values[y] for y in sorted(tr.tracked_values)]
+    arrays += [tr.tracked_ratios[y] for y in sorted(tr.tracked_ratios)]
+    for k in sorted(tr.snapshots):
+        snap = tr.snapshots[k]
+        arrays += [snap.values, np.array([k, snap.log_mass, snap.clipped])]
+    return [a.tobytes() for a in arrays] + [(tr.live_hull.lo, tr.live_hull.hi)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    left=rates,
+    right=rates,
+    overrides=st.dictionaries(st.integers(-40, 40), rates, max_size=6),
+    x0=st.integers(-30, 30),
+    n=st.integers(2 * M, 12 * M),
+    clip=st.just(0.0) | st.floats(1e-30, 1e-6),
+    at=st.lists(st.integers(1, 12 * M), max_size=3),
+    cap=st.none() | st.integers(4 * M + 2, 8 * M),
+)
+def test_reused_plans_match_a_new_plan_per_block(left, right, overrides, x0, n, clip, at, cap):
+    """Dropping the kept plan before every block makes each block build
+    its own; the run is the same to the bit, snapshots, tracked values and
+    clip included, on the growing window and on capped ones."""
+    kernel = NNKernel(
+        (Region(None, -1, *left), Region(0, None, *right)),
+        tuple((site, *row) for site, row in sorted(overrides.items())),
+    )
+    kw = dict(tracked=(x0, x0 + 3, -x0), clip=clip, snapshot_at=tuple(at), max_halfwidth=cap)
+    kept = _outputs(evolve_trace(kernel, x0, n, **kw))
+    block, blocks, builds = chain._BlockTables.block, [], []
+    plan = chain._BlockTables._plan
+
+    def block_on_a_new_plan(self, v, a, b):
+        self.plan = None
+        blocks.append((a, b))
+        return block(self, v, a, b)
+
+    def counting_plan(self, v, a, b):
+        builds.append((a, b))
+        return plan(self, v, a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chain._BlockTables, "block", block_on_a_new_plan)
+        mp.setattr(chain._BlockTables, "_plan", counting_plan)
+        fresh = _outputs(evolve_trace(kernel, x0, n, **kw))
+    assert builds == blocks
+    assert fresh == kept
 
 
 def test_correlation_serves_most_band_product_sites(modes):

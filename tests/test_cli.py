@@ -398,7 +398,7 @@ def test_transform_report_and_hhat_table_are_pinned(tmp_path):
 
 
 def test_clipped_kesten_probe_report_is_pinned(tmp_path):
-    """The benchmark's clipped probe: kesten on a 24577-site window,
+    """The benchmark's clipped probe: kesten on a 12001-site window,
     clipped at 1e-20, read at three budgets."""
     cfg = {"chain": {"preset": "kesten"}, "x0": 0, "n": 24576, "n_grid": [512, 4096, 24576],
            "clip": 1e-20, "budgets": {"n_max": 24576}, "out_dir": str(tmp_path)}

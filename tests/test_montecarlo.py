@@ -235,8 +235,8 @@ def test_sliced_steps_match_full_width_steps(monkeypatch, kernel, x0):
     "kernel", [KERNEL, lazify(build_alpha_walk(0.9, 0.6, 0.4), 0.5)], ids=["two_sided", "lazy_alpha_walk"]
 )
 def test_absorption_times_memory_per_path(kernel):
-    # the exit times, path ids and rows take 24 bytes per path; a step
-    # over all 200 000 paths at once peaked at 49-55
+    # the exit times and the packed live paths (id << 32 | row) take 16
+    # bytes per path; a step over all 200 000 paths at once peaked at 49-55
     n_paths = 200_000
     tracemalloc.start()
     try:
