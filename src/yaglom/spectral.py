@@ -39,17 +39,21 @@ class SpectralEstimate:
         return math.isfinite(self.error_bound)
 
 
-def _richardson(series: np.ndarray) -> np.ndarray:
-    """First-order extrapolants in 1/n: e_k = k s_k - (k-1) s_{k-1}.
+def _richardson(series: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """First-order extrapolants in 1/n of terms ``series`` taken at step
+    indices ``steps``: e_i = (n_i s_i - n_{i-1} s_{i-1}) / (n_i - n_{i-1}),
+    with e_0 = s_0.
 
-    Exact for s_k = L + c/k; the survival factors of the walks here decay
+    Exact for s_n = L + c/n.  The survival factors of the walks here decay
     with an n^(-3/2) local-limit prefactor, i.e. s_n ~ rho (1 - 3/(2n)),
-    which this removes.
+    and the hhat ratios K^n(x,x0)/K^n(x0,x0) approach their limit like
+    1 + b/n; this removes the 1/n term.  On consecutive steps the divisor
+    is 1.0, so the extrapolants are k s_k - (k-1) s_{k-1} to the bit; a
+    period-2 series passes its finite terms with gaps of 2.
     """
-    k = np.arange(1.0, len(series) + 1.0)
     e = np.empty(len(series))
     e[0] = series[0]
-    e[1:] = k[1:] * series[1:] - k[:-1] * series[:-1]
+    e[1:] = (steps[1:] * series[1:] - steps[:-1] * series[:-1]) / np.diff(steps)
     return e
 
 
@@ -69,7 +73,7 @@ def estimate_rho(trace: YaglomTrace | np.ndarray) -> SpectralEstimate:
     series = trace.survival_factors if isinstance(trace, YaglomTrace) else np.asarray(trace)
     if len(series) < MIN_RHO_FACTORS:
         raise ValueError(f"need at least {MIN_RHO_FACTORS} survival factors")
-    extrap = _richardson(series)
+    extrap = _richardson(series, np.arange(1.0, len(series) + 1.0))
     tail = extrap[len(extrap) // 2 :]
     last = extrap[-min(50, len(extrap) // 4) :]
     rho_hat = float(np.median(last))

@@ -19,6 +19,7 @@ import numpy as np
 from .chain import Window
 from .evolve import evolve_trace
 from .measures import Mixture
+from .spectral import _richardson
 
 __all__ = [
     "TransformedKernel",
@@ -177,7 +178,12 @@ def hitting_split(
 
 @dataclass
 class HhatEstimate:
-    """Ratio series K^n(x, x0)/K^n(x0, x0) with convergence diagnostics."""
+    """Ratio series K^n(x, x0)/K^n(x0, x0) with convergence diagnostics.
+
+    ``table`` holds each site's limit: the series extrapolated in 1/n
+    where its extrapolants settle, else its last finite term
+    (``_hhat_limit``).  ``converged`` and ``spreads`` judge the raw
+    series."""
 
     x0: int
     table: dict[int, float]
@@ -190,7 +196,9 @@ class HhatEstimate:
 
 
 # estimate_hhat: a ratio series has converged when every run of _HHAT_WIDTH
-# consecutive terms in its last half spans at most _HHAT_REL_TOL of its level
+# consecutive terms in its last half spans at most _HHAT_REL_TOL of its level,
+# and its table entry is extrapolated when its last _HHAT_WIDTH extrapolants
+# span at most _HHAT_REL_TOL of their median
 _HHAT_WIDTH = 50
 _HHAT_REL_TOL = 1e-3
 
@@ -248,7 +256,9 @@ def _hhat_from_trace(trace, kernel, sites) -> HhatEstimate:
     so a far site's factor cannot overflow on the way, and a site's factor
     does not depend on the other sites.  An untracked site is out of
     reach: its series is 0 (NaN where v_n(x0) is 0).  A site whose entry
-    is 0.0 reads 0 whatever its factor.
+    is 0.0 reads 0 whatever its factor.  Each site's table entry is
+    ``_hhat_limit`` of its series, and its verdict and spread are
+    ``_window_cauchy``'s.
     """
     x0, vals = trace.start, trace.tracked_values
     span = [x0, *(x for x in sites if x in vals)]
@@ -276,9 +286,36 @@ def _hhat_from_trace(trace, kernel, sites) -> HhatEstimate:
     out, conv, spreads = {}, {}, {}
     for x, ratio in series.items():
         ratio[~np.isfinite(ratio)] = np.nan
-        out[x] = float(ratio[np.isfinite(ratio)][-1])  # step 0 is always finite
+        out[x] = _hhat_limit(ratio)
         spreads[x], conv[x] = _window_cauchy(ratio)
     return HhatEstimate(x0, out, conv, spreads, series)
+
+
+def _hhat_limit(ratio: np.ndarray) -> float:
+    """The median of the last ``_HHAT_WIDTH`` Richardson extrapolants of
+    ``ratio`` over its finite steps, when they spread by at most
+    ``_HHAT_REL_TOL`` of that median; else the last finite ratio.
+
+    K^n(x,y) ~ C rho^n n^(-3/2) (1 + b_xy/n), so a ratio approaches its
+    limit like 1/n, and the extrapolants remove that term.  A period-2
+    series, NaN at every other step, is extrapolated over its finite steps
+    with gaps of 2.  An extrapolant turns relative errors of at most eps
+    in the two ratios it reads into one of at most (n_i + n_{i-1}) eps /
+    (n_i - n_{i-1}), 2n - 1 times eps on consecutive steps, and the
+    median keeps that bound.  Where the extrapolants do not settle (the
+    Kesten case, a site whose entry the run flushes to 0 at some steps)
+    or there are at most ``_HHAT_WIDTH`` finite terms, the last raw ratio
+    is kept to the bit; a site out of reach reads 0 either way.
+    """
+    steps = np.flatnonzero(np.isfinite(ratio))[-(_HHAT_WIDTH + 1) :]  # step 0 is always finite
+    last = float(ratio[steps[-1]])
+    if len(steps) <= _HHAT_WIDTH:
+        return last
+    extrap = np.sort(_richardson(ratio[steps], steps)[1:])
+    spread = float(extrap[-1] - extrap[0])  # NaN or inf unless all are finite
+    mid = _HHAT_WIDTH // 2  # an even count: the median is the mean of the middle two
+    level = float(extrap[mid - 1] + extrap[mid]) / 2
+    return level if spread <= _HHAT_REL_TOL * level else last
 
 
 def estimate_hhat(kernel, x0: int, sites, n_max: int) -> HhatEstimate:
@@ -300,8 +337,12 @@ def estimate_hhat(kernel, x0: int, sites, n_max: int) -> HhatEstimate:
     on a chain whose conditioned law escapes, reads NaN.  On a
     mirror-symmetric chain the ratios at -x and +x agree to rounding, not
     to the bit.
+    The table is each series' limit extrapolated in 1/n: the median of
+    its last ``_HHAT_WIDTH`` first-order Richardson extrapolants over its
+    finite steps, when they spread by at most ``_HHAT_REL_TOL`` of that
+    median, and the last finite ratio otherwise (``_hhat_limit``).
     Non-convergence (the Kesten case) is a verdict per site, decided by a
-    sliding Cauchy window over the last half of the series, not an
+    sliding Cauchy window over the last half of the raw series, not an
     exception.  Raises ValueError if a rate between ``x0`` and a tracked
     site is not positive.
     """

@@ -14,7 +14,7 @@ from yaglom import (
     lazify,
 )
 from yaglom import conditions
-from yaglom.scenarios import default_kesten_schedule
+from yaglom.scenarios import PRESETS, default_kesten_schedule
 
 N_MAX = 2500
 TWO_SIDED = TwoSidedParams(0.25, 0.75, 0.9, 0.1)
@@ -147,3 +147,27 @@ def test_hhat_evidence_is_estimate_hhat_to_the_bit(x0):
     if x0 == 0:
         ev8 = check_conditions(k, TWO_SIDED, N_MAX).verdicts["8"].evidence
         assert all(repr(ev8[f"hhat_at_{x}"]) == repr(est.table[x]) for x in probe)
+
+
+BUDGETS = (1000, 1500, 2000, 2500, 4096, 8000)
+
+
+# lazified kesten is left out: its [5] reads the raw ratios' Cauchy window,
+# which still holds at n_max 1500 and 2000 only
+@pytest.mark.parametrize("name,lazy", [
+    ("two_sided", None), ("two_sided", 0.5), ("symmetric", None), ("symmetric", 0.5),
+    ("kesten", None), ("alpha_walk", None), ("alpha_walk", 0.5),
+])
+def test_conditions_5_and_8_do_not_depend_on_the_budget(name, lazy):
+    """With the family passed, as the CLI passes it, [5] and [8] read one
+    verdict each from n_max 1000 to 8000.  On lazified two_sided, [8]'s
+    extrapolated hhat holds at every budget; the last raw ratio, off by
+    about 19/n, failed at 1000 and 1500."""
+    kernel, family = PRESETS[name]()
+    if lazy:
+        kernel = lazify(kernel, lazy)
+    reports = [check_conditions(kernel, family, n_max) for n_max in BUDGETS]
+    assert len({rep.status("5") for rep in reports}) == 1
+    assert len({rep.status("8") for rep in reports}) == 1
+    if (name, lazy) == ("two_sided", 0.5):
+        assert all(rep.holds("8") for rep in reports)

@@ -56,8 +56,9 @@ def test_library_imports_only_stdlib_and_numpy():
 # Every private name one library module imports from another, as
 # (importer, source, name).  Like the export list in ``test_api.py``, this
 # grows only on purpose: the propagation core ``_normalised_run`` is
-# called from ``evolve.evolve_trace`` alone, and ``check_conditions`` reads
-# hhat off the forward run it already makes for [2].
+# called from ``evolve.evolve_trace`` alone, ``check_conditions`` reads
+# hhat off the forward run it already makes for [2], and rho and hhat share
+# one Richardson extrapolation.
 PRIVATE_IMPORTS = {
     ("cli", "spectral", "_green"),
     ("conditions", "spectral", "_green"),
@@ -65,6 +66,7 @@ PRIVATE_IMPORTS = {
     ("conditions", "transforms", "_hhat_from_trace"),
     ("evolve", "chain", "_normalised_run"),
     ("spectral", "chain", "_MAX_SPAN"),
+    ("transforms", "spectral", "_richardson"),
 }
 
 

@@ -273,11 +273,13 @@ def test_estimate_hhat_matches_exact_oracle(name):
 def test_estimate_hhat_is_mirror_symmetric():
     """Ratios at -x and +x come from one forward law from the mirror point
     and detailed-balance factors that agree to the bit, so they agree to
-    rounding."""
-    est = estimate_hhat(lazify(preset_kernel("symmetric"), 0.5), 0, (-3, -2, -1, 1, 2, 3), 2500)
+    rounding.  The table extrapolates them over consecutive steps up to n,
+    which multiplies their relative difference by at most 2n - 1."""
+    n = 2500
+    est = estimate_hhat(lazify(preset_kernel("symmetric"), 0.5), 0, (-3, -2, -1, 1, 2, 3), n)
     for x in (1, 2, 3):
-        assert abs(est.table[-x] - est.table[x]) <= 1e-14 * est.table[x]
         assert_rel(est.series[-x], est.series[x])
+        assert abs(est.table[-x] - est.table[x]) <= (2 * n - 1) * REL * est.table[x]
 
 
 def test_estimate_hhat_site_out_of_reach_is_zero():

@@ -24,7 +24,7 @@ from yaglom import (
     preset_kernel,
     quadratic_roots,
 )
-from yaglom.spectral import _green
+from yaglom.spectral import _green, _richardson
 
 PARAMS = TwoSidedParams(0.25, 0.75, 0.9, 0.1)
 MIRROR = MirrorParams(0.25, 0.125)
@@ -115,6 +115,37 @@ def test_estimate_rho_flags_drift():
 def test_estimate_rho_needs_history():
     with pytest.raises(ValueError):
         estimate_rho(np.full(100, 0.9))
+
+
+# rho_hat and error_bound from a 2500-step run from 0, as float.hex,
+# recorded before _richardson took the step indices
+PINNED_RHO = {
+    ("two_sided", None): ("0x1.0000000000000p+0", "inf"),
+    ("two_sided", 0.5): ("0x1.ddb3617550800p-1", "0x1.49a1108000000p-17"),
+    ("symmetric", None): ("0x1.0000000000000p+0", "inf"),
+    ("symmetric", 0.5): ("0x1.ddb3617550000p-1", "0x1.49a1118000000p-17"),
+    ("kesten", None): ("0x1.dc88e07569800p-1", "inf"),
+    ("kesten", 0.5): ("0x1.edd705fad6800p-1", "inf"),
+    ("alpha_walk", None): ("0x1.9eb851eb85000p-1", "0x1.8000000000000p-38"),
+    ("alpha_walk", 0.5): ("0x1.cf5c28f5c3000p-1", "0x1.8000000000000p-38"),
+}
+
+
+@pytest.mark.parametrize("name,lazy", list(PINNED_RHO))
+def test_estimate_rho_is_pinned(name, lazy):
+    """On consecutive steps the extrapolants divide by 1.0, so they are
+    k s_k - (k-1) s_{k-1} to the bit, and rho_hat does not move."""
+    kernel = preset_kernel(name)
+    if lazy:
+        kernel = lazify(kernel, lazy)
+    trace = evolve_trace(kernel, 0, 2500)
+    s = trace.survival_factors
+    k = np.arange(1.0, len(s) + 1.0)
+    extrap = _richardson(s, k)
+    assert extrap[0] == s[0]
+    assert extrap[1:].tobytes() == (k[1:] * s[1:] - k[:-1] * s[:-1]).tobytes()
+    est = estimate_rho(trace)
+    assert (est.rho_hat.hex(), est.error_bound.hex()) == PINNED_RHO[name, lazy]
 
 
 def test_closed_form_V_pin():

@@ -304,3 +304,40 @@ def test_mixture_limit_trivial_weights():
     )
     with pytest.raises(ValueError):
         BoundaryWeights(0.3, 0.3)
+
+
+@pytest.mark.parametrize("n,rel", [(1000, 1e-3), (2500, 1e-4), (4096, 1e-4), (8000, 1e-4)])
+def test_estimate_hhat_extrapolates_to_h_plus(n, rel):
+    """On lazified two_sided the table is the +inf extremal harmonic to
+    2.0e-4 at n = 1000 and 3.1e-5 at n = 2500; the last raw ratio was
+    off by 1.9e-2 and 7.7e-3."""
+    est = estimate_hhat(lazify(KERNEL, 0.5), 0, (-3, -2, -1, 1, 2, 3), n)
+    for x in (-3, -2, -1, 1, 2, 3):
+        assert est.table[x] == pytest.approx(float(PARAMS.h_plus.value(x)), rel=rel)
+
+
+def test_estimate_hhat_extrapolates_the_mirror_hhat():
+    est = estimate_hhat(lazify(MKERNEL, 0.5), 0, (-3, -2, -1, 0, 1, 2, 3), 3000)
+    for x in (-3, -2, -1, 0, 1, 2, 3):
+        assert est.table[x] == pytest.approx(float(MIRROR.hhat.value(x)), rel=1e-4)
+
+
+@pytest.mark.parametrize("kernel,family,n", [(KERNEL, PARAMS, 2000), (MKERNEL, MIRROR, 3000)],
+                         ids=["two_sided", "symmetric"])
+def test_estimate_hhat_extrapolates_period_two_series_over_their_finite_steps(kernel, family, n):
+    """The raw chains have period 2: an even site's ratio is NaN at every
+    odd step, and its extrapolants take the gaps of 2 between finite steps."""
+    est = estimate_hhat(kernel, 0, (-2, 2), n)
+    for x in (-2, 2):
+        assert np.isnan(est.series[x][1::2]).all()
+        assert est.table[x] == pytest.approx(float(family.hhat.value(x)), rel=1e-4)
+
+
+@pytest.mark.parametrize("n", [2500, 4096])
+def test_estimate_hhat_keeps_the_last_raw_ratio_where_extrapolants_do_not_settle(n):
+    """kesten's ratios swing, so their extrapolants spread past
+    _HHAT_REL_TOL; a site out of reach is 0 at every step it is defined."""
+    est = estimate_hhat(build_kesten(default_kesten_schedule()), 0, (-3, -1, 1, 3, n + 1), n)
+    for x, series in est.series.items():
+        assert repr(est.table[x]) == repr(float(series[np.isfinite(series)][-1]))
+    assert est.table[n + 1] == 0.0
