@@ -37,7 +37,7 @@ from .spectral import (
     closed_form_V,
     e0_r_zeta,
     estimate_rho,
-    green_partial,
+    green,
     k2n00_asymptotic,
 )
 from .transforms import (

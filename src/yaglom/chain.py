@@ -190,7 +190,7 @@ def _rate_violations(label: str, p: float, r: float, q: float) -> list[str]:
     return out
 
 
-def validate(kernel: NNKernel, window: Window | None = None) -> list[str]:
+def validate(kernel: NNKernel) -> list[str]:
     """Check kernel invariants; an empty report means the kernel is valid.
 
     Violations are data, not exceptions: the report lists one string per
@@ -229,12 +229,6 @@ def validate(kernel: NNKernel, window: Window | None = None) -> list[str]:
     kills = kernel.kill_sites()
     if kills is not None and not kills:
         report.append("no killing anywhere")
-
-    if window is not None and not report:
-        try:
-            kernel.rows(window.lo, window.hi)
-        except ValueError as exc:
-            report.append(str(exc))
     return report
 
 

@@ -39,10 +39,10 @@ from .montecarlo import absorption_times, orey_trace, simulate_absorbed
 from .scenarios import PRESETS, oscillation_probe
 from .spectral import (
     MIN_RHO_FACTORS,
-    _green,
     closed_form_V,
     e0_r_zeta,
     estimate_rho,
+    green,
     k2n00_asymptotic,
 )
 from .transforms import estimate_hhat, time_reversal
@@ -347,7 +347,7 @@ def cmd_spectral(cfg, base, kernel, family, out: Path) -> dict:
                 "t1": t1,
                 "V": closed_form_V(family),
                 "E0_R_zeta_closed_form": e0_r_zeta(family),
-                "E0_R_zeta_green": 1.0 + (family.R - 1.0) * _green(base, 0, "S", family.R),
+                "E0_R_zeta_green": 1.0 + (family.R - 1.0) * green(base, 0, "S", family.R),
                 "k2n00_asymptotic_n200": k2n00_asymptotic(family, 200),
             }
         )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .chain import NNKernel
 from .evolve import evolve_trace
 from .measures import TwoSidedParams
-from .spectral import _green, _GreenPole, e0_r_zeta, estimate_rho
+from .spectral import _GreenPole, e0_r_zeta, estimate_rho, green
 from .transforms import _hhat_from_trace
 
 __all__ = ["ConditionVerdict", "ConditionReport", "check_conditions"]
@@ -160,12 +160,12 @@ def check_conditions(kernel: NNKernel, family=None, n_max: int = 2500) -> Condit
         margin = 2.0 * est.error_bound + 1e-6
         try:
             for z in _PROBE_SITES:
-                ev2[f"E_R_zeta_at_{z}"] = 1.0 + (R - 1.0) * _green(kernel, z, "S", R * (1.0 - margin))
+                ev2[f"E_R_zeta_at_{z}"] = 1.0 + (R - 1.0) * green(kernel, z, "S", R * (1.0 - margin))
         except ValueError as exc:
             status2, ev2["note"] = "evidence-only", f"no exact Green value: {exc}"
         else:
             try:
-                _green(kernel, 0, 0, R * (1.0 + margin))
+                green(kernel, 0, 0, R * (1.0 + margin))
             except _GreenPole as exc:
                 status2 = "fails"
                 ev2["note"] = f"G_00 has a pole at R, an R-positive trap: E_z R^zeta is infinite ({exc})"

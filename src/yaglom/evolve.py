@@ -4,8 +4,10 @@ The central quantity is the conditioned law K^n(x0,.)/K^n(x0,S) together
 with the survival-factor series s_n = K^{n+1}(x0,S)/K^n(x0,S) and, for a
 designated finite set of sites, the pointwise ratio series
 K^{n+1}(x0,y)/K^n(x0,y).  ``evolve_trace`` is the one driver of the
-propagation core ``chain._normalised_run``: Green partial sums and the
-hhat ratio series are ``evolve_trace`` runs too.  A fraction-exact path
+propagation core ``chain._normalised_run``: the hhat ratio series are
+``evolve_trace`` runs too, and a partial sum sum_{n<=N} w^n K^n(x0,y) is
+read off a run's ``log_mass`` and ``tracked_values`` (the whole potential
+comes from ``spectral.green``'s exact solve).  A fraction-exact path
 enumeration serves as the ground-truth oracle at small n.
 """
 

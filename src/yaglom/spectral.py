@@ -1,8 +1,8 @@
 """Spectral radius estimation, generating functions and closed forms.
 
-Numerical side: Richardson extrapolation of survival-factor series and
-partial sums of the potential G_{x,y}(w) = sum_n w^n K^n(x,y), whose
-exact value comes from one tridiagonal solve.  Closed-form side, for the two-sided walk:
+Numerical side: Richardson extrapolation of survival-factor series, and
+the potential G_{x,y}(w) = sum_n w^n K^n(x,y) from one tridiagonal solve
+(``green``).  Closed-form side, for the two-sided walk:
 its return-time transform at the radius V = F_00(R), E_0 R^zeta and the
 local asymptotics of K^{2n}(0,0); its parameters live in ``measures``.
 """
@@ -15,16 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import _MAX_SPAN
-from .evolve import YaglomTrace, evolve_trace
 from .measures import TwoSidedParams
 
 __all__ = [
     "SpectralEstimate",
-    "GreenPartial",
     "estimate_rho",
     "closed_form_V",
     "e0_r_zeta",
-    "green_partial",
+    "green",
     "k2n00_asymptotic",
 ]
 
@@ -62,15 +60,16 @@ MIN_RHO_FACTORS = 200
 _CAUCHY_TOL = 1e-3
 
 
-def estimate_rho(trace: YaglomTrace | np.ndarray) -> SpectralEstimate:
-    """Extrapolated limit of the survival-factor series.
+def estimate_rho(trace) -> SpectralEstimate:
+    """Extrapolated limit of the survival-factor series of ``trace``, a
+    ``YaglomTrace`` or the series itself.
 
     The estimate is the median of the trailing Richardson extrapolants.
     The error bound is their spread over the last half of the series; if
     that spread exceeds ``_CAUCHY_TOL`` the series is declared
     non-convergent and the bound reported is infinite.
     """
-    series = trace.survival_factors if isinstance(trace, YaglomTrace) else np.asarray(trace)
+    series = np.asarray(getattr(trace, "survival_factors", trace))
     if len(series) < MIN_RHO_FACTORS:
         raise ValueError(f"need at least {MIN_RHO_FACTORS} survival factors")
     extrap = _richardson(series, np.arange(1.0, len(series) + 1.0))
@@ -99,51 +98,6 @@ def e0_r_zeta(params: TwoSidedParams) -> float:
     return params.kappa * params.R / (1.0 - closed_form_V(params))
 
 
-@dataclass(frozen=True)
-class GreenPartial:
-    """Partial sum of the potential and its exact remainder.
-
-    ``tail_estimate`` is G - ``value``, with G from ``_green``'s
-    tridiagonal solve, so ``total`` is the potential itself.
-    """
-
-    value: float
-    tail_estimate: float
-    terms: int
-
-    @property
-    def total(self) -> float:
-        return self.value + self.tail_estimate
-
-
-def green_partial(kernel, x: int, y, w: float, N: int) -> GreenPartial:
-    """sum_{n<=N} w^n K^n(x,y) by a forward run, plus the exact remainder.
-
-    ``y`` may be a site or the string ``"S"`` for the full survival mass.
-    A site outside [x-N, x+N] is out of reach in N steps: its partial sum
-    is 0 and its remainder the whole of G_{x,y}(w).  Raises ValueError if
-    w lies past the radius of convergence (see ``_green``).
-    """
-    if w < 0.0:
-        raise ValueError("need w >= 0")
-    if N < 1:
-        raise ValueError("need N >= 1")
-    G = _green(kernel, x, y, w)
-    want_S = y == "S"
-    if not (want_S or abs(y - x) <= N):
-        return GreenPartial(0.0, G, N + 1)
-    trace = evolve_trace(kernel, x, N, tracked=() if want_S else (y,))
-    logw = math.log(w) if w > 0.0 else -math.inf
-    terms = np.empty(N + 1)
-    terms[0] = 1.0 if (want_S or y == x) else 0.0
-    # n >= 1 here, so w = 0 gives n log w = -inf and a term of 0, never 0 * (-inf)
-    terms[1:] = np.exp(trace.log_mass + np.arange(1, N + 1) * logw)
-    if not want_S:
-        terms[1:] *= trace.tracked_values[y][1:]
-    value = float(terms.sum())
-    return GreenPartial(value, G - value, N + 1)
-
-
 # a tail discriminant within this many ulps of b^2 is a branch point
 _SNAP = 16.0 * np.finfo(float).eps
 
@@ -161,11 +115,11 @@ def _tail_root(w: float, out: float, r: float, back: float) -> float:
 
 
 class _GreenPole(ValueError):
-    """A Thomas pivot <= 0 in ``_green``: w lies at or past a pole of G,
+    """A Thomas pivot <= 0 in ``green``: w lies at or past a pole of G,
     inside both tails' branch points (an R-positive trap)."""
 
 
-def _green(kernel, x: int, y, w: float) -> float:
+def green(kernel, x: int, y, w: float) -> float:
     """G_{x,y}(w) = sum_n w^n K^n(x,y), or G_{x,S}(w) for ``y = "S"``, exactly.
 
     mu = e_x (I - wK)^{-1} solves the column equations mu(y) = 1{y=x} +
@@ -173,10 +127,13 @@ def _green(kernel, x: int, y, w: float) -> float:
     of the breakpoints, x and y, widened by one site, rates are constant,
     so mu(U+j) = mu(U) nu_R^j and mu(L-j) = mu(L) nu_L^j (``_tail_root``).
     That closes a tridiagonal system on [L, U], solved by one Thomas pass.
-    Raises ValueError past the radius of convergence (a tail discriminant
-    below 0; nu >= 1 for the survival sum), ``_GreenPole`` for a pivot
-    <= 0, and ValueError when the hull spans more than ``_MAX_SPAN`` sites.
+    Raises ValueError for a weight that is not a finite number >= 0, past
+    the radius of convergence (a tail discriminant below 0; nu >= 1 for the
+    survival sum), and when the hull spans more than ``_MAX_SPAN`` sites;
+    ``_GreenPole``, a ValueError, for a pivot <= 0.
     """
+    if not (math.isfinite(w) and w >= 0.0):
+        raise ValueError(f"need a finite weight w >= 0, got {w!r}")
     want_S = isinstance(y, str)
     if want_S and y != "S":
         raise ValueError("y must be a site or 'S'")

@@ -12,7 +12,7 @@ PUBLIC = {
     "build_symmetric", "build_two_sided", "c_max", "check_conditions", "closed_form_V",
     "default_kesten_schedule", "e0_r_zeta",
     "empirical_hitting_split", "estimate_hhat", "estimate_rho", "evolve_trace",
-    "extremal_minus", "extremal_plus", "family_measure", "green_partial", "h_transform",
+    "extremal_minus", "extremal_plus", "family_measure", "green", "h_transform",
     "hitting_split", "invariance_residual", "k2n00_asymptotic", "lazify",
     "mirror_extremal", "mirror_hhat", "mixture_limit", "orey_trace",
     "oscillation_probe", "preset_kernel", "prob_values", "quadratic_roots",

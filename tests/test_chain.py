@@ -23,7 +23,7 @@ def two_sided():
 
 
 def test_validate_two_sided_clean():
-    assert validate(two_sided(), Window(-50, 50)) == []
+    assert validate(two_sided()) == []
 
 
 def test_validate_flags_zero_down_rate():
@@ -128,7 +128,7 @@ def test_square_even_two_sided_origin_stay():
 
 def test_square_even_valid_on_even_class():
     sq = square_even(two_sided())
-    assert validate(sq, Window(-30, 30)) == []
+    assert validate(sq) == []
 
 
 def test_clip_tracks_discarded_mass():

@@ -10,7 +10,6 @@ from yaglom import (
     build_alpha_walk,
     build_two_sided,
     evolve_trace,
-    green_partial,
     lazify,
     total_variation,
 )
@@ -116,11 +115,13 @@ def test_two_steps_match_path_enumeration():
 
 
 def test_taboo_transform_approaches_V():
-    # F_00(R) = 1 - 1/G_00(R); read off the Green partial sums it creeps up
-    # to V from below
+    # F_00(R) = 1 - 1/G_00(R); read off the Green partial sums
+    # sum_{n<=N} R^n K^n(0,0) it creeps up to V from below
     k = build_two_sided(0.25, 0.75, 0.9, 0.1)
     R = 1.0 / (2.0 * math.sqrt(0.25 * 0.75))
-    partial = 1.0 - 1.0 / green_partial(k, 0, 0, R, 1500).value
+    tr = evolve_trace(k, 0, 1500, tracked=(0,))
+    terms = np.exp(np.concatenate([[0.0], tr.log_mass]) + np.arange(1501) * math.log(R))
+    partial = 1.0 - 1.0 / float((terms * tr.tracked_values[0]).sum())
     V = 0.5 + 0.5 * (1.0 - math.sqrt(1.0 - 0.09 / 0.1875))
     assert partial < V
     assert V - partial < 2e-2

@@ -60,8 +60,6 @@ def test_library_imports_only_stdlib_and_numpy():
 # hhat off the forward run it already makes for [2], and rho and hhat share
 # one Richardson extrapolation.
 PRIVATE_IMPORTS = {
-    ("cli", "spectral", "_green"),
-    ("conditions", "spectral", "_green"),
     ("conditions", "spectral", "_GreenPole"),
     ("conditions", "transforms", "_hhat_from_trace"),
     ("evolve", "chain", "_normalised_run"),

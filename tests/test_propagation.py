@@ -20,14 +20,13 @@ from yaglom import (
     check_conditions,
     estimate_hhat,
     evolve_trace,
-    green_partial,
+    green,
     lazify,
     preset_kernel,
     validate,
 )
 from yaglom import chain
 from yaglom.chain import _forward_step, _hull
-from yaglom.spectral import _green
 
 PRESETS = ("two_sided", "symmetric", "kesten", "alpha_walk")
 REL = 1e-14
@@ -169,10 +168,19 @@ def test_live_hull_brackets_the_final_support():
     assert len(tr.live_hull) < len(dist.window) // 2
 
 
+def forward_green(kernel, x, y, w, N):
+    """sum_{n<=N} w^n K^n(x, y), or with K^n(x, S) for y = "S", read off
+    one run's ``log_mass`` and ``tracked_values``."""
+    tr = evolve_trace(kernel, x, N, tracked=() if y == "S" else (y,))
+    terms = np.exp(np.concatenate([[0.0], tr.log_mass])) * w ** np.arange(N + 1.0)
+    return float((terms if y == "S" else terms * tr.tracked_values[y]).sum())
+
+
 @pytest.mark.parametrize("y", [0, "S"])
 def test_green_partial_matches_dense_loop(y):
-    """The partial sum against the dense loop at N, and the total against
-    the dense loop run on until its terms fall below 1e-17 of the sum."""
+    """The forward partial sum against the dense loop at N, and ``green``
+    against the dense loop run on until its terms fall below 1e-17 of the
+    sum."""
     kernel = preset_kernel("two_sided")
     x, w, N, M = 1, 1.1, 1200, 2400
     terms = np.zeros(M + 1)
@@ -180,15 +188,15 @@ def test_green_partial_matches_dense_loop(y):
     for n, (lo, log_mass, v) in enumerate(dense_forward_runs(kernel, x, M), start=1):
         terms[n] = math.exp(log_mass + n * math.log(w)) * (1.0 if y == "S" else v[y - lo])
     assert terms[-2:].max() < 1e-17 * terms.sum()
-    g = green_partial(kernel, x, y, w, N)
-    assert g.value == pytest.approx(terms[: N + 1].sum(), rel=REL)
-    assert g.total == pytest.approx(terms.sum(), rel=1e-12)
+    assert forward_green(kernel, x, y, w, N) == pytest.approx(terms[: N + 1].sum(), rel=REL)
+    assert green(kernel, x, y, w) == pytest.approx(terms.sum(), rel=1e-12)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs 80-bit long double")
 @pytest.mark.parametrize("name, lazy", [("two_sided", 0.5), ("alpha_walk", None)])
 def test_survival_green_sweep_against_extended_precision(name, lazy):
-    """green_partial's survival sum against an 80-bit dense loop."""
+    """The forward survival sum, from ``log_mass`` over 2000 steps, against
+    an 80-bit dense loop."""
     kernel = preset_kernel(name)
     if lazy is not None:
         kernel = lazify(kernel, lazy)
@@ -200,14 +208,14 @@ def test_survival_green_sweep_against_extended_precision(name, lazy):
     for n in range(1, N + 1):
         v = dense_step(v, up, stay, down)
         want[n] = v.sum()
-    got = green_partial(kernel, z, "S", 1.0, N).value
+    got = forward_green(kernel, z, "S", 1.0, N)
     assert got == pytest.approx(float(want.sum()), rel=1e-12)
 
 
 def test_check_conditions_probes_are_green_partial_runs():
     """Each [2] probe, at the fixed sites -20, 0 and 20, is E_z R^zeta =
-    1 + (R - 1) G_{z,S}(w) at the checker's weight, from the exact Green
-    solve: the total of a ``green_partial`` run of any length."""
+    1 + (R - 1) G_{z,S}(w) at the checker's weight, from ``green``'s exact
+    solve."""
     kernel = lazify(preset_kernel("two_sided"), 0.5)
     probes = (-20, 0, 20)
     rep = check_conditions(kernel)
@@ -218,10 +226,7 @@ def test_check_conditions_probes_are_green_partial_runs():
     R = ev["R"]
     w = R * (1.0 - 2.0 * ev["rho_error_bound"] - 1e-6)
     for z in probes:
-        G = _green(kernel, z, "S", w)
-        assert ev[f"E_R_zeta_at_{z}"] == 1.0 + (R - 1.0) * G
-        for N in (300, 2000):
-            assert green_partial(kernel, z, "S", w, N).total == pytest.approx(G, rel=1e-14)
+        assert ev[f"E_R_zeta_at_{z}"] == 1.0 + (R - 1.0) * green(kernel, z, "S", w)
     assert not any(key.startswith("green_tail") for key in ev)
     assert rep.status("2") == "holds"
 
@@ -397,6 +402,22 @@ def test_estimate_hhat_matches_transposed_dense_loop(rates, x0, n):
             want = vals[:, x - lo] / vals[:, x0 - lo]
         want[~np.isfinite(want)] = np.nan
         assert_rel(est.series[x], want, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rates=rate_triples,
+    x=st.integers(-6, 6),
+    dy=st.one_of(st.integers(-5, 5), st.just("S")),
+    w=st.floats(0.0, 0.9),
+)
+def test_green_matches_forward_sums_on_region_kernels(rates, x, dy, w):
+    """The exact solve against 400 forward terms.  Every term is at most
+    w^n <= 0.9^n, so the terms past 400 add less than 5e-18."""
+    kernel = random_kernel(floored(rates))
+    assume(not validate(kernel))
+    y = dy if dy == "S" else x + dy
+    assert green(kernel, x, y, w) == pytest.approx(forward_green(kernel, x, y, w, 400), rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,7 +3,6 @@ import pytest
 
 from yaglom import (
     KestenSchedule,
-    Window,
     build_alpha_walk,
     build_kesten,
     build_symmetric,
@@ -21,7 +20,7 @@ from yaglom.scenarios import default_kesten_schedule
 
 def test_two_sided_builder():
     k = build_two_sided(0.25, 0.75, 0.9, 0.1)
-    assert validate(k, Window(-100, 100)) == []
+    assert validate(k) == []
     assert k.kill(0) == pytest.approx(0.65)
     assert k.kill(3) == 0.0
     assert k.row(-4) == (0.9, 0.0, 0.1)
@@ -31,7 +30,7 @@ def test_two_sided_builder():
 
 def test_symmetric_builder_mirror_symmetry():
     k = build_symmetric(0.25)
-    assert validate(k, Window(-100, 100)) == []
+    assert validate(k) == []
     assert k.kill(0) == pytest.approx(0.75)  # exits p/2 on each side
     for x in range(-20, 21):
         p, r, q = k.row(x)
@@ -78,7 +77,7 @@ def test_kesten_schedule_validation():
 
 def test_kesten_builder_kill_confined_to_origin():
     k = build_kesten(default_kesten_schedule())
-    assert validate(k, Window(-300, 300)) == []
+    assert validate(k) == []
     assert k.kill_sites() == [0]
     assert k.kill(0) == pytest.approx(0.30)
     sched = default_kesten_schedule()
@@ -90,7 +89,7 @@ def test_kesten_builder_kill_confined_to_origin():
 def test_presets_registry():
     for name in ("two_sided", "symmetric", "kesten", "alpha_walk"):
         k = preset_kernel(name)
-        assert validate(k, Window(-50, 50)) == []
+        assert validate(k) == []
     with pytest.raises(KeyError):
         preset_kernel("unknown")
 

@@ -18,13 +18,13 @@ from yaglom import (
     evolve_trace,
     extremal_minus,
     extremal_plus,
-    green_partial,
+    green,
     k2n00_asymptotic,
     lazify,
     preset_kernel,
     quadratic_roots,
 )
-from yaglom.spectral import _green, _richardson
+from yaglom.spectral import _GreenPole, _richardson
 
 PARAMS = TwoSidedParams(0.25, 0.75, 0.9, 0.1)
 MIRROR = MirrorParams(0.25, 0.125)
@@ -187,14 +187,13 @@ def test_F00_matches_taboo_series_with_tail():
 def test_renewal_identity_on_green_partial(family):
     """G_00(R) = 1/(1 - F_00(R)), with F_00(R) = V on two_sided and e/p on
     mirror.  The chain lazified by 1/4 has the base chain's potential at R
-    as its potential at s = 1/(1/4 + 3/4 rho) times 1 - s/4, and its terms
-    have no period for the tail fit to trip on."""
+    as its potential at s = 1/(1/4 + 3/4 rho) times 1 - s/4."""
     if family == "two_sided":
         kernel, rho, F = build_two_sided(0.25, 0.75, 0.9, 0.1), PARAMS.rho, closed_form_V(PARAMS)
     else:
         kernel, rho, F = build_symmetric(0.25), MIRROR.rho, MIRROR.exit_prob / MIRROR.p
     s = 1.0 / (0.25 + 0.75 * rho)
-    G00 = green_partial(lazify(kernel, 0.25), 0, 0, s, 2000).total * (1.0 - 0.25 * s)
+    G00 = green(lazify(kernel, 0.25), 0, 0, s) * (1.0 - 0.25 * s)
     assert G00 == pytest.approx(1.0 / (1.0 - F), rel=1e-3)
 
 
@@ -215,39 +214,40 @@ def test_closed_form_V_and_e0_r_zeta_against_mpmath():
             assert abs(e0_r_zeta(params) - e0) <= 1e-14 * e0
 
 
-def test_green_partial_zero_weight():
+def test_green_weight_must_be_finite_and_nonnegative():
+    # at w = 0 only the n = 0 term is left; a NaN, an infinity or a negative
+    # weight is refused before the solve, so it never reads as a pole
     k = build_two_sided(0.25, 0.75, 0.9, 0.1)
-    g = green_partial(k, 3, 3, 0.0, 10)
-    assert g.value == 1.0
-    g = green_partial(k, 3, "S", 0.0, 10)
-    assert g.value == 1.0
-    g = green_partial(k, 3, 4, 0.0, 10)
-    assert g.value == 0.0
+    assert green(k, 3, 3, 0.0) == green(k, 3, "S", 0.0) == 1.0
+    assert green(k, 3, 4, 0.0) == 0.0
+    for w in (math.nan, math.inf, -math.inf, -0.5):
+        for y in (0, "S"):
+            with pytest.raises(ValueError, match="finite weight") as exc:
+                green(k, 0, y, w)
+            assert not isinstance(exc.value, _GreenPole)
 
 
 def test_green_partial_site_beyond_reach_is_zero():
-    # K^n(0, y) = 0 for |y| > N >= n: the window edge is no wrap-around,
-    # and the remainder is all of G_{0,y}
+    # K^n(0, y) = 0 for |y| > n: the window edge is no wrap-around, and G
+    # still reaches every site
     k = lazify(build_two_sided(0.25, 0.75, 0.9, 0.1), 0.5)
-    for y in (-101, 101):
-        g = green_partial(k, 0, y, 1.0, 100)
-        assert g.value == 0.0 and g.terms == 101
-        assert g.tail_estimate == _green(k, 0, y, 1.0) > 0.0
+    tr = evolve_trace(k, 0, 100, tracked=(-100, 100))
     for y in (-100, 100):
-        assert green_partial(k, 0, y, 1.0, 100).value > 0.0
+        assert tr.tracked_values[y][99] == 0.0 < tr.tracked_values[y][100]
+    for y in (-101, 101):
+        assert green(k, 0, y, 1.0) > 0.0
 
 
 def test_green_partial_E_R_zeta_identity():
     k = build_two_sided(0.25, 0.75, 0.9, 0.1)
-    g = green_partial(k, 0, "S", PARAMS.R, 4000)
-    est = 1.0 + (PARAMS.R - 1.0) * g.total
+    est = 1.0 + (PARAMS.R - 1.0) * green(k, 0, "S", PARAMS.R)
     assert est == pytest.approx(e0_r_zeta(PARAMS), abs=1e-2)
 
 
 def test_green_partial_rejects_supercritical_weight():
     k = build_two_sided(0.25, 0.75, 0.9, 0.1)
     with pytest.raises(ValueError):
-        green_partial(k, 0, "S", PARAMS.R * 1.05, 800)
+        green(k, 0, "S", PARAMS.R * 1.05)
 
 
 def test_green_solve_matches_two_sided_closed_forms():
@@ -257,9 +257,9 @@ def test_green_solve_matches_two_sided_closed_forms():
     for _ in range(200):
         params = random_params(rng)
         k = build_two_sided(params.p, params.q, params.a, params.b)
-        e0 = 1.0 + (params.R - 1.0) * green_partial(k, 0, "S", params.R, 20).total
+        e0 = 1.0 + (params.R - 1.0) * green(k, 0, "S", params.R)
         assert abs(e0 / e0_r_zeta(params) - 1.0) <= 1e-13, params
-        G00 = green_partial(k, 0, 0, params.R, 20).total
+        G00 = green(k, 0, 0, params.R)
         assert abs(G00 * (1.0 - closed_form_V(params)) - 1.0) <= 1e-13, params
 
 
@@ -269,7 +269,7 @@ def test_green_solve_matches_mirror_return_transform():
     for _ in range(200):
         p = rng.uniform(0.05, 0.45)
         e = rng.uniform(0.05, 0.95) * p
-        G00 = green_partial(build_symmetric(p, e), 0, 0, MirrorParams(p, e).R, 20).total
+        G00 = green(build_symmetric(p, e), 0, 0, MirrorParams(p, e).R)
         assert abs(G00 * (1.0 - e / p) - 1.0) <= 1e-13, (p, e)
 
 
@@ -289,7 +289,7 @@ def test_green_solve_matches_converged_forward_sums(name, lazy):
     for x, y in ((0, 0), (0, "S"), (3, -2), (-4, "S"), (20, 0)):
         terms = forward_terms(k, x, y, 3000)
         assert terms[-2:].max() < 1e-17 * terms.sum()
-        assert green_partial(k, x, y, 1.0, 200).total == pytest.approx(terms.sum(), rel=1e-12)
+        assert green(k, x, y, 1.0) == pytest.approx(terms.sum(), rel=1e-12)
 
 
 def test_green_solve_raises_past_an_r_positive_trap():
@@ -302,15 +302,15 @@ def test_green_solve_raises_past_an_r_positive_trap():
     assert R == pytest.approx(1.00547, abs=1e-5)
     assert 1.0 / (0.5 + 0.5 * PARAMS.rho) == pytest.approx(1.07180, abs=1e-5)
     for y in (0, "S"):
-        assert math.isfinite(_green(trap, 0, y, R * (1.0 - 1e-4)))
+        assert math.isfinite(green(trap, 0, y, R * (1.0 - 1e-4)))
         with pytest.raises(ValueError, match="pivot"):
-            _green(trap, 0, y, R * (1.0 + 1e-4))
-        assert math.isfinite(_green(k, 0, y, R * (1.0 + 1e-4)))
+            green(trap, 0, y, R * (1.0 + 1e-4))
+        assert math.isfinite(green(k, 0, y, R * (1.0 + 1e-4)))
 
 
 def test_green_solve_rejects_a_bad_target():
     with pytest.raises(ValueError):
-        _green(build_two_sided(0.25, 0.75, 0.9, 0.1), 0, "T", 1.0)
+        green(build_two_sided(0.25, 0.75, 0.9, 0.1), 0, "T", 1.0)
 
 
 def test_green_onekill_identity_finite_N():
@@ -349,9 +349,9 @@ def test_green_ratios_recover_entrance_extremals(z):
     z -> -inf."""
     k = build_two_sided(0.25, 0.75, 0.9, 0.1)
     extremal = extremal_plus(PARAMS) if z > 0 else extremal_minus(PARAMS)
-    g0 = green_partial(k, z, 0, PARAMS.R, 4000).total
+    g0 = green(k, z, 0, PARAMS.R)
     for y in range(-3, 4):
-        ratio = green_partial(k, z, y, PARAMS.R, 4000).total / g0
+        ratio = green(k, z, y, PARAMS.R) / g0
         assert ratio == pytest.approx(extremal.value(y) / extremal.value(0), rel=5e-2)
 
 
