@@ -116,11 +116,12 @@ def evolve_trace(
     the next block while the live hull stays the same, and every step's
     values go straight into the trace's arrays.  Blocks end at the
     snapshot steps.  The steps close to a window's ends go one step at a
-    time.  Both modes agree with single dense steps to a few ulps.  The band tables are stored times 2^200, so
-    the band product forms no subnormal from the law's tail, and a
-    block's entries below 2^-969 keep their digits (unscaled tables lost
-    up to 1.6e-13 relative there, on raw ``alpha_walk``).  ``log_mass`` gains one ``log`` per
-    block, so it does not drift over long runs.
+    time.  Both modes agree with single dense steps to a few ulps.  The
+    band tables are stored times 2^200, so the band product forms no
+    subnormal from the law's tail, and a block's entries below 2^-969
+    keep their digits (unscaled tables lost up to 1.6e-13 relative there,
+    on raw ``alpha_walk``).  ``log_mass`` gains one ``log`` per block, so
+    it does not drift over long runs.
 
     Raises
     ------

@@ -3,8 +3,12 @@
 All samplers take an explicit seed and are deterministic given it.  Batch
 helpers vectorize over paths with a shared generator, so identical seeds
 reproduce identical outputs byte for byte.  Every sampler moves its paths
-by one step rule, ``_move``; the batch samplers apply it in place, on
-reused buffers, with ``_step``.
+by one rule: a uniform u takes the outcome after the row's cumulative
+thresholds <= u.  ``simulate_absorbed``, ``orey_trace`` and
+``absorption_times`` take one step a draw (``_move``, or ``_step`` in
+place on reused buffers); ``empirical_hitting_split`` takes
+``_HITTING_BLOCK`` steps a draw, on the rows of the k-step kernel
+(``_block_thresholds``), found by a binary search.
 """
 
 from __future__ import annotations
@@ -41,12 +45,14 @@ class TrajectorySample:
 
 # Limits no caller tunes: the batch samplers' first window half-width
 # (doubled as paths walk out), the paths ``absorption_times`` moves at a
-# time, step caps, the reversal's site bound, and the tabulation of
-# initial laws.  ``absorption_times`` packs a path's row into the low
-# _ROW_BITS bits of an int64 and its id above them.
+# time, the steps ``empirical_hitting_split`` takes a draw, step caps,
+# the reversal's site bound, and the tabulation of initial laws.
+# ``absorption_times`` packs a path's row into the low _ROW_BITS bits of
+# an int64 and its id above them.
 _HALFWIDTH = 256
 _SLICE = 2**14
 _ROW_BITS = 32
+_HITTING_BLOCK = 32
 _HITTING_MAX_STEPS = 2_000_000
 _OREY_SITE_BOUND = 20000
 _INIT_TRUNCATION = 1e-9
@@ -101,6 +107,62 @@ def _stochastic_rows(tk, check: Window, tol: float, lo: int, hi: int):
     if resid > tol:
         raise ValueError(f"{type(tk).__name__} not stochastic: residual {resid:g}")
     return _renormalised(*tk.rows(lo, hi))
+
+
+def _block_thresholds(up, upstay, k: int) -> np.ndarray:
+    """Cumulative thresholds of the k-step kernel of a chain on [-M, M]
+    absorbed at +-M, whose rows -M + 1..M - 1 have the one-step thresholds
+    ``up`` and ``upstay`` of a stochastic table: a (2M - 1, 2k) array.
+
+    Row s lists its 2k + 1 outcomes s + k, s + k - 1, ..., s - k, and its
+    thresholds are the tail function G(y) = P_s(X_k >= y) at y = s + k,
+    ..., s - k + 1; the last outcome takes the rest.  An exit keeps its
+    mass, so a target past it holds none.  Each step sets G(y) to pi(y)
+    upstay(y) + pi(y - 1) up(y - 1) + G(y + 1), with pi(y) = G(y) - G(y + 1),
+    in band coordinates (offsets +k..-k from s), over the offsets reached
+    so far: O(M k^2) work.  At k = 1 the thresholds are ``up`` and
+    ``upstay`` to the bit.  A running max keeps rows ascending whatever
+    the rounding, as the binary search over them needs.
+    """
+    n = up.size
+
+    def offsets(threshold, at_exit):
+        # threshold[j, i]: its value at offset k - j from row i's site, j <= 2k + 1
+        ext = np.concatenate((np.zeros(k), [at_exit], threshold, [at_exit], np.zeros(k - 1)))
+        return np.lib.stride_tricks.sliding_window_view(ext, n)[::-1]
+
+    up, upstay = offsets(up, 0.0), offsets(upstay, 1.0)
+    G = np.zeros((2 * k + 3, n))  # G[j + 1]: G at offset k - j, for j = -1..2k + 1
+    G[k + 1:] = 1.0
+    # reused buffers: at a large M each temporary would be a fresh mmap
+    buffers = np.empty((2 * k + 2, n)), np.empty((2 * k + 1, n)), np.empty((2 * k + 1, n))
+    for t in range(k):
+        lo, hi = k - t - 1, min(k + t + 1, 2 * k)  # the offsets step t + 1 reaches
+        m = hi + 1 - lo
+        pi = np.subtract(G[lo + 1:hi + 3], G[lo:hi + 2], out=buffers[0][:m + 1])  # j = lo..hi + 1
+        new = np.multiply(pi[:-1], upstay[lo:hi + 1], out=buffers[1][:m])
+        new += np.multiply(pi[1:], up[lo + 1:hi + 2], out=buffers[2][:m])
+        new += G[lo:hi + 1]
+        G[lo + 1:hi + 2] = new
+    return np.maximum.accumulate(G[1:2 * k + 1], axis=0).T
+
+
+def _search_tables(thresholds: np.ndarray) -> list[np.ndarray]:
+    """Flat tables for a branchless count of each row's thresholds <= u.
+
+    The rows are padded with +inf to a power of two, P.  Table l < log2 P
+    holds, for each row, the 2^l thresholds a search visits at step l, so
+    a search at flat index g of table l goes on at 2g or 2g + 1 of table
+    l + 1; the last table is the padded rows, where the search ends at
+    row * P + #{thresholds <= u}.
+    """
+    n, m = thresholds.shape
+    P = 1 << (m - 1).bit_length()
+    rows = np.full((n, P), np.inf)
+    rows[:, :m] = thresholds
+    tables = [rows[:, (2 * np.arange(1 << l) + 1) * (P >> l + 1) - 1].ravel()
+              for l in range(P.bit_length() - 1)]
+    return tables + [rows.ravel()]
 
 
 def _walk(table, lo: int, x0: int, steps: int, rng):
@@ -184,38 +246,55 @@ def empirical_hitting_split(tk, x: int, M: int, n_paths: int, seed: int) -> floa
     """Fraction of conditioned-chain paths reaching +M before -M.
 
     Simulation cross-check for the deterministic gambler's-ruin solver at
-    the same horizon M.
+    the same horizon M.  Each round moves every live path by the
+    ``_HITTING_BLOCK``-step kernel of the chain absorbed at +-M
+    (``_block_thresholds``), with one uniform per live path, in path
+    order: u sends a path at s to s + k - #{thresholds <= u}.  At k = 1
+    these are the draws of one ``_move`` a step.  The table holds 2M - 1
+    rows of 2k floats, padded to a power of two.
     """
     if M <= abs(x):
         raise ValueError("need M > |x|")
     if n_paths < 1:
         raise ValueError("need n_paths >= 1")
-    table = _stochastic_rows(tk, Window(x - 8, x + 8), 1e-9, -M, M)
-    # rows are stored offset by one (site -M + 1 is row 0), in the
-    # narrowest unsigned type that holds 2M: live rows lie in [0, 2M - 2],
-    # which the "clip" gathers of _step never clamp, +M is row 2M - 1 and
-    # -M wraps to the type's maximum, so one max tests both exits
-    table = tuple(t[1:] for t in table)
+    k = _HITTING_BLOCK
+    table = _stochastic_rows(tk, Window(x - 8, x + 8), 1e-9, -M + 1, M - 1)
+    *levels, leaves = _search_tables(_block_thresholds(*table, k))
+    P = leaves.size // (2 * M - 1)
+    # site -M + 1 is row 0; +M is row 2M - 1, and -M and below are
+    # negative, which an unsigned view puts above it: one max tests both
     edge = 2 * M - 1
-    row = np.full(n_paths, x + M - 1, dtype=np.min_scalar_type(2 * M))  # in draw order
+    row = np.full(n_paths, x + M - 1, dtype=np.intp)  # in draw order
     buffers = (np.empty(n_paths), np.empty(n_paths, dtype=np.intp), np.empty(n_paths),
                np.empty(n_paths, dtype=bool))
-    u, i, t, b = buffers
+    u, g, t, b = buffers
     rng = np.random.default_rng(seed)
     plus = 0
-    steps = 0
+    rounds = 0
     while row.size:
-        steps += 1
-        if steps > _HITTING_MAX_STEPS:
+        rounds += 1
+        if rounds * k > _HITTING_MAX_STEPS:
             raise RuntimeError(f"hitting simulation exceeded {_HITTING_MAX_STEPS} steps")
         if u.size != row.size:
-            u, i, t, b = (buf[:row.size] for buf in buffers)
+            u, g, t, b = (buf[:row.size] for buf in buffers)
         rng.random(out=u)
-        i[...] = row
-        _step(row, u, i, table, t, b)
-        if np.maximum.reduce(row) >= edge:
-            plus += int(np.count_nonzero(row == edge))
-            row = row[row < edge]
+        step = b.view(np.uint8)
+        g[...] = row
+        for level in levels:  # g = 2g + [threshold <= u]
+            level.take(g, out=t, mode="clip")  # mode="raise" would copy ``t``
+            np.less_equal(t, u, out=b)
+            g += g
+            g += step
+        leaves.take(g, out=t, mode="clip")
+        np.less_equal(t, u, out=b)
+        g += step
+        # g = row P + count, and the path moves to row + k - count
+        row *= P + 1
+        row += k
+        row -= g
+        if np.maximum.reduce(row.view(np.uintp)) >= edge:
+            plus += int(np.count_nonzero(row >= edge))
+            row = row[row.view(np.uintp) < edge]
     return plus / n_paths
 
 

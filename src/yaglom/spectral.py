@@ -98,7 +98,8 @@ def e0_r_zeta(params: TwoSidedParams) -> float:
     return params.kappa * params.R / (1.0 - closed_form_V(params))
 
 
-# a tail discriminant within this many ulps of b^2 is a branch point
+# a tail discriminant within this many ulps of b^2 is a branch point, and
+# a tail ratio within them of 1 reaches 1
 _SNAP = 16.0 * np.finfo(float).eps
 
 
@@ -128,9 +129,10 @@ def green(kernel, x: int, y, w: float) -> float:
     so mu(U+j) = mu(U) nu_R^j and mu(L-j) = mu(L) nu_L^j (``_tail_root``).
     That closes a tridiagonal system on [L, U], solved by one Thomas pass.
     Raises ValueError for a weight that is not a finite number >= 0, past
-    the radius of convergence (a tail discriminant below 0; nu >= 1 for the
-    survival sum), and when the hull spans more than ``_MAX_SPAN`` sites;
-    ``_GreenPole``, a ValueError, for a pivot <= 0.
+    the radius of convergence (a tail discriminant below 0; for the
+    survival sum, a nu within ``_SNAP`` of 1 or above it), and when the
+    hull spans more than ``_MAX_SPAN`` sites; ``_GreenPole``, a
+    ValueError, for a pivot <= 0.
     """
     if not (math.isfinite(w) and w >= 0.0):
         raise ValueError(f"need a finite weight w >= 0, got {w!r}")
@@ -162,7 +164,7 @@ def green(kernel, x: int, y, w: float) -> float:
         mu[i] += e[i] * mu[i + 1]
     if not want_S:
         return mu[y - L]
-    if nu_L >= 1.0 or nu_R >= 1.0:
+    if max(nu_L, nu_R) >= 1.0 - _SNAP:  # a float nu can miss 1 by an ulp or two
         raise ValueError(f"w = {w!r} lies past the survival radius: a tail ratio reaches 1")
     return math.fsum(mu) + mu[-1] * nu_R / (1.0 - nu_R) + mu[0] * nu_L / (1.0 - nu_L)
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from yaglom import (
     extremal_plus,
     extremal_minus,
     h_transform,
+    hitting_split,
     lazify,
     mirror_hhat,
     simulate_absorbed,
@@ -27,6 +29,7 @@ from yaglom.measures import DualHarmonic
 import yaglom.montecarlo
 from yaglom.montecarlo import (
     _HALFWIDTH,
+    _block_thresholds,
     _move,
     _renormalised,
     _step,
@@ -124,7 +127,7 @@ def test_e0_r_zeta_truncated_consistency():
     assert want < e0_r_zeta(PARAMS)
 
 
-def test_samplers_pinned_to_recorded_draws():
+def test_samplers_pinned_to_recorded_draws(monkeypatch):
     # recorded outputs, one small input per sampler: a rewrite of the
     # samplers must keep every seed's draws
     lazy = lazify(KERNEL, 0.5)
@@ -145,6 +148,7 @@ def test_samplers_pinned_to_recorded_draws():
     ]
     s = simulate_absorbed(KERNEL, 2, 40, seed=10)
     assert (s.path.tolist(), s.absorbed_at) == ([2, 1, 2, 1, 2, 1, 2, 1, 0], 9)
+    monkeypatch.setattr(yaglom.montecarlo, "_HITTING_BLOCK", 1)
     assert empirical_hitting_split(sym, 2, 8, 40, seed=31) == 35 / 40
     tr = orey_trace(rk, lazy, Prob(), (8, 32), seed=4, probes=(0,))
     assert (tr.init_site, tr.positions) == (7, {8: 6, 32: 2})
@@ -174,11 +178,12 @@ def test_step_rule_edge_cases():
     assert set(moves.tolist()) == {1, -1, -2}
 
 
-def test_samplers_pinned_at_benchmark_scale():
+def test_samplers_pinned_at_benchmark_scale(monkeypatch):
     # recorded before the samplers moved to 1-D threshold gathers: the
     # hitting split at the monte_carlo workload's size and a hash of
     # 200 000 exit times
     sym = h_transform(build_symmetric(0.25), mirror_hhat(MIRROR), MIRROR.R)
+    monkeypatch.setattr(yaglom.montecarlo, "_HITTING_BLOCK", 1)
     for x, seed, plus in ((-5, 1201, 1444), (0, 1202, 9955), (3, 1203, 17856)):
         assert empirical_hitting_split(sym, x, 32, 20_000, seed) == plus / 20_000
     zeta = absorption_times(KERNEL, 0, 200_000, seed=1204)
@@ -328,23 +333,138 @@ _SPLIT_KERNELS = {
     "M, x, n_paths",
     [(8, 2, 20_000), (32, -5, 20_000), (127, 124, 1), (128, -125, 1), (300, 297, 1)],
 )
-def test_hitting_split_matches_one_move_steps(kernel, M, x, n_paths):
+def test_hitting_split_matches_one_move_steps(monkeypatch, kernel, M, x, n_paths):
     # rows of 2M <= 254 fit uint8 (M = 127), 256 does not (M = 128)
+    monkeypatch.setattr(yaglom.montecarlo, "_HITTING_BLOCK", 1)
     tk = _SPLIT_KERNELS[kernel]()
     seed = 50 + M
     assert empirical_hitting_split(tk, x, M, n_paths, seed) == _hitting_split_one_move(tk, x, M, n_paths, seed)
 
 
 @pytest.mark.parametrize("M", [127, 128])
-def test_hitting_split_matches_one_move_steps_across_row_types(M):
+def test_hitting_split_matches_one_move_steps_across_row_types(monkeypatch, M):
     # both exits, on either side of the uint8 rows: the h_plus chain
     # drifts up, so from near -M many paths leave at -M at once and the
     # rest cross to +M
+    monkeypatch.setattr(yaglom.montecarlo, "_HITTING_BLOCK", 1)
     tk = _SPLIT_KERNELS["two_sided_h_plus"]()
     x = 4 - M
     split = empirical_hitting_split(tk, x, M, 2_000, seed=M)
     assert 0.0 < split < 1.0
     assert split == _hitting_split_one_move(tk, x, M, 2_000, seed=M)
+
+
+def test_hitting_split_pinned_at_benchmark_scale_in_blocks():
+    # the draws of _HITTING_BLOCK steps a round, at the monte_carlo
+    # workload's size; at one step a round these seeds give 1444, 9955
+    # and 17856 (test_samplers_pinned_at_benchmark_scale)
+    sym = _SPLIT_KERNELS["mirror"]()
+    assert yaglom.montecarlo._HITTING_BLOCK == 32
+    for x, seed, plus in ((-5, 1201, 1389), (0, 1202, 9877), (3, 1203, 17761)):
+        assert empirical_hitting_split(sym, x, 32, 20_000, seed) == plus / 20_000
+
+
+def _exact_block_thresholds(table, k):
+    """``_block_thresholds`` exactly: the one-step kernel on [-M, M] read off
+    the float thresholds (up, up + stay) of rows -M + 1..M - 1 as
+    ``Fraction``s, absorbed at +-M, stepped k times in integers over a
+    common power-of-two denominator; the thresholds are its tail sums."""
+    rates = [(Fraction(0), Fraction(1), Fraction(0))]
+    rates += [(Fraction(a), Fraction(b) - Fraction(a), 1 - Fraction(b)) for a, b in zip(*table)]
+    rates += [(Fraction(0), Fraction(1), Fraction(0))]
+    D = max(r.denominator for rate in rates for r in rate)  # a power of two
+    up, stay, down = (np.array([r * D for r in column], dtype=object) for column in zip(*rates))
+    n = len(rates)  # 2M + 1 sites, -M at index 0
+    law = np.zeros((n - 2, n), dtype=object)  # one row per start -M + 1..M - 1
+    law[np.arange(n - 2), np.arange(1, n - 1)] = 1
+    for _ in range(k):
+        new = law * stay
+        new[:, 1:] += law[:, :-1] * up[:-1]
+        new[:, :-1] += law[:, 1:] * down[1:]
+        law = new
+    tails = np.cumsum(law[:, ::-1], axis=1)[:, ::-1]  # tails[i, y + M] = P(X_k >= y)
+    M = (n - 1) // 2
+    out = []
+    for i, row in enumerate(tails):
+        s = i - M + 1
+        ys = range(s + k, s - k, -1)
+        out.append([Fraction(0) if y > M else Fraction(1) if y < -M
+                    else Fraction(int(row[y + M]), D**k) for y in ys])
+    return out
+
+
+@pytest.mark.parametrize("M", [3, 40])
+def test_block_thresholds_match_exact_power(M):
+    # M = 3 < k: every row reaches both exits; the float table within
+    # 1e-15 of the exact k-th power, and exact at k = 1
+    tk = _SPLIT_KERNELS["lazy_mirror"]()
+    k = yaglom.montecarlo._HITTING_BLOCK
+    table = _stochastic_rows(tk, Window(-8, 8), 1e-9, -M + 1, M - 1)
+    got = _block_thresholds(*table, k)
+    assert got.shape == (2 * M - 1, 2 * k)
+    assert np.all(np.diff(got, axis=1) >= 0.0)
+    tol = Fraction(1e-15)
+    for got_row, want_row in zip(got.tolist(), _exact_block_thresholds(table, k)):
+        assert all(abs(Fraction(g) - w) <= tol for g, w in zip(got_row, want_row))
+    one = _block_thresholds(*table, 1)
+    assert np.array_equal(one[:, 0], table[0]) and np.array_equal(one[:, 1], table[1])
+
+
+def _hitting_split_scalar(tk, x, M, n_paths, seed):
+    """``empirical_hitting_split`` path by path: each round, each live path
+    in order draws one uniform u and moves from s to s + k - #{thresholds
+    <= u} of its row, counted one by one."""
+    k = yaglom.montecarlo._HITTING_BLOCK
+    table = _block_thresholds(*_stochastic_rows(tk, Window(x - 8, x + 8), 1e-9, -M + 1, M - 1), k)
+    table = table.tolist()
+    rng = np.random.default_rng(seed)
+    live, plus = [x] * n_paths, 0
+    while live:
+        moved = []
+        for s in live:
+            u = rng.random()
+            s += k - sum(c <= u for c in table[s + M - 1])
+            if s >= M:
+                plus += 1
+            elif s > -M:
+                moved.append(s)
+        live = moved
+    return plus / n_paths
+
+
+@pytest.mark.parametrize("block", [32, 5])
+@pytest.mark.parametrize(
+    "kernel, M, x, n_paths",
+    [("mirror", 3, 1, 500), ("lazy_mirror", 32, -5, 500), ("two_sided_h_plus", 40, -37, 300)],
+)
+def test_hitting_split_matches_scalar_rounds(monkeypatch, block, kernel, M, x, n_paths):
+    # at block 5 the 10 thresholds pad to 16 with +inf
+    monkeypatch.setattr(yaglom.montecarlo, "_HITTING_BLOCK", block)
+    tk = _SPLIT_KERNELS[kernel]()
+    seed = 70 + M
+    split = empirical_hitting_split(tk, x, M, n_paths, seed)
+    assert 0.0 < split < 1.0
+    assert split == _hitting_split_scalar(tk, x, M, n_paths, seed)
+
+
+def test_hitting_split_step_cap_counts_rounds_times_block(monkeypatch):
+    # from 0 at M = 32 the mirror chain's paths need more than two rounds
+    sym = _SPLIT_KERNELS["mirror"]()
+    monkeypatch.setattr(yaglom.montecarlo, "_HITTING_MAX_STEPS", 64)
+    with pytest.raises(RuntimeError, match="exceeded 64 steps"):
+        empirical_hitting_split(sym, 0, 32, 2_000, seed=5)
+    monkeypatch.setattr(yaglom.montecarlo, "_HITTING_MAX_STEPS", 10**5)
+    assert 0.0 < empirical_hitting_split(sym, 0, 32, 2_000, seed=5) < 1.0
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_hitting_split_in_blocks_matches_gamblers_ruin(seed):
+    # the benchmark's chain, horizon and path count, from -6..6
+    sym = _SPLIT_KERNELS["mirror"]()
+    x, M, n_paths = seed % 13 - 6, 32, 20_000
+    want = hitting_split(sym, x, M_start=M, M_cap=M).w_plus
+    got = empirical_hitting_split(sym, x, M, n_paths, seed=900 + seed)
+    assert abs(got - want) < 4.0 * math.sqrt(want * (1.0 - want) / n_paths)
 
 
 def test_hitting_split_needs_a_path():

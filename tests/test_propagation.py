@@ -177,7 +177,7 @@ def forward_green(kernel, x, y, w, N):
 
 
 @pytest.mark.parametrize("y", [0, "S"])
-def test_green_partial_matches_dense_loop(y):
+def test_green_and_forward_sum_match_dense_loop(y):
     """The forward partial sum against the dense loop at N, and ``green``
     against the dense loop run on until its terms fall below 1e-17 of the
     sum."""
@@ -212,7 +212,7 @@ def test_survival_green_sweep_against_extended_precision(name, lazy):
     assert got == pytest.approx(float(want.sum()), rel=1e-12)
 
 
-def test_check_conditions_probes_are_green_partial_runs():
+def test_check_conditions_probes_are_green_solves():
     """Each [2] probe, at the fixed sites -20, 0 and 20, is E_z R^zeta =
     1 + (R - 1) G_{z,S}(w) at the checker's weight, from ``green``'s exact
     solve."""

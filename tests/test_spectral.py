@@ -24,7 +24,8 @@ from yaglom import (
     preset_kernel,
     quadratic_roots,
 )
-from yaglom.spectral import _GreenPole, _richardson
+from yaglom.chain import Region
+from yaglom.spectral import _GreenPole, _richardson, _tail_root
 
 PARAMS = TwoSidedParams(0.25, 0.75, 0.9, 0.1)
 MIRROR = MirrorParams(0.25, 0.125)
@@ -184,7 +185,7 @@ def test_F00_matches_taboo_series_with_tail():
 
 
 @pytest.mark.parametrize("family", ["two_sided", "mirror"])
-def test_renewal_identity_on_green_partial(family):
+def test_renewal_identity_on_green(family):
     """G_00(R) = 1/(1 - F_00(R)), with F_00(R) = V on two_sided and e/p on
     mirror.  The chain lazified by 1/4 has the base chain's potential at R
     as its potential at s = 1/(1/4 + 3/4 rho) times 1 - s/4."""
@@ -227,7 +228,7 @@ def test_green_weight_must_be_finite_and_nonnegative():
             assert not isinstance(exc.value, _GreenPole)
 
 
-def test_green_partial_site_beyond_reach_is_zero():
+def test_site_beyond_reach_is_zero_but_green_reaches_it():
     # K^n(0, y) = 0 for |y| > n: the window edge is no wrap-around, and G
     # still reaches every site
     k = lazify(build_two_sided(0.25, 0.75, 0.9, 0.1), 0.5)
@@ -238,16 +239,29 @@ def test_green_partial_site_beyond_reach_is_zero():
         assert green(k, 0, y, 1.0) > 0.0
 
 
-def test_green_partial_E_R_zeta_identity():
+def test_green_E_R_zeta_identity():
     k = build_two_sided(0.25, 0.75, 0.9, 0.1)
     est = 1.0 + (PARAMS.R - 1.0) * green(k, 0, "S", PARAMS.R)
     assert est == pytest.approx(e0_r_zeta(PARAMS), abs=1e-2)
 
 
-def test_green_partial_rejects_supercritical_weight():
+def test_green_rejects_supercritical_weight():
     k = build_two_sided(0.25, 0.75, 0.9, 0.1)
     with pytest.raises(ValueError):
         green(k, 0, "S", PARAMS.R * 1.05)
+
+
+def test_green_survival_sum_raises_where_a_tail_ratio_rounds_below_1():
+    # the escaping chain drifts away from its one kill site, so its survival
+    # radius is 1; there the right tail ratio is 1 - 2^-52, not 1, and the
+    # sum diverges.  Below the radius, and at a site, nothing moves
+    k = NNKernel((Region(None, -1, 0.2, 0.2, 0.6), Region(0, 0, 0.3, 0.2, 0.3),
+                  Region(1, None, 0.6, 0.2, 0.2)))
+    assert _tail_root(1.0, 0.6, 0.2, 0.2) < 1.0
+    with pytest.raises(ValueError, match="survival radius"):
+        green(k, 0, "S", 1.0)
+    assert green(k, 0, "S", 0.99) == 67.47805275020416
+    assert green(k, 0, 0, 1.0) == 1.6666666666666665
 
 
 def test_green_solve_matches_two_sided_closed_forms():
