@@ -16,30 +16,8 @@ from .evolve import (
     evolve_trace,
     total_variation,
 )
-from .measures import (
-    ClosedFormMeasure,
-    MirrorParams,
-    Mixture,
-    TwoSidedParams,
-    c_max,
-    extremal_minus,
-    extremal_plus,
-    family_measure,
-    invariance_residual,
-    mirror_extremal,
-    mirror_hhat,
-    prob_values,
-    quadratic_roots,
-    reversibility_gamma,
-)
-from .spectral import (
-    SpectralEstimate,
-    closed_form_V,
-    e0_r_zeta,
-    estimate_rho,
-    green,
-    k2n00_asymptotic,
-)
+from .measures import Mixture, invariance_residual, prob_values
+from .spectral import SpectralEstimate, estimate_rho, green
 from .transforms import (
     BoundaryWeights,
     estimate_hhat,

@@ -221,7 +221,7 @@ def validate(kernel: NNKernel) -> list[str]:
         elif right.lo < left.hi + 1:
             report.append(f"regions overlap near {right.lo}")
 
-    for i, reg in enumerate(ordered):
+    for reg in ordered:
         report += _rate_violations(f"[{reg.lo},{reg.hi}]", reg.p, reg.r, reg.q)
     for site, p, r, q in kernel.overrides:
         report += _rate_violations(str(site), p, r, q)

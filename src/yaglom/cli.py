@@ -27,24 +27,20 @@ from .evolve import evolve_trace
 from .measures import (
     TwoSidedParams,
     c_max,
+    closed_form_V,
+    e0_r_zeta,
     extremal_minus,
     extremal_plus,
     family_measure,
     invariance_residual,
+    k2n00_asymptotic,
     mirror_extremal,
     prob_values,
     quadratic_roots,
 )
 from .montecarlo import absorption_times, orey_trace, simulate_absorbed
 from .scenarios import PRESETS, oscillation_probe
-from .spectral import (
-    MIN_RHO_FACTORS,
-    closed_form_V,
-    e0_r_zeta,
-    estimate_rho,
-    green,
-    k2n00_asymptotic,
-)
+from .spectral import MIN_RHO_FACTORS, estimate_rho, green
 from .transforms import estimate_hhat, time_reversal
 
 EXIT_OK = 0

@@ -4,7 +4,9 @@ Each condition gets a verdict (holds / fails / evidence-only) with at
 least one numeric evidence item.  "holds" for the structural conditions
 means a finite certificate; for the asymptotic ones it means the numeric
 criterion passed within the configured budget, which the report states
-explicitly rather than claiming a proof.
+explicitly rather than claiming a proof.  A ``family``, the base chain's
+parameters from ``measures``, adds its closed forms: [2] reports them as
+side evidence and [8] compares hhat with its +inf extremal harmonic.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass, field
 
 from .chain import NNKernel
 from .evolve import evolve_trace
-from .measures import TwoSidedParams
-from .spectral import _GreenPole, e0_r_zeta, estimate_rho, green
+from .measures import TwoSidedParams, e0_r_zeta
+from .spectral import _GreenPole, estimate_rho, green
 from .transforms import _hhat_from_trace
 
 __all__ = ["ConditionVerdict", "ConditionReport", "check_conditions"]

@@ -1,4 +1,4 @@
-"""Closed-form invariant-measure families and their duals.
+"""The two worked families' closed forms, and invariant-measure checks.
 
 The parameters of the two worked examples, ``TwoSidedParams`` and
 ``MirrorParams``, carry the same closed-form members: ``R``, ``rho``,
@@ -6,10 +6,13 @@ The parameters of the two worked examples, ``TwoSidedParams`` and
 boundary ``split(x)`` and the Yaglom ``limit(x)``.  For the two-sided
 walk, the one-parameter family of rho-invariant measures mu_c, its
 extremals (the entrance-boundary measures), the normalizer T(c), the
-reversibility measure gamma and the duality h = mu/gamma.  The
-mirror-symmetric chain gets the analogous closed forms, derived from the
-same double-root structure.  A generic residual checker certifies
-rho-invariance of any evaluable measure on a window.
+reversibility measure gamma, the duality h = mu/gamma, the return-time
+transform V = F_00(R), E_0 R^zeta and the local asymptotics of
+K^{2n}(0,0).  The mirror-symmetric chain gets the analogous closed forms,
+derived from the same double-root structure.  These serve the CLI's
+family references and the tests as oracles; ``import yaglom`` exports
+only the generic parts: ``Mixture``, a residual checker that certifies
+rho-invariance of any evaluable measure on a window, and ``prob_values``.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ __all__ = [
     "extremal_plus",
     "extremal_minus",
     "c_max",
+    "closed_form_V",
+    "e0_r_zeta",
+    "k2n00_asymptotic",
     "invariance_residual",
     "reversibility_gamma",
     "mirror_extremal",
@@ -114,6 +120,31 @@ def quadratic_roots(params: TwoSidedParams) -> tuple[float, float]:
 def c_max(params: TwoSidedParams) -> float:
     """Upper end c1 = sqrt(1 - ab/pq) of the admissible slope range."""
     return math.sqrt(1.0 - params.a * params.b / (params.p * params.q))
+
+
+def closed_form_V(params: TwoSidedParams) -> float:
+    """V = F_00(R) = 1/2 + (1 - sqrt(1 - ab/pq))/2 = 1/2 + (1 - c1)/2 < 1.
+
+    The return-time transform is F_00(z) = (1 - sqrt(1 - 4pq z^2))/2 +
+    (1 - sqrt(1 - 4ab z^2))/2, and R^2 = 1/(4pq) is substituted exactly:
+    evaluated at a rounded R, 1 - 4pqR^2 lands a few ulps off 0, and its
+    square root costs half the digits.
+    """
+    return 0.5 + 0.5 * (1 - c_max(params))
+
+
+def e0_r_zeta(params: TwoSidedParams) -> float:
+    """E_0 R^zeta = (1 - b - p) R / (1 - V) for the two-sided walk."""
+    return params.kappa * params.R / (1.0 - closed_form_V(params))
+
+
+def k2n00_asymptotic(params: TwoSidedParams, n: int) -> float:
+    """Asymptotic K^{2n}(0,0) ~ (pq/(pq-ab)) (4pq)^n / (sqrt(pi) n^{3/2})."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    pq = params.p * params.q
+    ab = params.a * params.b
+    return pq / (pq - ab) * (4.0 * pq) ** n / (math.sqrt(math.pi) * n**1.5)
 
 
 def _value_side(pieces, x):

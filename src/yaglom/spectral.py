@@ -1,10 +1,9 @@
-"""Spectral radius estimation, generating functions and closed forms.
+"""Spectral radius estimation and Green functions.
 
-Numerical side: Richardson extrapolation of survival-factor series, and
-the potential G_{x,y}(w) = sum_n w^n K^n(x,y) from one tridiagonal solve
-(``green``).  Closed-form side, for the two-sided walk:
-its return-time transform at the radius V = F_00(R), E_0 R^zeta and the
-local asymptotics of K^{2n}(0,0); its parameters live in ``measures``.
+Richardson extrapolation of survival-factor series (``estimate_rho``),
+and the potential G_{x,y}(w) = sum_n w^n K^n(x,y) from one tridiagonal
+solve (``green``).  The two-sided walk's closed forms (V = F_00(R),
+E_0 R^zeta, the local asymptotics of K^{2n}(0,0)) live in ``measures``.
 """
 
 from __future__ import annotations
@@ -15,16 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import _MAX_SPAN
-from .measures import TwoSidedParams
+# not used here: kept only for callers that still read
+# ``yaglom.spectral.TwoSidedParams`` (perfbench/workloads.py)
+from .measures import TwoSidedParams  # noqa: F401
 
-__all__ = [
-    "SpectralEstimate",
-    "estimate_rho",
-    "closed_form_V",
-    "e0_r_zeta",
-    "green",
-    "k2n00_asymptotic",
-]
+__all__ = ["SpectralEstimate", "estimate_rho", "green"]
 
 
 @dataclass(frozen=True)
@@ -80,22 +74,6 @@ def estimate_rho(trace) -> SpectralEstimate:
     if spread > _CAUCHY_TOL:
         return SpectralEstimate(rho_hat, math.inf)
     return SpectralEstimate(rho_hat, spread)
-
-
-def closed_form_V(params: TwoSidedParams) -> float:
-    """V = F_00(R) = 1/2 + (1 - sqrt(1 - ab/pq))/2 < 1.
-
-    The return-time transform is F_00(z) = (1 - sqrt(1 - 4pq z^2))/2 +
-    (1 - sqrt(1 - 4ab z^2))/2, and R^2 = 1/(4pq) is substituted exactly:
-    evaluated at a rounded R, 1 - 4pqR^2 lands a few ulps off 0, and its
-    square root costs half the digits.
-    """
-    return 0.5 + 0.5 * (1 - math.sqrt(1 - params.a * params.b / (params.p * params.q)))
-
-
-def e0_r_zeta(params: TwoSidedParams) -> float:
-    """E_0 R^zeta = (1 - b - p) R / (1 - V) for the two-sided walk."""
-    return params.kappa * params.R / (1.0 - closed_form_V(params))
 
 
 # a tail discriminant within this many ulps of b^2 is a branch point, and
@@ -167,12 +145,3 @@ def green(kernel, x: int, y, w: float) -> float:
     if max(nu_L, nu_R) >= 1.0 - _SNAP:  # a float nu can miss 1 by an ulp or two
         raise ValueError(f"w = {w!r} lies past the survival radius: a tail ratio reaches 1")
     return math.fsum(mu) + mu[-1] * nu_R / (1.0 - nu_R) + mu[0] * nu_L / (1.0 - nu_L)
-
-
-def k2n00_asymptotic(params: TwoSidedParams, n: int) -> float:
-    """Asymptotic K^{2n}(0,0) ~ (pq/(pq-ab)) (4pq)^n / (sqrt(pi) n^{3/2})."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    pq = params.p * params.q
-    ab = params.a * params.b
-    return pq / (pq - ab) * (4.0 * pq) ** n / (math.sqrt(math.pi) * n**1.5)

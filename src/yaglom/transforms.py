@@ -153,17 +153,17 @@ def hitting_split(
     cap is reached, in which case ``converged`` is False and ``delta``
     reports the last change).  On the mirror chain the error falls only
     like 1/M; the families' ``split`` gives the exact weights.  Raises
-    if 2|x| + 2 exceeds ``M_cap`` (the first window alone would pass the
-    cap), or if the rows of ``tk`` near 0 miss 1 by more than
-    ``_RESIDUAL_TOL``.
+    if the first horizon exceeds ``M_cap`` (``M_start``, or 2|x| + 2 from
+    a start that far out), or if the rows of ``tk`` near 0 miss 1 by more
+    than ``_RESIDUAL_TOL``.
     """
-    if 2 * abs(x) + 2 > M_cap:
-        raise ValueError(f"start {x} needs a horizon of {2 * abs(x) + 2}, above M_cap={M_cap}")
+    M = max(M_start, 2 * abs(x) + 2)
+    if M > M_cap:
+        raise ValueError(f"start {x}, M_start={M_start}: first horizon {M} exceeds M_cap={M_cap}")
     check = Window(-min(M_start, 64), min(M_start, 64))
     resid = tk.stochastic_residual(check)
     if resid > _RESIDUAL_TOL:
         raise ValueError(f"transformed kernel not stochastic: residual {resid:g}")
-    M = max(M_start, 2 * abs(x) + 2)
     w = _ruin_w_plus(tk, x, M)
     delta = math.inf
     while M < M_cap:

@@ -12,30 +12,32 @@ import numpy as np
 import pytest
 
 from yaglom import (
-    MirrorParams,
-    TwoSidedParams,
     Window,
     build_alpha_walk,
     build_kesten,
     build_symmetric,
     build_two_sided,
-    c_max,
     estimate_hhat,
     estimate_rho,
     evolve_trace,
-    extremal_minus,
-    extremal_plus,
-    family_measure,
     h_transform,
     hitting_split,
     invariance_residual,
     lazify,
-    mirror_extremal,
-    mirror_hhat,
     mixture_limit,
     oscillation_probe,
     preset_kernel,
     prob_values,
+)
+from yaglom.measures import (
+    MirrorParams,
+    TwoSidedParams,
+    c_max,
+    extremal_minus,
+    extremal_plus,
+    family_measure,
+    mirror_extremal,
+    mirror_hhat,
     quadratic_roots,
     reversibility_gamma,
 )

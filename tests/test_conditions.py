@@ -1,10 +1,8 @@
 import pytest
 
 from yaglom import (
-    MirrorParams,
     NNKernel,
     Region,
-    TwoSidedParams,
     build_alpha_walk,
     build_kesten,
     build_symmetric,
@@ -13,6 +11,7 @@ from yaglom import (
     estimate_hhat,
     lazify,
 )
+from yaglom.measures import MirrorParams, TwoSidedParams
 from yaglom import conditions
 from yaglom.scenarios import PRESETS, default_kesten_schedule
 

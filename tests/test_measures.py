@@ -6,26 +6,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yaglom import (
-    MirrorParams,
-    TwoSidedParams,
     Window,
     build_symmetric,
     build_two_sided,
-    c_max,
-    extremal_minus,
-    extremal_plus,
-    family_measure,
     green,
     h_transform,
     invariance_residual,
     lazify,
+    prob_values,
+)
+from yaglom.measures import (
+    DualHarmonic,
+    MirrorHarmonic,
+    MirrorParams,
+    Mixture,
+    TwoSidedParams,
+    c_max,
+    extremal_minus,
+    extremal_plus,
+    family_measure,
     mirror_extremal,
     mirror_hhat,
-    prob_values,
     quadratic_roots,
     reversibility_gamma,
 )
-from yaglom.measures import DualHarmonic, MirrorHarmonic, Mixture
 
 PARAMS = TwoSidedParams(0.25, 0.75, 0.9, 0.1)
 KERNEL = build_two_sided(0.25, 0.75, 0.9, 0.1)

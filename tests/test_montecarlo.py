@@ -8,24 +8,26 @@ import pytest
 from scipy import stats
 
 from yaglom import (
-    MirrorParams,
-    TwoSidedParams,
     build_alpha_walk,
     build_symmetric,
     build_two_sided,
-    e0_r_zeta,
     evolve_trace,
-    extremal_plus,
-    extremal_minus,
     h_transform,
     hitting_split,
     lazify,
-    mirror_hhat,
     simulate_absorbed,
     time_reversal,
 )
 from yaglom.chain import NNKernel, Region, Window
-from yaglom.measures import DualHarmonic
+from yaglom.measures import (
+    DualHarmonic,
+    MirrorParams,
+    TwoSidedParams,
+    e0_r_zeta,
+    extremal_minus,
+    extremal_plus,
+    mirror_hhat,
+)
 import yaglom.montecarlo
 from yaglom.montecarlo import (
     _HALFWIDTH,

@@ -6,22 +6,24 @@ import pytest
 from scipy.special import zeta
 
 from yaglom import (
-    MirrorParams,
     NNKernel,
-    TwoSidedParams,
     build_alpha_walk,
     build_symmetric,
     build_two_sided,
-    closed_form_V,
-    e0_r_zeta,
     estimate_rho,
     evolve_trace,
-    extremal_minus,
-    extremal_plus,
     green,
-    k2n00_asymptotic,
     lazify,
     preset_kernel,
+)
+from yaglom.measures import (
+    MirrorParams,
+    TwoSidedParams,
+    closed_form_V,
+    e0_r_zeta,
+    extremal_minus,
+    extremal_plus,
+    k2n00_asymptotic,
     quadratic_roots,
 )
 from yaglom.chain import Region

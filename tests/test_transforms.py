@@ -4,28 +4,30 @@ import numpy as np
 import pytest
 
 from yaglom import (
-    MirrorParams,
     NNKernel,
     Region,
-    TwoSidedParams,
     Window,
     build_kesten,
     build_symmetric,
     build_two_sided,
     estimate_hhat,
-    extremal_minus,
-    extremal_plus,
     h_transform,
     hitting_split,
     lazify,
-    mirror_extremal,
-    mirror_hhat,
     mixture_limit,
-    quadratic_roots,
     time_reversal,
 )
 from yaglom.scenarios import default_kesten_schedule
-from yaglom.measures import DualHarmonic
+from yaglom.measures import (
+    DualHarmonic,
+    MirrorParams,
+    TwoSidedParams,
+    extremal_minus,
+    extremal_plus,
+    mirror_extremal,
+    mirror_hhat,
+    quadratic_roots,
+)
 from yaglom.transforms import _HHAT_REL_TOL, _HHAT_WIDTH, BoundaryWeights, _window_cauchy
 
 PARAMS = TwoSidedParams(0.25, 0.75, 0.9, 0.1)
@@ -152,6 +154,15 @@ def test_hitting_split_stops_at_the_cap():
     # from x = 100 the horizon doubles 202, 404, ..., 3232, then stops at the cap
     assert hitting_split(tk, 100).horizon == 4096
     assert hitting_split(tk, 100, M_cap=1000).horizon == 1000
+
+
+def test_hitting_split_rejects_a_first_horizon_past_the_cap():
+    tk = h_transform(MKERNEL, mirror_hhat(MIRROR), MIRROR.R)
+    with pytest.raises(ValueError, match="first horizon 128 exceeds M_cap=64"):
+        hitting_split(tk, 0, M_start=128, M_cap=64)
+    with pytest.raises(ValueError, match="first horizon 82 exceeds M_cap=64"):
+        hitting_split(tk, 40, M_cap=64)
+    assert hitting_split(tk, 0, M_start=64, M_cap=64).horizon == 64
 
 
 @pytest.mark.parametrize("x", [-6, -2, 2, 6])
